@@ -88,11 +88,14 @@ class ApproachDirection:
     derivative_limit: float
 
 
-def _validate_n(n: int) -> int:
+def validate_n(n: int, max_n: Optional[int] = None) -> int:
+    """Check a number of summands: an integer >= 2 and, if given, <= max_n."""
     if isinstance(n, bool) or not isinstance(n, int):
         raise DomainError(f"n must be an integer >= 2, got {n!r}")
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
+    if max_n is not None and n > max_n:
+        raise DomainError(f"n must lie in [2, {max_n}], got {n}")
     return n
 
 
@@ -139,7 +142,7 @@ def convolution_constant(xi: float) -> float:
 def tail_ratio_limit(xi: float, n: int) -> float:
     """Limit of (G_bar(x)/F_bar(x) - n) / b(x) for the n-fold convolution
     tail G_bar: equals n (n - 1) times the convolution constant."""
-    n = _validate_n(n)
+    n = validate_n(n)
     return n * (n - 1) * convolution_constant(xi)
 
 
@@ -208,7 +211,7 @@ def correction_coefficient(xi: float, rho: float, n: int) -> float:
     n^(xi-1) log n. On the boundary this coefficient is undefined and
     :class:`BoundaryCaseError` is raised.
     """
-    n = _validate_n(n)
+    n = validate_n(n)
     xi = float(xi)
     rho = float(rho)
     if not (math.isfinite(xi) and xi > 0):
@@ -276,7 +279,7 @@ def correction_amplitude(model: LossModel, alpha: float, closed_form: bool = Fal
 def first_order_limit(xi: float, n: int) -> float:
     """Limiting ratio n^(xi-1) of the sum quantile to n times the
     single-loss quantile."""
-    n = _validate_n(n)
+    n = validate_n(n)
     xi = float(xi)
     if not (math.isfinite(xi) and xi > 0):
         raise DomainError(f"first_order_limit: requires finite xi > 0, got {xi!r}")
@@ -319,7 +322,7 @@ def second_order_approx(
     alpha = float(alpha)
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"second_order_approx: alpha must lie in (0, 1), got {alpha!r}")
-    n = _validate_n(n)
+    n = validate_n(n)
     info = model.second_order_info()
     c1 = first_order_limit(info.xi, n)
     regime = classify_regime(info, q)
@@ -347,7 +350,7 @@ def approach_direction(model: LossModel, n: int) -> ApproachDirection:
     depends on unavailable model constants the direction is reported as
     model-dependent.
     """
-    n = _validate_n(n)
+    n = validate_n(n)
     info = model.second_order_info()
     xi = info.xi
     regime = classify_regime(info)
@@ -402,7 +405,7 @@ def crossover(
     exists in [alpha_lo, alpha_hi]; None when the curve does not change
     side. Bisection to |delta alpha| <= 1e-7.
     """
-    n = _validate_n(n)
+    n = validate_n(n)
     alpha_lo = float(alpha_lo)
     alpha_hi = float(alpha_hi)
     if not (0.0 < alpha_lo < alpha_hi < 1.0):

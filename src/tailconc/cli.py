@@ -35,7 +35,7 @@ from .models import LossModel, model_from_dict, model_to_dict
 from .montecarlo import (
     DenominatorMode,
     SimulationConfig,
-    _second_order_column,
+    second_order_column,
     empirical_concentration,
 )
 
@@ -248,7 +248,7 @@ def _cmd_curve(model: LossModel, args) -> int:
         c1, c2 = curve.c1, curve.c2
         regime, degenerate = curve.regime, curve.degenerate
     else:
-        c1, c2, regime, degenerate = _second_order_column(
+        c1, c2, regime, degenerate = second_order_column(
             model, alphas, args.n, bool(args.hall_closed_form)
         )
     c_oracle = None

@@ -39,7 +39,7 @@ from scipy.special import ndtr
 
 from . import approx
 from .errors import DomainError, GridRangeError, PrecisionError
-from .models import GandH, LossModel, _gh_transform, _gh_transform_deriv
+from .models import GandH, LossModel, gh_inverse, gh_transform, gh_transform_deriv
 
 __all__ = [
     "GridSpec",
@@ -127,38 +127,6 @@ def _panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _gh_inv_bracketed(
-    w: np.ndarray,
-    g: float,
-    h: float,
-    lo,
-    hi,
-    bisect_iters: int = 44,
-    newton_iters: int = 3,
-) -> np.ndarray:
-    """Vectorized inverse of the g-and-h transform with explicit brackets.
-
-    Out-of-bracket values clamp to the endpoints (used deliberately for
-    arguments beyond the stored range)."""
-    w = np.asarray(w, dtype=float)
-    lo_arr = np.broadcast_to(np.asarray(lo, dtype=float), w.shape).copy()
-    hi_arr = np.broadcast_to(np.asarray(hi, dtype=float), w.shape).copy()
-    lo0, hi0 = lo_arr.copy(), hi_arr.copy()
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo_arr + hi_arr)
-        too_low = _gh_transform(mid, g, h) < w
-        lo_arr = np.where(too_low, mid, lo_arr)
-        hi_arr = np.where(too_low, hi_arr, mid)
-    z = 0.5 * (lo_arr + hi_arr)
-    for _ in range(newton_iters):
-        f = _gh_transform(z, g, h) - w
-        d = _gh_transform_deriv(z, g, h)
-        ok = np.isfinite(f) & np.isfinite(d) & (d > 0)
-        step = np.where(ok, f / np.where(ok, d, 1.0), 0.0)
-        z = np.clip(z - step, lo0, hi0)
-    return z
-
-
 def _gbar2_positive(model: LossModel, x: np.ndarray, order: int) -> np.ndarray:
     """Two-fold convolution tail for a positive-support model, vectorized."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -230,12 +198,12 @@ def _gbar2_gandh(model: GandH, x: np.ndarray, order: int) -> np.ndarray:
     """Two-fold convolution tail for g-and-h, computed in z-space."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b, g, h = model.a, model.b, model.g, model.h
-    z_star = _gh_inv_bracketed((0.5 * x - a) / b, g, h, lo=-60.0, hi=50.0)
+    z_star = gh_inverse((0.5 * x - a) / b, g, h, lo=-60.0, hi=50.0)
     v, wts = _panel_rule(order)
     span = np.maximum(z_star - _GH_Z_LO, 0.0)
     z_nodes = _GH_Z_LO + span[:, None] * v[None, :]
-    rem = (x[:, None] - 2.0 * a) / b - _gh_transform(z_nodes, g, h)
-    zz = _gh_inv_bracketed(rem, g, h, lo=z_star[:, None], hi=50.0)
+    rem = (x[:, None] - 2.0 * a) / b - gh_transform(z_nodes, g, h)
+    zz = gh_inverse(rem, g, h, lo=z_star[:, None], hi=50.0)
     integrand = ndtr(-zz) * np.exp(-0.5 * z_nodes * z_nodes) / _SQRT_TWO_PI
     integral = span * np.sum(integrand * wts[None, :], axis=1)
     tail_half = ndtr(-z_star)
@@ -263,9 +231,9 @@ def _gbar_step_gandh(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b, g, h = model.a, model.b, model.g, model.h
     v, wts = _panel_rule(order)
-    z_split = _gh_inv_bracketed((0.5 * x - a) / b, g, h, -60.0, 50.0)
+    z_split = gh_inverse((0.5 * x - a) / b, g, h, -60.0, 50.0)
     z_floor = getattr(prev_eval, "z_floor", _GH_HEAD_Z_LO)
-    w_floor = getattr(prev_eval, "w_floor", a + b * _gh_transform(_GH_HEAD_Z_LO, g, h))
+    w_floor = getattr(prev_eval, "w_floor", a + b * gh_transform(_GH_HEAD_Z_LO, g, h))
     out = np.empty(x.shape)
 
     # Arguments to the right of the single-loss median: the density factor
@@ -278,21 +246,21 @@ def _gbar_step_gandh(
         zs = z_split[pos]
         span1 = np.maximum(zs - _GH_Z_LO, 0.0)
         z_nodes = _GH_Z_LO + span1[:, None] * v[None, :]
-        args = xp[:, None] - (a + b * _gh_transform(z_nodes, g, h))
+        args = xp[:, None] - (a + b * gh_transform(z_nodes, g, h))
         phi1 = np.exp(-0.5 * z_nodes * z_nodes) / _SQRT_TWO_PI
         piece1 = span1 * np.sum(prev_eval(args) * phi1 * wts[None, :], axis=1)
 
         span2 = np.maximum(zs - z_floor, 0.0)
         t_nodes = z_floor + span2[:, None] * v[None, :]
-        y_vals = a + b * _gh_transform(t_nodes, g, h)
-        zeta = _gh_inv_bracketed((xp[:, None] - y_vals - a) / b, g, h, -60.0, 50.0)
+        y_vals = a + b * gh_transform(t_nodes, g, h)
+        zeta = gh_inverse((xp[:, None] - y_vals - a) / b, g, h, -60.0, 50.0)
         dens = np.exp(-0.5 * zeta * zeta) / _SQRT_TWO_PI / np.maximum(
-            _gh_transform_deriv(zeta, g, h), 1e-300
+            gh_transform_deriv(zeta, g, h), 1e-300
         )
-        jac = _gh_transform_deriv(t_nodes, g, h)
+        jac = gh_transform_deriv(t_nodes, g, h)
         piece2 = span2 * np.sum(prev_eval(y_vals) * dens * jac * wts[None, :], axis=1)
 
-        zeta_floor = _gh_inv_bracketed((xp - w_floor - a) / b, g, h, -60.0, 50.0)
+        zeta_floor = gh_inverse((xp - w_floor - a) / b, g, h, -60.0, 50.0)
         out[pos] = piece1 + piece2 + ndtr(-zeta_floor)
 
     # Arguments to the left of the single-loss median: mirrored treatment.
@@ -305,16 +273,16 @@ def _gbar_step_gandh(
         zs = z_split[neg]
         span = np.maximum(-_GH_Z_LO - zs, 0.0)
         nodes = zs[:, None] + span[:, None] * v[None, :]
-        xv = a + b * _gh_transform(nodes, g, h)
+        xv = a + b * gh_transform(nodes, g, h)
         args = xn[:, None] - xv
         phi = np.exp(-0.5 * nodes * nodes) / _SQRT_TWO_PI
         low_piece = span * np.sum(prev_eval(args) * phi * wts[None, :], axis=1)
 
-        zeta = _gh_inv_bracketed((args - a) / b, g, h, -60.0, 50.0)
+        zeta = gh_inverse((args - a) / b, g, h, -60.0, 50.0)
         dens = np.exp(-0.5 * zeta * zeta) / _SQRT_TWO_PI / np.maximum(
-            _gh_transform_deriv(zeta, g, h), 1e-300
+            gh_transform_deriv(zeta, g, h), 1e-300
         )
-        jac = _gh_transform_deriv(nodes, g, h)
+        jac = gh_transform_deriv(nodes, g, h)
         up_piece = span * np.sum(prev_eval(xv) * dens * jac * wts[None, :], axis=1)
         out[neg] = low_piece + up_piece
     return out
@@ -549,9 +517,9 @@ def _build_gandh(model: GandH, n: int, spec: GridSpec) -> ConvolutionGrid:
     x = np.concatenate([head, tail_pts])
     # auxiliary head in z-space for the recursion's left tail
     z_head = np.linspace(_GH_HEAD_Z_LO, z60, _GH_HEAD_POINTS, endpoint=False)
-    w_head = a + b * _gh_transform(z_head, g, h)
+    w_head = a + b * gh_transform(z_head, g, h)
     x_eval = np.concatenate([w_head, x])
-    z_eval = np.concatenate([z_head, _gh_inv_bracketed((x - a) / b, g, h, -60.0, 50.0)])
+    z_eval = np.concatenate([z_head, gh_inverse((x - a) / b, g, h, -60.0, 50.0)])
 
     g_hi = _gbar2_gandh(model, x_eval, spec.order)
     g_lo = _gbar2_gandh(model, x_eval, spec.check_order)
@@ -601,7 +569,7 @@ def _gh_interp_from(
         out[neg_inf] = 1.0
         if np.any(finite):
             wf = w[finite]
-            zz = _gh_inv_bracketed((wf - a) / b, g, h, -60.0, 50.0)
+            zz = gh_inverse((wf - a) / b, g, h, -60.0, 50.0)
             of = np.empty(wf.shape)
             low = zz <= z_pts[0]
             of[low] = 1.0
@@ -632,17 +600,9 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     return _build_positive(model, n, spec)
 
 
-def _validate_n(n) -> int:
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"convolution: n must be an integer, got {n!r}")
-    if not (2 <= n <= _MAX_N):
-        raise DomainError(f"convolution: n must lie in [2, {_MAX_N}], got {n}")
-    return n
-
-
 def convolve_tail(model: LossModel, n: int, spec: Optional[GridSpec] = None) -> ConvolutionGrid:
     """Build (or fetch from cache) the n-fold convolution tail grid."""
-    n = _validate_n(n)
+    n = approx.validate_n(n, _MAX_N)
     if spec is None:
         spec = GridSpec()
     return _build_grid(model, n, spec)
@@ -731,7 +691,7 @@ def tail_ratio_diagnostic(model: LossModel, n: int, x) -> np.ndarray:
     """Diagnostic (G_bar(x)/F_bar(x) - n) / b(x) that converges to the
     tail-ratio limit as x grows; evaluated by fresh quadrature so the
     cancellation in the numerator is not polluted by interpolation error."""
-    n = _validate_n(n)
+    n = approx.validate_n(n, _MAX_N)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     grid = convolve_tail(model, n)
     g_vals = grid.fresh_tail(arr)

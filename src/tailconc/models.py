@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
+from scipy.special import ndtr, ndtri
 
 from . import special
 from .errors import DomainError, PoleError
@@ -301,38 +302,103 @@ class Burr(LossModel):
         )
 
 
-def _gh_transform(z: np.ndarray, g: float, h: float) -> np.ndarray:
+def gh_transform(z: np.ndarray, g: float, h: float) -> np.ndarray:
+    """The g-and-h transform k(z) = (exp(g z) - 1)/g * exp(h z^2 / 2)."""
     with np.errstate(over="ignore"):
         return np.expm1(g * z) / g * np.exp(0.5 * h * z * z)
 
 
-def _gh_transform_deriv(z: np.ndarray, g: float, h: float) -> np.ndarray:
+def gh_transform_deriv(z: np.ndarray, g: float, h: float) -> np.ndarray:
+    """Derivative k'(z) of :func:`gh_transform`."""
     with np.errstate(over="ignore"):
         return np.exp(0.5 * h * z * z) * (np.exp(g * z) + h * z * np.expm1(g * z) / g)
 
 
-def _gh_inverse(w: np.ndarray, g: float, h: float, z_lo: float, z_hi: float) -> np.ndarray:
-    """Vectorized inverse of the monotone transform on a fixed bracket.
+# Newton inverses stop once a step is within a few ulp, or after this many steps
+_NEWTON_TOL = 4.0 * np.finfo(float).eps
+_NEWTON_MAX_STEPS = 100
+_GH_BLOCK = 1 << 16  # elements solved at once; bounds the working arrays
 
-    Values of w outside the bracket's image are clamped to the bracket
-    endpoints. Bisection (48 halvings) plus two Newton polish steps.
+
+def gh_inverse(w, g: float, h: float, lo, hi) -> np.ndarray:
+    """Inverse of :func:`gh_transform` on the bracket [lo, hi].
+
+    ``lo`` and ``hi`` broadcast against ``w`` (an array ``lo`` gives each
+    element its own floor); values of w outside the bracket's image clamp to
+    its endpoints. The result has the shape of ``w``.
+
+    Each element starts from the analytic guess, the root of
+    g z + h z^2/2 = log1p(g w) for w >= 0 and
+    max(log1p(g w)/g, -sqrt(2 log1p(g|w|)/h)) for w < 0, and takes Newton
+    steps on log|k(z)| - log|w|, which cannot overflow, inside a running
+    bracket. A step that leaves the bracket is replaced by bisection, and an
+    element leaves the working set once its step is within a few ulp. The
+    elements are solved in blocks of 2^16 so the working arrays stay small.
     """
     w = np.asarray(w, dtype=float)
-    lo = np.full(w.shape, z_lo)
-    hi = np.full(w.shape, z_hi)
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        too_low = _gh_transform(mid, g, h) < w
-        lo = np.where(too_low, mid, lo)
-        hi = np.where(too_low, hi, mid)
-    z = 0.5 * (lo + hi)
-    for _ in range(2):
-        f = _gh_transform(z, g, h) - w
-        d = _gh_transform_deriv(z, g, h)
-        step = np.where(d > 0, f / np.maximum(d, 1e-300), 0.0)
-        z_new = z - step
-        z = np.clip(z_new, z_lo, z_hi)
-    return z
+    if not w.size:
+        return np.empty(w.shape)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    k_lo = np.broadcast_to(gh_transform(lo, g, h), w.shape)
+    k_hi = np.broadcast_to(gh_transform(hi, g, h), w.shape)
+    lo = np.broadcast_to(lo, w.shape)
+    hi = np.broadcast_to(hi, w.shape)
+    rows = w.shape[0] if w.ndim else 1
+    per_row = w.size // rows if rows else 0
+    step = max(1, _GH_BLOCK // max(per_row, 1))
+    out = np.empty((rows, per_row))
+    views = [v.reshape(rows, per_row) for v in (w, lo, hi, k_lo, k_hi)]
+    for r0 in range(0, rows, step):
+        block = [v[r0 : r0 + step].ravel() for v in views]
+        out[r0 : r0 + step] = _gh_inverse_block(*block, g, h).reshape(-1, per_row)
+    return out.reshape(w.shape)
+
+
+def _gh_inverse_block(w, lo, hi, k_lo, k_hi, g: float, h: float) -> np.ndarray:
+    out = np.where(w >= k_hi, hi, lo)
+    out[np.isnan(w)] = np.nan
+    inside = (w > k_lo) & (w < k_hi)
+    out[inside & (w == 0.0)] = 0.0
+    idx = np.flatnonzero(inside & (w != 0.0))
+    if not idx.size:
+        return out
+    w = w[idx]
+    pos = w > 0.0
+    # |k| increases with |z| and k has the sign of z, so the root lies
+    # between the bracket edge and 0 on the side of w
+    a = np.where(pos, np.maximum(lo[idx], 0.0), lo[idx])
+    b = np.where(pos, hi[idx], np.minimum(hi[idx], 0.0))
+    g_sgn = np.where(pos, g, -g)
+    log_w = np.log(np.abs(w))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        log_gw = np.log1p(g * np.abs(w))
+        z = np.where(
+            pos,
+            2.0 * log_gw / (g + np.sqrt(g * g + 2.0 * h * log_gw)),
+            np.fmax(np.log1p(g * w) / g, -np.sqrt(2.0 * log_gw / h)),
+        )
+        np.clip(z, a, b, out=z)
+        for _ in range(_NEWTON_MAX_STEPS):
+            em1 = np.expm1(g * z)
+            phi = np.log(em1 / g_sgn) + 0.5 * h * z * z - log_w
+            z_new = z - phi / (g + g / em1 + h * z)
+            # phi * g_sgn increases with z: its sign says which side the root is on
+            below = phi * g_sgn < 0.0
+            np.copyto(a, z, where=below)
+            np.copyto(b, z, where=~below)
+            stray = ~((z_new >= a) & (z_new <= b))
+            if stray.any():
+                z_new[stray] = 0.5 * (a[stray] + b[stray])
+            done = np.abs(z_new - z) <= _NEWTON_TOL * np.abs(z_new)
+            out[idx[done]] = z_new[done]
+            keep = ~done
+            if not keep.any():
+                break
+            idx, z, a, b, g_sgn, log_w = (v[keep] for v in (idx, z_new, a, b, g_sgn, log_w))
+        else:
+            out[idx] = z
+    return out
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,7 +407,12 @@ class GandH(LossModel):
     k(z) = (exp(g z) - 1)/g * exp(h z^2 / 2), g > 0, h > 0.
 
     Support is the whole real line; the upper tail has index xi = h with
-    second-order index rho = 0 (logarithmic slow variation)."""
+    second-order index rho = 0 (logarithmic slow variation).
+
+    The normal law is vectorized through ``scipy.special.ndtr`` and
+    ``ndtri``, with the tail formed on the small side as ndtr(-z). ``tail``
+    and ``density`` invert k with :func:`gh_inverse` on the bracket
+    |z| <= 7.03, so levels beyond 1e-12 clamp to its edges."""
 
     a: float
     b: float
@@ -369,54 +440,42 @@ class GandH(LossModel):
     def support_min(self) -> float:
         return -math.inf
 
-    def _z_of_alpha(self, a: np.ndarray) -> np.ndarray:
-        flat = np.atleast_1d(a)
-        z = np.array([special.normal_inv_cdf(float(p)) for p in flat.ravel()])
-        return z.reshape(a.shape) if a.ndim else z.reshape(())
-
     def _quantile(self, a: np.ndarray) -> np.ndarray:
-        z = self._z_of_alpha(a)
-        return self.a + self.b * _gh_transform(np.asarray(z, dtype=float), self.g, self.h)
+        return self.a + self.b * gh_transform(ndtri(a), self.g, self.h)
 
     def _z_of_x(self, x: np.ndarray) -> np.ndarray:
         w = (x - self.a) / self.b
         zb = self._Z_BRACKET
-        return _gh_inverse(w, self.g, self.h, -zb, zb)
+        return gh_inverse(w, self.g, self.h, -zb, zb)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
-        z = self._z_of_x(x)
-        flat = np.atleast_1d(z)
-        out = np.array([1.0 - special.normal_cdf(float(v)) for v in flat.ravel()])
-        out = out.reshape(flat.shape)
-        return out.reshape(z.shape) if z.ndim else out.reshape(())
+        return ndtr(-self._z_of_x(x))
 
     def _density(self, x: np.ndarray) -> np.ndarray:
         z = self._z_of_x(x)
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return phi / (self.b * _gh_transform_deriv(z, self.g, self.h))
+        return phi / (self.b * gh_transform_deriv(z, self.g, self.h))
 
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
         z = self._z_of_t(t)
-        u = self.a + self.b * _gh_transform(z, self.g, self.h)
+        u = self.a + self.b * gh_transform(z, self.g, self.h)
         if np.any(u == 0.0):
             raise PoleError("gandh auxiliary: pole at a t where U(t) = a + b*k(z) = 0")
         phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        num = self.b * _gh_transform_deriv(z, self.g, self.h)
+        num = self.b * gh_transform_deriv(z, self.g, self.h)
         return num / (t * phi * u) - self.h
 
     def _z_of_t(self, t: np.ndarray) -> np.ndarray:
         # z = -ndtri(1/t) keeps full precision deep in the tail, where
         # forming 1 - 1/t first would round away the level.
-        flat = np.atleast_1d(t)
-        z = np.array([-special.normal_inv_cdf(float(1.0 / v)) for v in flat.ravel()])
-        return z.reshape(t.shape)
+        return -ndtri(1.0 / t)
 
     def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
-        return self.a + self.b * _gh_transform(self._z_of_t(t), self.g, self.h)
+        return self.a + self.b * gh_transform(self._z_of_t(t), self.g, self.h)
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         z = rng.standard_normal(size)
-        return self.a + self.b * _gh_transform(z, self.g, self.h)
+        return self.a + self.b * gh_transform(z, self.g, self.h)
 
     def moments(self, x: float) -> float:
         g, h = self.g, self.h
@@ -504,23 +563,25 @@ class ExactHall(LossModel):
         return self._u_of_t(t)
 
     def _t_of_x(self, x: np.ndarray) -> np.ndarray:
-        """Invert U(t) = x for t >= 1 by bisection in log t plus Newton."""
+        """Invert U(t) = x for t >= 1.
+
+        Newton in s = log t on f(s) = log U(e^s) - log x, from
+        s0 = max(log(x/c)/xi, 0) and clipped at s >= 0. f' lies between xi
+        and f'(0) > 0 and is monotone (f is convex for d > 0 and concave
+        for d < 0), so the iteration converges from either side; it stops
+        once every step is within a few ulp of max(s, 1)."""
         x = np.asarray(x, dtype=float)
-        s_lo = np.zeros(x.shape)
-        s_hi = np.full(x.shape, 64.0 * math.log(10.0) / max(self.xi, 1e-2))
-        for _ in range(40):
-            mid = 0.5 * (s_lo + s_hi)
-            too_low = self._u_of_t(np.exp(mid)) < x
-            s_lo = np.where(too_low, mid, s_lo)
-            s_hi = np.where(too_low, s_hi, mid)
-        s = 0.5 * (s_lo + s_hi)
-        for _ in range(3):
-            t = np.exp(s)
-            tr = t**self.rho
-            val = self.c * t**self.xi * (1.0 + self.d * tr)
-            slope = self.xi + self.d * (self.xi + self.rho) * tr / (1.0 + self.d * tr)
-            s = s - (np.log(val) - np.log(x)) / np.maximum(slope, 1e-12)
-            s = np.clip(s, 0.0, None)
+        c, d, xi, rho = self.c, self.d, self.xi, self.rho
+        log_x = np.log(x)
+        s = np.maximum((log_x - math.log(c)) / xi, 0.0)
+        for _ in range(_NEWTON_MAX_STEPS):
+            tr = np.exp(rho * s)
+            f = math.log(c) + xi * s + np.log1p(d * tr) - log_x
+            s_new = np.maximum(s - f / (xi + d * rho * tr / (1.0 + d * tr)), 0.0)
+            converged = np.all(np.abs(s_new - s) <= _NEWTON_TOL * np.maximum(s_new, 1.0))
+            s = s_new
+            if converged:
+                break
         return np.exp(s)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:

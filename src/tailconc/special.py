@@ -5,6 +5,11 @@ Lanczos approximation (g = 607/128, 15 coefficients) with the reflection
 formula for the negative half-line; the normal inverse CDF uses Acklam's
 rational initial guess polished by two Halley steps against the erfc-based
 CDF, which brings the round-trip error down to a few ulp.
+
+These are the package's scalar public API for the special functions, used
+where one value is needed at a time (the convolution constants, the g-and-h
+closed forms). They are off the hot path: the models evaluate the normal law
+on arrays through ``scipy.special.ndtr`` and ``ndtri``.
 """
 
 from __future__ import annotations

@@ -14,12 +14,13 @@ from tailconc.convolution import (
     tail_ratio_diagnostic,
 )
 from tailconc.errors import DomainError, GridRangeError, PrecisionError
-from tailconc.models import Burr, GandH, Pareto
+from tailconc.models import Burr, ExactHall, GandH, Pareto
 
 PARETO05 = Pareto(xi=0.5)
 BURR11 = Burr(tau=1.0, kappa=1.0)
 BURR12 = Burr(tau=1.0, kappa=2.0)
 GANDH = GandH(a=0.0, b=1.0, g=2.0, h=0.5)
+HALL = ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4)
 
 # Reference tails computed with 40-digit quadrature.
 PARETO05_G2 = [
@@ -116,6 +117,14 @@ def test_oracle_concentration_frozen_values():
     assert oracle_concentration(GANDH, 2, 0.9999) == pytest.approx(
         0.9771766, abs=5e-6
     )
+    # bisection-inverse values, at 0.9997 as in bench/reference.json
+    for model, n, alpha, value in (
+        (GANDH, 3, 0.99, 1.20015649),
+        (GANDH, 3, 0.9997, 0.99161016),
+        (HALL, 2, 0.99, 0.91920180),
+        (HALL, 2, 0.9997, 0.87594817),
+    ):
+        assert oracle_concentration(model, n, alpha) == pytest.approx(value, abs=5e-6)
 
 
 def test_oracle_concentration_approaches_first_order_limit():

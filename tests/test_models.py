@@ -7,11 +7,15 @@ from hypothesis import example, given, settings
 
 from tailconc.errors import DomainError, PoleError
 from tailconc.models import (
+    _GH_BLOCK,
     Burr,
     ExactHall,
     GandH,
     LossModel,
     Pareto,
+    gh_inverse,
+    gh_transform,
+    gh_transform_deriv,
     model_from_dict,
     model_to_dict,
 )
@@ -188,6 +192,71 @@ def test_gandh_transform_shape():
     assert m.quantile(normal_cdf(z)) == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("g, h", [(2.0, 0.5), (0.1, 0.01), (1.0, 1.0), (5.0, 0.05)])
+def test_gh_inverse_round_trip(g, h):
+    mag = np.logspace(-300.0, 300.0, 1201)
+    w = np.concatenate([mag, -mag])
+    z = gh_inverse(w, g, h, -1000.0, 1000.0)
+    k = gh_transform(z, g, h)
+    # An ulp of z moves k by |z k'(z)/k(z)| ulp, so that condition number
+    # scales the bound: 1 near w = 0, about 1300 at w = 1e300.
+    cond = np.maximum(1.0, np.abs(z * gh_transform_deriv(z, g, h) / k))
+    assert np.all(np.abs(k - w) <= 1e-14 * np.abs(w) * cond)
+    modest = np.abs(w) <= 1e6
+    assert np.all(np.abs(k - w)[modest] <= 1e-14 * np.abs(w)[modest])
+
+
+def test_gh_inverse_clamps_to_bracket():
+    g, h = 2.0, 0.5
+    # k(-1) = -0.555 and k(2) = 72.9
+    w = np.array([-1e6, -1.0, -0.3, 0.5, 1e6, np.inf, -np.inf])
+    z = gh_inverse(w, g, h, -1.0, 2.0)
+    assert list(z[[0, 1, 4, 5, 6]]) == [-1.0, -1.0, 2.0, 2.0, -1.0]
+    assert gh_transform(z[2:4], g, h) == pytest.approx([-0.3, 0.5], rel=1e-15)
+    # an array floor gives each row its own lower edge
+    lo = np.array([-1.0, 0.0, 1.0])[:, None]
+    w2 = np.tile([-5.0, 0.3, 1e3], (3, 1))
+    z2 = gh_inverse(w2, g, h, lo, 2.0)
+    free = gh_inverse(w2[0], g, h, -60.0, 60.0)
+    assert np.all(z2[:, 2] == 2.0)
+    assert np.all(z2[:, 0] == lo[:, 0])
+    assert z2[0, 1] == pytest.approx(free[1], rel=1e-15)
+    assert z2[1, 1] == pytest.approx(free[1], rel=1e-15)
+    assert z2[2, 1] == 1.0
+
+
+def test_gh_inverse_shapes():
+    g, h = 2.0, 0.5
+    w = np.linspace(-3.0, 40.0, 12)
+    z = gh_inverse(w, g, h, -60.0, 50.0)
+    z0 = gh_inverse(w[5], g, h, -60.0, 50.0)
+    assert z0.shape == () and z0 == z[5]
+    assert np.array_equal(gh_inverse(w.reshape(3, 4), g, h, -60.0, 50.0), z.reshape(3, 4))
+    assert gh_inverse(np.empty((2, 0)), g, h, -60.0, 50.0).shape == (2, 0)
+
+
+@pytest.mark.parametrize("size", [_GH_BLOCK - 1, _GH_BLOCK, _GH_BLOCK + 1])
+def test_gh_inverse_across_block_edges(size):
+    g, h = 2.0, 0.5
+    w = np.geomspace(1e-3, 1e12, size) * np.where(np.arange(size) % 2, 1.0, -1.0)
+    z = gh_inverse(w, g, h, -60.0, 50.0)
+    assert z.shape == w.shape
+    assert np.allclose(gh_transform(z, g, h), w, rtol=1e-12, atol=0.0)
+    # rows longer than a block are solved one row at a time
+    z2 = gh_inverse(np.stack([w, -w]), g, h, -60.0, 50.0)
+    assert np.array_equal(z2[0], z)
+    assert np.allclose(gh_transform(z2[1], g, h), -w, rtol=1e-12, atol=0.0)
+
+
+def test_gandh_deep_tail_has_no_cancellation():
+    m = GandH(a=0.0, b=1.0, g=2.0, h=0.5)
+    # 1 - alpha is exact; it differs from 1e-10 by the rounding of alpha
+    alpha = 1.0 - 1e-10
+    assert m.tail(m.quantile(alpha)) == pytest.approx(1.0 - alpha, rel=1e-12)
+    for t in (1e8, 1e10, 1e11):
+        assert m.tail(m.tail_quantile(t)) * t == pytest.approx(1.0, rel=1e-12)
+
+
 def test_gandh_mean_closed_form():
     # h < 1: E X = a + b (exp(g^2/(2(1-h))) - 1) / (g sqrt(1-h))
     m = GandH(a=0.0, b=1.0, g=2.0, h=0.5)
@@ -206,6 +275,19 @@ def test_exact_hall_tail_quantile_is_exact():
     m = ExactHall(c=2.0, d=0.5, xi=1.0, rho=-0.5)
     for t in (1.5, 10.0, 1e6):
         assert m.tail_quantile(t) == pytest.approx(2.0 * t * (1.0 + 0.5 * t ** -0.5), rel=1e-13)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4), ExactHall(c=1.0, d=0.5, xi=1.0, rho=-0.5)],
+    ids=repr,
+)
+def test_exact_hall_inverse_round_trip(model):
+    # 3e-8 above the support minimum, where t = 1 + O(1e-8)
+    xs = model.support_min + np.concatenate([[3e-8], np.logspace(-6.0, 12.0, 37)])
+    t = 1.0 / np.asarray(model.tail(xs))
+    assert np.all(t > 1.0)
+    assert np.allclose(model.tail_quantile(t), xs, rtol=1e-14, atol=0.0)
 
 
 def test_exact_hall_rejects_nonmonotone_parameters():
