@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from scipy.special import exprel
+
 from . import special
 from .errors import BoundaryCaseError, DomainError
 from .models import LossModel, SecondOrderInfo
@@ -173,9 +175,7 @@ def second_order_kernel(xi: float, rho: float, s: float) -> float:
     if rho > 0.0:
         raise DomainError(f"second_order_kernel: requires rho <= 0, got {rho!r}")
     ls = math.log(s)
-    if rho == 0.0:
-        return s**xi * ls
-    return s**xi * math.expm1(rho * ls) / rho
+    return s**xi * ls * float(exprel(rho * ls))
 
 
 def classify_regime(info: SecondOrderInfo, q: Optional[float] = None) -> Regime:

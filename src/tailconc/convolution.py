@@ -24,6 +24,9 @@ with z* = k^{-1}((x/2 - a)/b), and the pairwise step integrates the
 previous level against the Gaussian weight over z in [-12, 12]. A separate
 head grid (z from -10 upward) stores values below the main grid so that the
 recursion sees the left tail; the truncation error is bounded by n*Phi(-10).
+
+Between and beyond its nodes every stored level, the final one included, is
+read by one log-tail interpolant, :class:`_LogTail`.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _GH_Z_LO = -12.0  # Gaussian integration floor; mass below is ~2e-33
 _GH_HEAD_Z_LO = -10.0
 _GH_HEAD_POINTS = 512
+_GH_Z_FLOOR = 0.2533471031357997  # standard normal 0.6-quantile: z of the grid floor
+_FLAT = 1.0 - 1e-15  # a stored tail at or above this is 1 to double precision
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,13 +154,9 @@ def _gbar2_positive(model: LossModel, x: np.ndarray, order: int) -> np.ndarray:
 
 
 def _gbar_step_positive(
-    model: LossModel,
-    prev_eval: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    k_prev: int,
-    order: int,
+    model: LossModel, prev: _LogTail, x: np.ndarray, order: int
 ) -> np.ndarray:
-    """One pairwise convolution step: k_prev-fold sum plus one more loss.
+    """One pairwise convolution step: the level ``prev`` plus one more loss.
 
     Split at s so neither conditioning variable carries an O(1) boundary
     layer: condition on the single loss where it is below s and on the
@@ -168,7 +169,7 @@ def _gbar_step_positive(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     smin = model.support_min
-    m_prev = k_prev * smin
+    m_prev = prev.support
     out = np.ones(x.shape)
     live = x > m_prev + smin
     if not np.any(live):
@@ -182,14 +183,14 @@ def _gbar_step_positive(
     u_nodes = u_hi[:, None] * v[None, :]
     args = xl[:, None] - np.asarray(model.quantile(u_nodes))
     np.maximum(args, m_prev, out=args)
-    piece_small = u_hi * np.sum(prev_eval(args) * wts[None, :], axis=1)
+    piece_small = u_hi * np.sum(prev(args) * wts[None, :], axis=1)
     # single loss above the split point: integrate the previous-level tail
     # against the single-loss density over y in [m_prev, x - split]
     span = np.maximum(xl - split - m_prev, 0.0)
     y_nodes = m_prev + span[:, None] * v[None, :]
     dens_args = np.maximum(xl[:, None] - y_nodes, smin)
     dens = np.asarray(model.density(dens_args))
-    piece_large = span * np.sum(prev_eval(y_nodes) * dens * wts[None, :], axis=1)
+    piece_large = span * np.sum(prev(y_nodes) * dens * wts[None, :], axis=1)
     out[live] = piece_small + piece_large + first
     return out
 
@@ -198,12 +199,12 @@ def _gbar2_gandh(model: GandH, x: np.ndarray, order: int) -> np.ndarray:
     """Two-fold convolution tail for g-and-h, computed in z-space."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b, g, h = model.a, model.b, model.g, model.h
-    z_star = gh_inverse((0.5 * x - a) / b, g, h, lo=-60.0, hi=50.0)
+    z_star = gh_inverse((0.5 * x - a) / b, g, h)
     v, wts = _panel_rule(order)
     span = np.maximum(z_star - _GH_Z_LO, 0.0)
     z_nodes = _GH_Z_LO + span[:, None] * v[None, :]
     rem = (x[:, None] - 2.0 * a) / b - gh_transform(z_nodes, g, h)
-    zz = gh_inverse(rem, g, h, lo=z_star[:, None], hi=50.0)
+    zz = gh_inverse(rem, g, h, lo=z_star[:, None])
     integrand = ndtr(-zz) * np.exp(-0.5 * z_nodes * z_nodes) / _SQRT_TWO_PI
     integral = span * np.sum(integrand * wts[None, :], axis=1)
     tail_half = ndtr(-z_star)
@@ -211,10 +212,7 @@ def _gbar2_gandh(model: GandH, x: np.ndarray, order: int) -> np.ndarray:
 
 
 def _gbar_step_gandh(
-    model: GandH,
-    prev_eval: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    order: int,
+    model: GandH, prev: _LogTail, x: np.ndarray, order: int
 ) -> np.ndarray:
     """One pairwise step for g-and-h, split at x/2 like the direct two-fold
     form so neither conditioning variable carries a boundary layer.
@@ -226,14 +224,13 @@ def _gbar_step_gandh(
     against the single-loss density and parameterized by the level's
     z-coordinate, where its decay unfolds on unit scale; below the level's
     numerical support floor the tail is 1 to double precision and the
-    remaining single-loss mass is added in closed form.
+    remaining single-loss mass is added in closed form. Where the level is
+    evaluated at a + b k(t) for known t, t is passed as its coordinate.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b, g, h = model.a, model.b, model.g, model.h
     v, wts = _panel_rule(order)
-    z_split = gh_inverse((0.5 * x - a) / b, g, h, -60.0, 50.0)
-    z_floor = getattr(prev_eval, "z_floor", _GH_HEAD_Z_LO)
-    w_floor = getattr(prev_eval, "w_floor", a + b * gh_transform(_GH_HEAD_Z_LO, g, h))
+    z_split = gh_inverse((0.5 * x - a) / b, g, h)
     out = np.empty(x.shape)
 
     # Arguments to the right of the single-loss median: the density factor
@@ -248,19 +245,19 @@ def _gbar_step_gandh(
         z_nodes = _GH_Z_LO + span1[:, None] * v[None, :]
         args = xp[:, None] - (a + b * gh_transform(z_nodes, g, h))
         phi1 = np.exp(-0.5 * z_nodes * z_nodes) / _SQRT_TWO_PI
-        piece1 = span1 * np.sum(prev_eval(args) * phi1 * wts[None, :], axis=1)
+        piece1 = span1 * np.sum(prev(args) * phi1 * wts[None, :], axis=1)
 
-        span2 = np.maximum(zs - z_floor, 0.0)
-        t_nodes = z_floor + span2[:, None] * v[None, :]
+        span2 = np.maximum(zs - prev.c_floor, 0.0)
+        t_nodes = prev.c_floor + span2[:, None] * v[None, :]
         y_vals = a + b * gh_transform(t_nodes, g, h)
-        zeta = gh_inverse((xp[:, None] - y_vals - a) / b, g, h, -60.0, 50.0)
+        zeta = gh_inverse((xp[:, None] - y_vals - a) / b, g, h)
         dens = np.exp(-0.5 * zeta * zeta) / _SQRT_TWO_PI / np.maximum(
             gh_transform_deriv(zeta, g, h), 1e-300
         )
         jac = gh_transform_deriv(t_nodes, g, h)
-        piece2 = span2 * np.sum(prev_eval(y_vals) * dens * jac * wts[None, :], axis=1)
+        piece2 = span2 * np.sum(prev(y_vals, t_nodes) * dens * jac * wts[None, :], axis=1)
 
-        zeta_floor = gh_inverse((xp - w_floor - a) / b, g, h, -60.0, 50.0)
+        zeta_floor = gh_inverse((xp - prev.w_floor - a) / b, g, h)
         out[pos] = piece1 + piece2 + ndtr(-zeta_floor)
 
     # Arguments to the left of the single-loss median: mirrored treatment.
@@ -276,92 +273,111 @@ def _gbar_step_gandh(
         xv = a + b * gh_transform(nodes, g, h)
         args = xn[:, None] - xv
         phi = np.exp(-0.5 * nodes * nodes) / _SQRT_TWO_PI
-        low_piece = span * np.sum(prev_eval(args) * phi * wts[None, :], axis=1)
+        low_piece = span * np.sum(prev(args) * phi * wts[None, :], axis=1)
 
-        zeta = gh_inverse((args - a) / b, g, h, -60.0, 50.0)
+        zeta = gh_inverse((args - a) / b, g, h)
         dens = np.exp(-0.5 * zeta * zeta) / _SQRT_TWO_PI / np.maximum(
             gh_transform_deriv(zeta, g, h), 1e-300
         )
         jac = gh_transform_deriv(nodes, g, h)
-        up_piece = span * np.sum(prev_eval(xv) * dens * jac * wts[None, :], axis=1)
+        up_piece = span * np.sum(prev(xv, nodes) * dens * jac * wts[None, :], axis=1)
         out[neg] = low_piece + up_piece
     return out
+
+
+class _LogTail:
+    """Tail of one convolution level between and beyond its stored nodes.
+
+    Built from the map ``coord`` from an argument to the coordinate the
+    interpolation runs in (log x, x, or the single-loss z of g-and-h), and
+    the nodes as coordinates ``node_c``, as arguments ``node_x`` and as
+    stored tails ``node_g``. The tail is exactly 1 at or below ``w_floor``,
+    the larger of ``support`` and the last node whose stored tail is 1 to
+    double precision (``c_floor`` is that node's coordinate; with no such
+    node ``w_floor`` is ``support``). Above the last node it follows the
+    power law of index -1/xi; in between it is exp(PCHIP(log g)) in the
+    coordinate, clipped to [0, 1].
+    """
+
+    __slots__ = ("support", "c_floor", "w_floor", "_coord", "_spline", "_x_top", "_g_top", "_power")
+
+    def __init__(
+        self,
+        coord: Callable[[np.ndarray], np.ndarray],
+        node_c: np.ndarray,
+        node_x: np.ndarray,
+        node_g: np.ndarray,
+        xi: float,
+        support: float,
+    ):
+        flat = np.flatnonzero(node_g >= _FLAT)
+        j = int(flat[-1]) if flat.size else 0
+        self.support = support
+        self.c_floor = float(node_c[j])
+        self.w_floor = max(support, float(node_x[j])) if flat.size else support
+        self._coord = coord
+        self._spline = PchipInterpolator(
+            node_c[j:], np.log(np.minimum(node_g[j:], 1.0)), extrapolate=False
+        )
+        self._x_top = float(node_x[-1])
+        self._g_top = float(node_g[-1])
+        self._power = -1.0 / xi
+
+    def __call__(self, w, c: Optional[np.ndarray] = None) -> np.ndarray:
+        """Tail at the arguments ``w``; ``c`` gives their coordinates when
+        the caller already has them."""
+        w = np.asarray(w, dtype=float)
+        # arguments at or below the support (log 0, log of a negative) get
+        # a meaningless coordinate; the floor overwrites their value
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = self._spline(self._coord(w) if c is None else c)
+        np.exp(out, out=out)
+        out[w <= self.w_floor] = 1.0
+        top = w > self._x_top
+        out[top] = self._g_top * (w[top] / self._x_top) ** self._power
+        return np.clip(out, 0.0, 1.0, out=out)
 
 
 class ConvolutionGrid:
     """Precomputed tail of the n-fold convolution on a log-tailed grid.
 
     Attributes ``x`` (nodes), ``g_tail`` (survival values), ``n``, ``model``,
-    ``spec``. Evaluation between nodes uses monotone piecewise-cubic
-    interpolation of log survival (linear x over the head, log x over the
-    tail); beyond the last node the tail extends by the power law of index
-    -1/xi. ``tail_at`` returns 1 below the sum's support for positive-support
-    models and raises :class:`GridRangeError` below the grid floor for
-    g-and-h (whose grid deliberately starts at the 0.6 quantile).
+    ``spec``. ``tail_at`` evaluates the stored tail with the interpolant the
+    recursion uses between levels: monotone piecewise-cubic interpolation of
+    log survival in log x (positive-support models), in x (where the sum's
+    support starts at 0) or in the single-loss z (g-and-h, on the main nodes
+    only); beyond the last node the tail extends by the power law of index
+    -1/xi. ``tail_at`` returns 1 at or below the sum's support for
+    positive-support models and raises :class:`GridRangeError` below the grid
+    floor for g-and-h (whose grid deliberately starts at the 0.6 quantile).
     """
 
-    __slots__ = (
-        "model",
-        "n",
-        "spec",
-        "x",
-        "g_tail",
-        "_support_sum",
-        "_xi",
-        "_head_interp",
-        "_log_interp",
-        "_head_hi",
-        "_fresh",
-        "_err_estimate",
-    )
+    __slots__ = ("model", "n", "spec", "x", "g_tail", "_tail", "_fresh", "_err_estimate")
 
     def __init__(
         self,
         model: LossModel,
         n: int,
         spec: GridSpec,
+        tail: _LogTail,
         x: np.ndarray,
         g_tail: np.ndarray,
         fresh: Callable[[np.ndarray], np.ndarray],
         err_estimate: float,
     ):
+        if np.any(np.diff(g_tail[g_tail < _FLAT]) >= 0):
+            raise PrecisionError(
+                "convolution grid failed its monotonicity self-check; "
+                "tighten the grid or tolerance"
+            )
         self.model = model
         self.n = n
         self.spec = spec
         self.x = x
         self.g_tail = g_tail
+        self._tail = tail
         self._fresh = fresh
         self._err_estimate = err_estimate
-        self._xi = model.second_order_info().xi
-        smin = model.support_min
-        self._support_sum = n * smin if math.isfinite(smin) else -math.inf
-        head_hi = float(model.quantile(spec.head_level))
-        self._head_hi = head_hi
-
-        # interpolation domain: from the last node where the tail is still 1
-        # (positive-support head) through the end of the grid
-        ones = np.nonzero(g_tail >= 1.0)[0]
-        j0 = int(ones[-1]) if ones.size else 0
-        xs = x[j0:]
-        gs = g_tail[j0:]
-        if np.any(np.diff(gs) >= 0):
-            raise PrecisionError(
-                "convolution grid failed its monotonicity self-check; "
-                "tighten the grid or tolerance"
-            )
-        log_g = np.log(gs)
-        head_mask = xs <= head_hi
-        n_head = int(np.sum(head_mask))
-        if n_head >= 2:
-            self._head_interp = PchipInterpolator(
-                xs[:n_head], log_g[:n_head], extrapolate=False
-            )
-        else:
-            self._head_interp = None
-        tail_lo = max(n_head - 1, 0)
-        self._log_interp = PchipInterpolator(
-            np.log(xs[tail_lo:]), log_g[tail_lo:], extrapolate=False
-        )
 
     @property
     def certified_error(self) -> float:
@@ -371,41 +387,12 @@ class ConvolutionGrid:
     def tail_at(self, w):
         """Interpolated tail of the n-fold sum at w (scalar or array)."""
         arr = np.atleast_1d(np.asarray(w, dtype=float))
-        out = np.empty(arr.shape)
-        below_grid = arr < self.x[0]
-        if np.any(below_grid):
-            if math.isfinite(self._support_sum):
-                out[below_grid] = 1.0
-            else:
-                raise GridRangeError(
-                    f"tail_at: argument below the grid floor {self.x[0]:g} "
-                    "(the g-and-h grid does not cover the left tail)"
-                )
-        inside = ~below_grid
-        if np.any(inside):
-            wi = arr[inside]
-            vi = np.empty(wi.shape)
-            flat = wi <= self._support_sum
-            vi[flat] = 1.0
-            top = wi > self.x[-1]
-            vi[top] = self.g_tail[-1] * (wi[top] / self.x[-1]) ** (-1.0 / self._xi)
-            mid = ~(flat | top)
-            if np.any(mid):
-                wm = wi[mid]
-                vm = np.empty(wm.shape)
-                use_head = (
-                    (wm <= self._head_hi) if self._head_interp is not None else np.zeros(wm.shape, bool)
-                )
-                if self._head_interp is not None and np.any(use_head):
-                    vm[use_head] = np.exp(self._head_interp(wm[use_head]))
-                rest = ~use_head
-                if np.any(rest):
-                    vm[rest] = np.exp(self._log_interp(np.log(wm[rest])))
-                vi[mid] = vm
-            out[inside] = vi
-        # interpolation inside the flat-to-decreasing transition cell can
-        # only produce values in [g(x1), 1]; clamp defensively
-        np.clip(out, 0.0, 1.0, out=out)
+        if self.model.support_min == -math.inf and np.any(arr < self.x[0]):
+            raise GridRangeError(
+                f"tail_at: argument below the grid floor {self.x[0]:g} "
+                "(the g-and-h grid does not cover the left tail)"
+            )
+        out = self._tail(arr)
         if np.any(np.isnan(out)):
             raise GridRangeError("tail_at: argument outside the interpolable range")
         return float(out[0]) if np.asarray(w).ndim == 0 else out
@@ -418,186 +405,78 @@ class ConvolutionGrid:
         return float(out[0]) if np.asarray(w).ndim == 0 else out
 
 
-def _build_positive(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
-    smin = model.support_min
-    head_hi = float(model.quantile(spec.head_level))
-    top = float(model.quantile(spec.max_level))
-    if not head_hi > smin:
-        raise DomainError("convolve_tail: degenerate grid (head level too low)")
-    head = np.linspace(smin, head_hi, spec.head_points, endpoint=False)
-    tail_pts = np.geomspace(max(head_hi, 1e-300), top, spec.points - spec.head_points)
-    x = np.concatenate([head, tail_pts])
-    g_hi = _gbar2_positive(model, x, spec.order)
-    g_lo = _gbar2_positive(model, x, spec.check_order)
-    level = 2
-    prev_hi = g_hi
-    while level < n:
-        interp = _interp_from(model, x, prev_hi, level * smin)
-        g_hi = _gbar_step_positive(model, interp, x, level, spec.order)
-        g_lo = _gbar_step_positive(model, interp, x, level, spec.check_order)
-        prev_hi = g_hi
-        level += 1
-    err = _relative_err(g_hi, g_lo)
-    threshold = spec.certify_threshold(n)
-    if err > threshold:
-        raise PrecisionError(
-            f"convolve_tail: certified relative quadrature error {err:.3e} "
-            f"exceeds tol {threshold:g}"
-        )
-    if n == 2:
-        fresh = lambda w: _gbar2_positive(model, w, spec.order)  # noqa: E731
-    else:
-        # the loop exits with the level-(n-1) interpolant, which is exactly
-        # what a fresh off-grid evaluation of the final step needs
-        final_interp = interp
-        fresh = lambda w: _gbar_step_positive(model, final_interp, w, n - 1, spec.order)  # noqa: E731
-    return ConvolutionGrid(model, n, spec, x, g_hi, fresh, err)
-
-
-def _interp_from(
-    model: LossModel, x: np.ndarray, g: np.ndarray, support_sum: float
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Monotone log-space interpolant of grid values, with power-law
-    extension above the grid and exact 1 below the sum's support."""
-    xi = model.second_order_info().xi
-    ones = np.nonzero(g >= 1.0)[0]
-    j0 = int(ones[-1]) if ones.size else 0
-    xs = x[j0:]
-    log_g = np.log(g[j0:])
-    # single log-log interpolant suffices for internal use when the grid
-    # starts at a positive abscissa; fall back to linear-x near zero
-    if xs[0] > 0:
-        interp = PchipInterpolator(np.log(xs), log_g, extrapolate=False)
-
-        def evaluate(w: np.ndarray) -> np.ndarray:
-            w = np.asarray(w, dtype=float)
-            out = np.empty(w.shape)
-            low = w <= xs[0]
-            out[low] = 1.0
-            high = w > x[-1]
-            out[high] = g[-1] * (w[high] / x[-1]) ** (-1.0 / xi)
-            mid = ~(low | high)
-            if np.any(mid):
-                out[mid] = np.exp(interp(np.log(w[mid])))
-            np.clip(out, 0.0, 1.0, out=out)
-            return out
-
-    else:
-        interp_lin = PchipInterpolator(xs, log_g, extrapolate=False)
-
-        def evaluate(w: np.ndarray) -> np.ndarray:
-            w = np.asarray(w, dtype=float)
-            out = np.empty(w.shape)
-            low = w <= xs[0]
-            out[low] = 1.0
-            high = w > x[-1]
-            out[high] = g[-1] * (w[high] / x[-1]) ** (-1.0 / xi)
-            mid = ~(low | high)
-            if np.any(mid):
-                out[mid] = np.exp(interp_lin(w[mid]))
-            np.clip(out, 0.0, 1.0, out=out)
-            return out
-
-    return evaluate
-
-
-def _relative_err(hi: np.ndarray, lo: np.ndarray) -> float:
-    denom = np.maximum(np.abs(hi), 1e-300)
-    return float(np.max(np.abs(hi - lo) / denom))
-
-
-def _build_gandh(model: GandH, n: int, spec: GridSpec) -> ConvolutionGrid:
-    a, b, g, h = model.a, model.b, model.g, model.h
-    z60 = 0.2533471031357997  # standard normal 0.6-quantile
-    grid_lo = float(model.quantile(0.6))
-    head_hi = float(model.quantile(spec.head_level))
-    top = float(model.quantile(spec.max_level))
-    head = np.linspace(grid_lo, head_hi, spec.head_points, endpoint=False)
-    tail_pts = np.geomspace(head_hi, top, spec.points - spec.head_points)
-    x = np.concatenate([head, tail_pts])
-    # auxiliary head in z-space for the recursion's left tail
-    z_head = np.linspace(_GH_HEAD_Z_LO, z60, _GH_HEAD_POINTS, endpoint=False)
-    w_head = a + b * gh_transform(z_head, g, h)
-    x_eval = np.concatenate([w_head, x])
-    z_eval = np.concatenate([z_head, gh_inverse((x - a) / b, g, h, -60.0, 50.0)])
-
-    g_hi = _gbar2_gandh(model, x_eval, spec.order)
-    g_lo = _gbar2_gandh(model, x_eval, spec.check_order)
-    level = 2
-    prev_hi = g_hi
-    while level < n:
-        interp = _gh_interp_from(model, z_eval, x_eval, prev_hi)
-        g_hi = _gbar_step_gandh(model, interp, x_eval, spec.order)
-        g_lo = _gbar_step_gandh(model, interp, x_eval, spec.check_order)
-        prev_hi = g_hi
-        level += 1
-    main_hi = g_hi[_GH_HEAD_POINTS:]
-    main_lo = g_lo[_GH_HEAD_POINTS:]
-    err = _relative_err(main_hi, main_lo)
-    threshold = spec.certify_threshold(n)
-    if err > threshold:
-        raise PrecisionError(
-            f"convolve_tail: certified relative quadrature error {err:.3e} "
-            f"exceeds tol {threshold:g}"
-        )
-    if n == 2:
-        fresh = lambda w: _gbar2_gandh(model, w, spec.order)  # noqa: E731
-    else:
-        final_interp = interp
-        fresh = lambda w: _gbar_step_gandh(model, final_interp, w, spec.order)  # noqa: E731
-    return ConvolutionGrid(model, n, spec, x, main_hi, fresh, err)
-
-
-def _gh_interp_from(
-    model: GandH, z_pts: np.ndarray, x_pts: np.ndarray, g_vals: np.ndarray
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Interpolant of a g-and-h convolution level, parameterized by the
-    single-loss z-coordinate (monotone in the real argument)."""
-    a, b, g, h = model.a, model.b, model.g, model.h
-    xi = model.h
-    gv = np.minimum(g_vals, 1.0)
-    interp = PchipInterpolator(z_pts, np.log(np.maximum(gv, 1e-300)), extrapolate=False)
-    z_top = z_pts[-1]
-    x_top = x_pts[-1]
-    g_top = gv[-1]
-
-    def evaluate(w: np.ndarray) -> np.ndarray:
-        w = np.asarray(w, dtype=float)
-        out = np.empty(w.shape)
-        neg_inf = ~np.isfinite(w)
-        finite = ~neg_inf
-        out[neg_inf] = 1.0
-        if np.any(finite):
-            wf = w[finite]
-            zz = gh_inverse((wf - a) / b, g, h, -60.0, 50.0)
-            of = np.empty(wf.shape)
-            low = zz <= z_pts[0]
-            of[low] = 1.0
-            high = zz > z_top
-            if np.any(high):
-                of[high] = g_top * (wf[high] / x_top) ** (-1.0 / xi)
-            mid = ~(low | high)
-            if np.any(mid):
-                of[mid] = np.exp(interp(zz[mid]))
-            out[finite] = of
-        np.clip(out, 0.0, 1.0, out=out)
-        return out
-
-    # record where the stored level is still 1 to double precision; the
-    # pairwise step integrates the level tail only above this floor and adds
-    # the remaining single-loss mass in closed form
-    flat = np.nonzero(gv >= 1.0 - 1e-15)[0]
-    floor_idx = int(flat[-1]) if flat.size else 0
-    evaluate.z_floor = float(z_pts[floor_idx])
-    evaluate.w_floor = float(x_pts[floor_idx])
-    return evaluate
-
-
 @lru_cache(maxsize=8)
 def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
-    if isinstance(model, GandH):
-        return _build_gandh(model, n, spec)
-    return _build_positive(model, n, spec)
+    """Tabulate the two-fold tail, then add one loss per level up to n.
+
+    Per family: the grid floor, the two-fold and pairwise-step quadratures,
+    and the interpolation coordinate. g-and-h runs in the single-loss z and
+    carries an auxiliary head (z from -10 up to the grid floor) through the
+    recursion so each step sees the left tail of the previous level.
+    Positive-support models run in log x, or in x where the level's last
+    flat node is 0.
+    """
+    smin = model.support_min
+    xi = model.second_order_info().xi
+    gandh = isinstance(model, GandH)
+    floor = float(model.quantile(0.6)) if gandh else smin
+    head_hi = float(model.quantile(spec.head_level))
+    if not head_hi > floor:
+        raise DomainError("convolve_tail: degenerate grid (head level too low)")
+    head = np.linspace(floor, head_hi, spec.head_points, endpoint=False)
+    top = float(model.quantile(spec.max_level))
+    x = np.concatenate([head, np.geomspace(head_hi, top, spec.points - spec.head_points)])
+    if gandh:
+        a, b, g, h = model.a, model.b, model.g, model.h
+        two_fold, step = _gbar2_gandh, _gbar_step_gandh
+        z_head = np.linspace(_GH_HEAD_Z_LO, _GH_Z_FLOOR, _GH_HEAD_POINTS, endpoint=False)
+        nodes = np.concatenate([a + b * gh_transform(z_head, g, h), x])
+
+        def z_of(w):
+            return gh_inverse((w - a) / b, g, h)
+
+        z_nodes = np.concatenate([z_head, z_of(x)])
+
+        def coordinate(vals):
+            return z_of, z_nodes
+
+    else:
+        two_fold, step = _gbar2_positive, _gbar_step_positive
+        nodes = x
+        with np.errstate(divide="ignore"):
+            log_nodes = np.log(x)
+
+        def coordinate(vals):
+            if x[np.flatnonzero(vals >= _FLAT)[-1]] > 0:
+                return np.log, log_nodes
+            return np.asarray, x  # the identity on float arrays
+
+    def level_tail(vals, k, keep=slice(None)):
+        coord, node_c = coordinate(vals)
+        return _LogTail(coord, node_c[keep], nodes[keep], vals[keep], xi, k * smin)
+
+    g_hi = two_fold(model, nodes, spec.order)
+    g_lo = two_fold(model, nodes, spec.check_order)
+    prev = None
+    for k in range(2, n):
+        prev = level_tail(g_hi, k)
+        g_hi = step(model, prev, nodes, spec.order)
+        g_lo = step(model, prev, nodes, spec.check_order)
+    main = slice(nodes.size - x.size, None)
+    g_tail = g_hi[main]
+    err = float(np.max(np.abs(g_tail - g_lo[main]) / np.maximum(np.abs(g_tail), 1e-300)))
+    threshold = spec.certify_threshold(n)
+    if err > threshold:
+        raise PrecisionError(
+            f"convolve_tail: certified relative quadrature error {err:.3e} "
+            f"exceeds tol {threshold:g}"
+        )
+    if prev is None:
+        fresh = lambda w: two_fold(model, w, spec.order)  # noqa: E731
+    else:
+        # the final step against the level-(n-1) interpolant, off the grid
+        fresh = lambda w: step(model, prev, w, spec.order)  # noqa: E731
+    return ConvolutionGrid(model, n, spec, level_tail(g_hi, n, main), x, g_tail, fresh, err)
 
 
 def convolve_tail(model: LossModel, n: int, spec: Optional[GridSpec] = None) -> ConvolutionGrid:
@@ -656,7 +535,7 @@ def _refine_root(grid: ConvolutionGrid, hi: float, p: float, lo: float) -> float
     while f_lo * f_hi > 0 and attempts < 8:
         lo -= width
         hi += width
-        lo = max(lo, grid._support_sum) if math.isfinite(grid._support_sum) else lo
+        lo = max(lo, grid.n * grid.model.support_min)
         f_lo = grid.fresh_tail(lo) - p
         f_hi = grid.fresh_tail(hi) - p
         attempts += 1

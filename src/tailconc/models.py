@@ -320,12 +320,14 @@ _NEWTON_MAX_STEPS = 100
 _GH_BLOCK = 1 << 16  # elements solved at once; bounds the working arrays
 
 
-def gh_inverse(w, g: float, h: float, lo, hi) -> np.ndarray:
+def gh_inverse(w, g: float, h: float, lo=-60.0, hi=50.0) -> np.ndarray:
     """Inverse of :func:`gh_transform` on the bracket [lo, hi].
 
     ``lo`` and ``hi`` broadcast against ``w`` (an array ``lo`` gives each
     element its own floor); values of w outside the bracket's image clamp to
-    its endpoints. The result has the shape of ``w``.
+    its endpoints. The result has the shape of ``w``. The default bracket
+    loses nothing by clamping: the standard normal tail is 1 at -60 and 0
+    at 50 in double precision.
 
     Each element starts from the analytic guess, the root of
     g z + h z^2/2 = log1p(g w) for w >= 0 and
@@ -411,17 +413,13 @@ class GandH(LossModel):
 
     The normal law is vectorized through ``scipy.special.ndtr`` and
     ``ndtri``, with the tail formed on the small side as ndtr(-z). ``tail``
-    and ``density`` invert k with :func:`gh_inverse` on the bracket
-    |z| <= 7.03, so levels beyond 1e-12 clamp to its edges."""
+    and ``density`` invert k with :func:`gh_inverse`."""
 
     a: float
     b: float
     g: float
     h: float
     kind: ClassVar[str] = "gandh"
-
-    # Public tail/density inversion bracket: z in [ndtri(1e-12), ndtri(1-1e-12)].
-    _Z_BRACKET: ClassVar[float] = 7.034484283095752
 
     def __post_init__(self):
         for name in ("a", "b", "g", "h"):
@@ -444,9 +442,7 @@ class GandH(LossModel):
         return self.a + self.b * gh_transform(ndtri(a), self.g, self.h)
 
     def _z_of_x(self, x: np.ndarray) -> np.ndarray:
-        w = (x - self.a) / self.b
-        zb = self._Z_BRACKET
-        return gh_inverse(w, self.g, self.h, -zb, zb)
+        return gh_inverse((x - self.a) / self.b, self.g, self.h)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
         return ndtr(-self._z_of_x(x))

@@ -2,7 +2,7 @@ import math
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from tailconc import approx
 from tailconc.approx import (
@@ -112,6 +112,7 @@ def test_second_order_kernel_domain():
     rho=st.floats(min_value=-4.0, max_value=0.0),
     s=st.floats(min_value=0.01, max_value=100.0),
 )
+@example(xi=1.0, rho=-5e-324, s=0.5)  # s**xi * expm1(rho log s) underflowed before / rho
 def test_second_order_kernel_sign(xi, rho, s):
     """The kernel shares the sign of log s (nonpositive rho)."""
     value = second_order_kernel(xi, rho, s)

@@ -253,8 +253,19 @@ def test_gandh_deep_tail_has_no_cancellation():
     # 1 - alpha is exact; it differs from 1e-10 by the rounding of alpha
     alpha = 1.0 - 1e-10
     assert m.tail(m.quantile(alpha)) == pytest.approx(1.0 - alpha, rel=1e-12)
-    for t in (1e8, 1e10, 1e11):
-        assert m.tail(m.tail_quantile(t)) * t == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + repr(m))
+@settings(deadline=None)
+@given(log_t=st.floats(min_value=math.log(1.5), max_value=math.log(1e15)))
+@example(log_t=math.log(1e8))
+@example(log_t=math.log(1e10))
+@example(log_t=math.log(1e11))
+@example(log_t=math.log(1e15))
+def test_tail_quantile_round_trip_to_1e15(model: LossModel, log_t: float):
+    """tail(U(t)) = 1/t deep into the tail: no clamp, no cancellation."""
+    t = math.exp(log_t)
+    assert t * model.tail(model.tail_quantile(t)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_gandh_mean_closed_form():
