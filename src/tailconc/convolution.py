@@ -154,7 +154,10 @@ def _gbar2_positive(model: LossModel, x: np.ndarray, order: int) -> np.ndarray:
 
 
 def _gbar_step_positive(
-    model: LossModel, prev: _LogTail, x: np.ndarray, order: int
+    model: LossModel,
+    prev: _LogTail,
+    x: np.ndarray,
+    order: int,
 ) -> np.ndarray:
     """One pairwise convolution step: the level ``prev`` plus one more loss.
 
@@ -212,7 +215,10 @@ def _gbar2_gandh(model: GandH, x: np.ndarray, order: int) -> np.ndarray:
 
 
 def _gbar_step_gandh(
-    model: GandH, prev: _LogTail, x: np.ndarray, order: int
+    model: GandH,
+    prev: _LogTail,
+    x: np.ndarray,
+    order: int,
 ) -> np.ndarray:
     """One pairwise step for g-and-h, split at x/2 like the direct two-fold
     form so neither conditioning variable carries a boundary layer.
@@ -291,15 +297,30 @@ class _LogTail:
     Built from the map ``coord`` from an argument to the coordinate the
     interpolation runs in (log x, x, or the single-loss z of g-and-h), and
     the nodes as coordinates ``node_c``, as arguments ``node_x`` and as
-    stored tails ``node_g``. The tail is exactly 1 at or below ``w_floor``,
-    the larger of ``support`` and the last node whose stored tail is 1 to
-    double precision (``c_floor`` is that node's coordinate; with no such
-    node ``w_floor`` is ``support``). Above the last node it follows the
-    power law of index -1/xi; in between it is exp(PCHIP(log g)) in the
-    coordinate, clipped to [0, 1].
+    stored tails ``node_g``. The tail is exactly 1 at or below the larger of
+    ``support`` and the last node whose stored tail is 1 (below the first
+    node if none is). Above the last node it follows the power law of index
+    -1/xi; in between it is exp(PCHIP(log g)) in the coordinate, clipped to
+    [0, 1]. ``split = k`` breaks the spline at node k, which must lie above
+    0, and reads the nodes from k on with a second spline in log x.
+
+    ``c_floor`` and ``w_floor`` are the coordinate and the argument of the
+    last node whose stored tail is 1 to double precision (the first node if
+    none is): the floor above which the g-and-h step integrates the level.
     """
 
-    __slots__ = ("support", "c_floor", "w_floor", "_coord", "_spline", "_x_top", "_g_top", "_power")
+    __slots__ = (
+        "support",
+        "c_floor",
+        "w_floor",
+        "_coord",
+        "_spline",
+        "_upper",
+        "_w_one",
+        "_x_top",
+        "_g_top",
+        "_power",
+    )
 
     def __init__(
         self,
@@ -309,30 +330,48 @@ class _LogTail:
         node_g: np.ndarray,
         xi: float,
         support: float,
+        split: Optional[int] = None,
     ):
+        ones = np.flatnonzero(node_g >= 1.0)
+        j = int(ones[-1]) if ones.size else 0
         flat = np.flatnonzero(node_g >= _FLAT)
-        j = int(flat[-1]) if flat.size else 0
+        f = int(flat[-1]) if flat.size else 0
         self.support = support
-        self.c_floor = float(node_c[j])
-        self.w_floor = max(support, float(node_x[j])) if flat.size else support
+        self.c_floor = float(node_c[f])
+        self.w_floor = float(node_x[f])
+        # with no such node, strictly below the first node
+        x_one = float(node_x[j]) if ones.size else float(np.nextafter(node_x[0], -np.inf))
+        self._w_one = max(support, x_one)
+        log_g = np.log(np.minimum(node_g, 1.0))
+        k = node_g.size if split is None else split
+        if k <= j:  # the flat region reaches the split: one spline in log x
+            k, coord = node_g.size, np.log
+            with np.errstate(divide="ignore"):
+                node_c = np.log(node_x)
         self._coord = coord
-        self._spline = PchipInterpolator(
-            node_c[j:], np.log(np.minimum(node_g[j:], 1.0)), extrapolate=False
-        )
+        self._spline = PchipInterpolator(node_c[j : k + 1], log_g[j : k + 1], extrapolate=False)
+        self._upper = None
+        if k < node_g.size - 1:
+            spline = PchipInterpolator(np.log(node_x[k:]), log_g[k:], extrapolate=False)
+            self._upper = (spline, float(node_x[k]))
         self._x_top = float(node_x[-1])
         self._g_top = float(node_g[-1])
         self._power = -1.0 / xi
 
     def __call__(self, w, c: Optional[np.ndarray] = None) -> np.ndarray:
         """Tail at the arguments ``w``; ``c`` gives their coordinates when
-        the caller already has them."""
+        the caller already has them (for the spline below any split)."""
         w = np.asarray(w, dtype=float)
         # arguments at or below the support (log 0, log of a negative) get
         # a meaningless coordinate; the floor overwrites their value
         with np.errstate(divide="ignore", invalid="ignore"):
             out = self._spline(self._coord(w) if c is None else c)
+            if self._upper is not None:
+                spline, w_split = self._upper
+                up = w > w_split
+                out[up] = spline(np.log(w[up]))
         np.exp(out, out=out)
-        out[w <= self.w_floor] = 1.0
+        out[w <= self._w_one] = 1.0
         top = w > self._x_top
         out[top] = self._g_top * (w[top] / self._x_top) ** self._power
         return np.clip(out, 0.0, 1.0, out=out)
@@ -342,17 +381,27 @@ class ConvolutionGrid:
     """Precomputed tail of the n-fold convolution on a log-tailed grid.
 
     Attributes ``x`` (nodes), ``g_tail`` (survival values), ``n``, ``model``,
-    ``spec``. ``tail_at`` evaluates the stored tail with the interpolant the
-    recursion uses between levels: monotone piecewise-cubic interpolation of
-    log survival in log x (positive-support models), in x (where the sum's
-    support starts at 0) or in the single-loss z (g-and-h, on the main nodes
-    only); beyond the last node the tail extends by the power law of index
-    -1/xi. ``tail_at`` returns 1 at or below the sum's support for
-    positive-support models and raises :class:`GridRangeError` below the grid
-    floor for g-and-h (whose grid deliberately starts at the 0.6 quantile).
+    ``spec``. ``tail_at`` reads the stored tail with the interpolant class
+    the recursion uses between levels, on the main nodes: monotone
+    piecewise-cubic interpolation of log survival in x over the linearly
+    spaced head and in log x over the geometric tail, with the spline broken
+    between the two; beyond the last node the tail extends by the power law
+    of index -1/xi. ``tail_at``
+    returns 1 at or below the sum's support for positive-support models and
+    raises :class:`GridRangeError` below the grid floor for g-and-h (whose
+    grid deliberately starts at the 0.6 quantile).
     """
 
-    __slots__ = ("model", "n", "spec", "x", "g_tail", "_tail", "_fresh", "_err_estimate")
+    __slots__ = (
+        "model",
+        "n",
+        "spec",
+        "x",
+        "g_tail",
+        "_tail",
+        "_fresh",
+        "_err_estimate",
+    )
 
     def __init__(
         self,
@@ -365,7 +414,7 @@ class ConvolutionGrid:
         fresh: Callable[[np.ndarray], np.ndarray],
         err_estimate: float,
     ):
-        if np.any(np.diff(g_tail[g_tail < _FLAT]) >= 0):
+        if np.any(np.diff(g_tail[g_tail < 1.0]) >= 0):
             raise PrecisionError(
                 "convolution grid failed its monotonicity self-check; "
                 "tighten the grid or tolerance"
@@ -414,7 +463,7 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     carries an auxiliary head (z from -10 up to the grid floor) through the
     recursion so each step sees the left tail of the previous level.
     Positive-support models run in log x, or in x where the level's last
-    flat node is 0.
+    node whose tail is exactly 1 lies at 0.
     """
     smin = model.support_min
     xi = model.second_order_info().xi
@@ -435,25 +484,18 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
         def z_of(w):
             return gh_inverse((w - a) / b, g, h)
 
-        z_nodes = np.concatenate([z_head, z_of(x)])
-
-        def coordinate(vals):
-            return z_of, z_nodes
-
+        family = (z_of, np.concatenate([z_head, z_of(x)]))
     else:
         two_fold, step = _gbar2_positive, _gbar_step_positive
         nodes = x
         with np.errstate(divide="ignore"):
-            log_nodes = np.log(x)
+            family = (np.log, np.log(x))
 
-        def coordinate(vals):
-            if x[np.flatnonzero(vals >= _FLAT)[-1]] > 0:
-                return np.log, log_nodes
-            return np.asarray, x  # the identity on float arrays
-
-    def level_tail(vals, k, keep=slice(None)):
-        coord, node_c = coordinate(vals)
-        return _LogTail(coord, node_c[keep], nodes[keep], vals[keep], xi, k * smin)
+    def level_tail(vals, k):
+        coord, node_c = family
+        if not gandh and x[np.flatnonzero(vals >= 1.0)[-1]] == 0:
+            coord, node_c = np.asarray, x  # the identity on float arrays
+        return _LogTail(coord, node_c, nodes, vals, xi, k * smin)
 
     g_hi = two_fold(model, nodes, spec.order)
     g_lo = two_fold(model, nodes, spec.check_order)
@@ -476,7 +518,11 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     else:
         # the final step against the level-(n-1) interpolant, off the grid
         fresh = lambda w: step(model, prev, w, spec.order)  # noqa: E731
-    return ConvolutionGrid(model, n, spec, level_tail(g_hi, n, main), x, g_tail, fresh, err)
+    # the final level is read on its main nodes in x over the linear head and
+    # in log x over the geometric tail, with a break in the spline between
+    split = spec.head_points if head_hi > 0 else None
+    tail = _LogTail(np.asarray, x, x, g_tail, xi, n * smin, split)
+    return ConvolutionGrid(model, n, spec, tail, x, g_tail, fresh, err)
 
 
 def convolve_tail(model: LossModel, n: int, spec: Optional[GridSpec] = None) -> ConvolutionGrid:

@@ -190,6 +190,22 @@ def test_positive_support_below_grid_is_one():
         grid.tail_at(np.array([3.0, math.nan]))
 
 
+def test_tail_at_with_support_above_the_head():
+    """Pareto(0.2) at n = 3: the sum's support 3 lies above the single-loss
+    0.99 quantile (2.51), so the tail is 1 over the whole linear head and
+    the interpolant runs in log x from the support on."""
+    model = Pareto(xi=0.2)
+    grid = convolve_tail(model, 3)
+    assert float(model.quantile(0.99)) < 3.0
+    assert np.all(grid.tail_at(np.array([1.0, 2.5, 3.0])) == 1.0)
+    x = grid.x[grid.x > 3.0]
+    mid = 0.5 * (x[:-1] + x[1:])
+    got = grid.tail_at(mid)
+    assert np.all(got < 1.0) and np.all(np.diff(got) < 0)
+    # measured 6e-8 in the first cell, where the tail leaves 1
+    assert np.all(np.abs(got / grid.fresh_tail(mid) - 1.0) <= 1e-7)
+
+
 def test_unachievable_tolerance_raises():
     with pytest.raises(PrecisionError):
         convolve_tail(PARETO05, 2, GridSpec(tol=1e-16))
@@ -280,25 +296,34 @@ def test_convolve_tail_caches_grids():
     assert isinstance(c, ConvolutionGrid)
 
 
-@pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize(
-    "model", [PARETO05, BURR2508, GANDH], ids=["pareto-log-x", "burr-x", "gandh-z"]
+    "model, n, exempt",
+    [
+        (PARETO05, 2, {}),
+        # n = 3: the recursion reads level 2 with one spline across the jump
+        # from the linear head spacing to the geometric tail spacing (in x for
+        # Burr), which moves the stored level-3 values and fresh quadrature
+        # in a few cells; measured there: Pareto cell 0 1.4e-9, Burr cells 0,
+        # 1 and the last 8.2e-8, 4.1e-9 and 5.8e-9
+        (PARETO05, 3, {0: 2e-9}),
+        (BURR2508, 2, {}),
+        (BURR2508, 3, {0: 1e-7, 1: 1e-8, -1: 1e-8}),
+        (GANDH, 2, {}),
+        (GANDH, 3, {}),
+    ],
+    ids=["pareto-2", "pareto-3", "burr-2", "burr-3", "gandh-2", "gandh-3"],
 )
-def test_tail_at_matches_fresh_between_nodes(model, n):
+def test_tail_at_matches_fresh_between_nodes(model, n, exempt):
     """The interpolant, read at the midpoint of every stored cell at or above
     the single-loss 0.99 quantile, against fresh quadrature there."""
     grid = convolve_tail(model, n)
     x = grid.x[grid.x >= model.quantile(0.99)]
     mid = 0.5 * (x[:-1] + x[1:])
     err = np.abs(grid.tail_at(mid) / grid.fresh_tail(mid) - 1.0)
-    # The first cell follows the jump from the linear head spacing to the
-    # geometric spacing, where the spline's node slope is only first-order
-    # accurate (measured 3e-8 to 1.9e-7). Burr's last cell (8.6e-9 at n = 2,
-    # x coordinate) and its cells near the bottom at n = 3 (4.1e-9, where
-    # fresh quadrature reads the level-2 interpolant across the same jump)
-    # set the bound elsewhere; Pareto and g-and-h stay below 5e-10.
-    assert err[0] <= 5e-7
-    assert np.all(err[1:] <= 1e-8)
+    bound = np.full(err.shape, 1e-9)
+    for cell, b in exempt.items():
+        bound[cell] = b
+    assert np.all(err <= bound)
 
 
 def test_power_law_extension_beyond_grid():
