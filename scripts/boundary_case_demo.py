@@ -63,10 +63,9 @@ def main() -> int:
     print("second-order approximation vs convolution oracle:")
     header = f"{'alpha':>12} {'c1':>10} {'c2':>10} {'oracle':>10} {'|c2-or|':>9} {'|c1-or|':>9}"
     print(header)
-    for k in range(1, args.decades + 1):
-        alpha = 1.0 - 10.0 ** (-k)
+    alphas = [1.0 - 10.0 ** (-k) for k in range(1, args.decades + 1)]
+    for alpha, oracle in zip(alphas, oracle_concentration(model, n, alphas)):
         res = second_order_approx(model, alpha, n)
-        oracle = oracle_concentration(model, n, alpha)
         print(
             f"{alpha:>12.10g} {res.c1:>10.6f} {res.c2:>10.6f} {oracle:>10.6f} "
             f"{abs(res.c2 - oracle):>9.2e} {abs(res.c1 - oracle):>9.2e}"

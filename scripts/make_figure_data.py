@@ -98,7 +98,7 @@ def main() -> int:
         curve = empirical_concentration(model, config, workers=args.workers)
         oracle_values = None
         if args.oracle:
-            oracle_values = [oracle_concentration(model, args.n, a) for a in levels]
+            oracle_values = oracle_concentration(model, args.n, levels)
         elapsed = time.perf_counter() - start
         path = os.path.join(args.out_dir, f"{label}_n{args.n}.csv")
         write_curve(path, curve, oracle_values)

@@ -50,6 +50,7 @@ from .convolution import (
     convolve_tail,
     oracle_concentration,
     oracle_quantile,
+    oracle_quantiles,
     tail_ratio_diagnostic,
 )
 from .montecarlo import (
@@ -103,6 +104,7 @@ __all__ = [
     "ConvolutionGrid",
     "convolve_tail",
     "oracle_quantile",
+    "oracle_quantiles",
     "oracle_concentration",
     "tail_ratio_diagnostic",
     # Monte Carlo

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 from scipy.special import exprel
 
 from . import special
@@ -422,8 +423,6 @@ def crossover(
         return hi
     if f_lo * f_hi > 0:
         # scan a log-spaced grid in 1-alpha for a sign change
-        import numpy as np
-
         grid = 1.0 - np.geomspace(1.0 - alpha_lo, 1.0 - alpha_hi, 257)
         vals = [f(float(a)) for a in grid]
         bracket = None

@@ -254,9 +254,7 @@ def _cmd_curve(model: LossModel, args) -> int:
     c_oracle = None
     if args.oracle:
         spec = convolution.GridSpec(tol=args.oracle_tol)
-        grid = convolution.convolve_tail(model, args.n, spec)
-        den = args.n * np.atleast_1d(np.asarray(model.quantile(alphas), dtype=float))
-        c_oracle = np.array([convolution.oracle_quantile(grid, float(a)) for a in alphas]) / den
+        c_oracle = convolution.oracle_concentration(model, args.n, alphas, spec)
     _stderr_regime(regime, degenerate)
     rows = []
     for i, a in enumerate(alphas):

@@ -49,6 +49,7 @@ __all__ = [
     "ConvolutionGrid",
     "convolve_tail",
     "oracle_quantile",
+    "oracle_quantiles",
     "oracle_concentration",
     "tail_ratio_diagnostic",
 ]
@@ -60,6 +61,8 @@ _GH_HEAD_Z_LO = -10.0
 _GH_HEAD_POINTS = 512
 _GH_Z_FLOOR = 0.2533471031357997  # standard normal 0.6-quantile: z of the grid floor
 _FLAT = 1.0 - 1e-15  # a stored tail at or above this is 1 to double precision
+_ROOT_RTOL = 1e-12  # quantile bracket width at convergence, relative to max(|x|, 1)
+_ROOT_MAX_ITER = 100
 
 
 @dataclass(frozen=True, slots=True)
@@ -534,82 +537,109 @@ def convolve_tail(model: LossModel, n: int, spec: Optional[GridSpec] = None) -> 
 
 
 def oracle_quantile(grid: ConvolutionGrid, alpha: float) -> float:
-    """Quantile of the n-fold sum at level alpha, from the oracle grid.
+    """Quantile of the n-fold sum at level alpha; :func:`oracle_quantiles` on one level.
 
-    An exact hit on a stored tail value returns that node's abscissa;
-    otherwise the grid brackets the root and bisection refines it against
-    fresh direct quadrature evaluations.
+    An exact hit on a stored tail value returns that node's abscissa.
+    Otherwise the level's grid cell, widened by one cell width per side up
+    to 8 times where fresh quadrature does not straddle the level, brackets
+    the root, and Chandrupatla's hybrid of inverse quadratic interpolation
+    and bisection (Adv. Eng. Software 28(3), 1997) refines it against fresh
+    direct quadrature. It stops when the residual is 0 or the bracket is no
+    wider than 1e-12 max(|lo|, |hi|, 1), and returns the bracket end with
+    the smaller residual. A failed bracket, a non-finite fresh value or no
+    convergence in ``_ROOT_MAX_ITER`` steps raises :class:`PrecisionError`.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"oracle_quantile: alpha must lie in (0, 1), got {alpha!r}")
-    p = 1.0 - alpha
-    g = grid.g_tail
-    x = grid.x
-    if p < g[-1]:
+    return float(oracle_quantiles(grid, np.array([float(alpha)]))[0])
+
+
+def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
+    """Quantiles of the n-fold sum at every level in ``alphas``, solved by
+    the rules of :func:`oracle_quantile` jointly: every level is checked
+    before any quadrature runs, one fresh call evaluates all cell ends, and
+    each further call takes one Chandrupatla step on every live level."""
+    alphas = np.asarray(alphas, dtype=float)
+    bad = alphas[~((alphas > 0.0) & (alphas < 1.0))]
+    p = 1.0 - alphas.ravel()
+    if bad.size:
+        raise DomainError(f"oracle_quantile: alpha must lie in (0, 1), got {float(bad[0])!r}")
+    g, x = grid.g_tail, grid.x
+    if np.any(p < g[-1]):
         raise GridRangeError(
-            f"oracle_quantile: level {alpha:g} is deeper than the grid covers "
+            f"oracle_quantile: level {alphas.max():g} is deeper than the grid covers "
             f"(smallest stored tail {g[-1]:.3e}); rebuild with a larger max_level"
         )
-    if p > g[0]:
+    if np.any(p > g[0]):
         # positive-support grids start at the single-loss support point where
         # the stored tail is exactly 1, so only the g-and-h grid (floored at
         # the 0.6 quantile) can be entered above its first stored value
         raise GridRangeError(
-            f"oracle_quantile: level {alpha:g} lies below the grid floor "
+            f"oracle_quantile: level {alphas.min():g} lies below the grid floor "
             f"(first stored tail value {g[0]:.6g})"
         )
-    hit = np.nonzero(g == p)[0]
-    if hit.size:
-        return float(x[hit[0]])
-    # g is non-increasing; find the bracketing cell
-    idx = int(np.searchsorted(-g, -p, side="left"))
-    idx = min(max(idx, 1), len(x) - 1)
-    return _refine_root(grid, x[idx], p, lo=x[idx - 1])
+    # g is non-increasing: the first node whose tail is at or below p
+    idx = np.searchsorted(-g, -p, side="left")
+    out = x[idx]
+    live = np.flatnonzero(g[idx] != p)
+    p, lo, hi = p[live], x[idx[live] - 1], x[idx[live]]
 
+    def residual(w, p_w):
+        f = grid.fresh_tail(w) - p_w
+        if not np.all(np.isfinite(f)):
+            raise PrecisionError("oracle_quantile: fresh quadrature returned a non-finite tail")
+        return f
 
-def _refine_root(grid: ConvolutionGrid, hi: float, p: float, lo: float) -> float:
-    f_lo = grid.fresh_tail(lo) - p if math.isfinite(lo) else 1.0 - p
-    f_hi = grid.fresh_tail(hi) - p
-    if f_lo == 0.0:
-        return float(lo)
-    if f_hi == 0.0:
-        return float(hi)
-    # widen defensively if fresh quadrature disagrees with the stored bracket
-    attempts = 0
+    def at_ends(k):  # residuals at both ends of brackets k, from one fresh call
+        return np.split(residual(np.concatenate([lo[k], hi[k]]), np.tile(p[k], 2)), 2)
+
     width = hi - lo
-    while f_lo * f_hi > 0 and attempts < 8:
-        lo -= width
-        hi += width
-        lo = max(lo, grid.n * grid.model.support_min)
-        f_lo = grid.fresh_tail(lo) - p
-        f_hi = grid.fresh_tail(hi) - p
-        attempts += 1
-    if f_lo * f_hi > 0:
-        raise PrecisionError("oracle_quantile: failed to bracket the root")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= 1e-12 * max(abs(lo), abs(hi), 1.0):
+    f_lo, f_hi = at_ends(slice(None))
+    for _ in range(8):
+        wide = np.sign(f_lo) * np.sign(f_hi) > 0  # fresh quadrature disagrees with the grid
+        if not np.any(wide):
             break
-        f_mid = grid.fresh_tail(mid) - p
-        if f_mid == 0.0:
-            return float(mid)
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo = mid
-            f_lo = f_mid
-    return 0.5 * (lo + hi)
+        lo[wide] = np.maximum(lo[wide] - width[wide], grid.n * grid.model.support_min)
+        hi[wide] += width[wide]
+        f_lo[wide], f_hi[wide] = at_ends(wide)
+    if np.any(np.sign(f_lo) * np.sign(f_hi) > 0):
+        raise PrecisionError("oracle_quantile: failed to bracket the root")
+    # x1 is the newest iterate, x2 the other bracket end, x3 the end x1 replaced
+    x1, f1, x2, f2, t = lo, f_lo, hi, f_hi, np.full(p.size, 0.5)
+    for step in range(_ROOT_MAX_ITER + 1):
+        dx = np.abs(x2 - x1)
+        tol = _ROOT_RTOL * np.maximum(np.maximum(np.abs(x1), np.abs(x2)), 1.0)
+        done = (f1 == 0.0) | (f2 == 0.0) | (dx <= tol)
+        out[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+        if np.all(done):
+            break
+        if step == _ROOT_MAX_ITER:
+            raise PrecisionError(f"oracle_quantile: unconverged after {step} steps")
+        live, p, x1, f1, x2, f2, t, dx, tol = (
+            v[~done] for v in (live, p, x1, f1, x2, f2, t, dx, tol)
+        )
+        tl = 0.5 * tol / dx  # keep each iterate tol/2 inside the bracket
+        x_new = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+        f_new = residual(x_new, p)
+        same = np.sign(f_new) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x_new, f_new
+        # inverse quadratic interpolation where it stays inside the bracket
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            r = (x3 - x1) / (x2 - x1)
+            t_iqi = f1 / (f1 - f2) * f3 / (f3 - f2) - r * f1 / (f3 - f1) * f2 / (f2 - f3)
+        t = np.where(iqi, t_iqi, 0.5)
+    return out.reshape(alphas.shape)
 
 
-def oracle_concentration(
-    model: LossModel, n: int, alpha: float, spec: Optional[GridSpec] = None
-) -> float:
+def oracle_concentration(model: LossModel, n: int, alpha, spec: Optional[GridSpec] = None):
     """Oracle value of the concentration ratio: the sum's quantile over n
-    times the single-loss quantile."""
-    grid = convolve_tail(model, n, spec)
-    x_sum = oracle_quantile(grid, alpha)
-    return x_sum / (n * float(model.quantile(alpha)))
+    times the single-loss quantile; a float for a scalar alpha, else an array."""
+    x_sum = oracle_quantiles(convolve_tail(model, n, spec), alpha)
+    c = x_sum / (n * np.asarray(model.quantile(alpha), dtype=float))
+    return float(c) if np.ndim(alpha) == 0 else c
 
 
 def tail_ratio_diagnostic(model: LossModel, n: int, x) -> np.ndarray:

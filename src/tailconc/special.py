@@ -15,6 +15,7 @@ on arrays through ``scipy.special.ndtr`` and ``ndtri``.
 from __future__ import annotations
 
 import math
+import sys
 
 from .errors import DomainError, PoleError
 
@@ -27,6 +28,7 @@ __all__ = [
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_LOG_DBL_MAX = math.log(sys.float_info.max)
 
 # Lanczos approximation, g = 607/128, 15 terms. Relative error on the
 # positive real axis is a few units in the 15th digit.
@@ -85,10 +87,12 @@ def gamma(x: float) -> float:
         # Reflection: gamma(x) * gamma(1-x) = pi / sin(pi x)
         return math.pi / (_sinpi(x) * gamma(1.0 - x))
     t = x + _LANCZOS_G - 0.5
-    a = _lanczos_sum(x)
-    if t > 0 and (x - 0.5) * math.log(t) - t > 700.0:
+    a = _SQRT_TWO_PI * _lanczos_sum(x)
+    if (x - 0.5) * math.log(t) - t + math.log(a) > _LOG_DBL_MAX:
         return math.inf
-    return _SQRT_TWO_PI * math.pow(t, x - 0.5) * math.exp(-t) * a
+    # t^(x - 0.5) alone overflows from x ~ 142.7; split it around exp(-t)
+    p = t ** (0.5 * (x - 0.5))
+    return p * (p * math.exp(-t)) * a
 
 
 def log_gamma(x: float) -> float:

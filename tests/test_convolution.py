@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from tailconc import convolution
 from tailconc.convolution import (
     ConvolutionGrid,
     GridSpec,
     convolve_tail,
     oracle_concentration,
     oracle_quantile,
+    oracle_quantiles,
     tail_ratio_diagnostic,
 )
 from tailconc.errors import DomainError, GridRangeError, PrecisionError
@@ -165,6 +167,95 @@ def test_oracle_quantile_rejects_uncovered_levels():
         oracle_quantile(grid, 1.0)
     with pytest.raises(DomainError):
         oracle_quantile(grid, 0.0)
+
+
+# the CLI's default levels: 40 from 0.95 to 0.9997, geometric in 1 - alpha
+CLI_LEVELS = 1.0 - np.geomspace(0.05, 3e-4, 40)
+
+
+@pytest.mark.parametrize(("model", "n"), [(PARETO05, 2), (PARETO05, 3), (GANDH, 2), (HALL, 2)])
+def test_oracle_quantiles_matches_one_level_at_a_time(model, n):
+    grid = convolve_tail(model, n)
+    got = oracle_quantiles(grid, CLI_LEVELS)
+    want = np.array([oracle_quantile(grid, a) for a in CLI_LEVELS])
+    # ExactHall's Newton inverse takes as many steps as its slowest element
+    # needs, so its tails, and the roots, can move by an ulp with the array
+    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    ratios = oracle_concentration(model, n, CLI_LEVELS)
+    singles = [oracle_concentration(model, n, a) for a in CLI_LEVELS]
+    assert np.allclose(ratios, singles, rtol=1e-15, atol=0.0)
+    assert isinstance(oracle_concentration(model, n, 0.99), float)
+
+
+def test_oracle_quantiles_node_hits_are_exact_in_a_mixed_vector():
+    grid = convolve_tail(PARETO05, 2)
+    hits = [int(np.argmin(np.abs(grid.g_tail - target))) for target in (0.75, 0.6)]
+    alphas = np.concatenate([CLI_LEVELS[:5], [1.0 - grid.g_tail[hits[0]]], CLI_LEVELS[5:]])
+    alphas = np.append(alphas, 1.0 - grid.g_tail[hits[1]])
+    got = oracle_quantiles(grid, alphas)
+    assert got[5] == grid.x[hits[0]] and got[-1] == grid.x[hits[1]]
+    rest = np.delete(np.arange(alphas.size), [5, alphas.size - 1])
+    assert np.array_equal(got[rest], oracle_quantiles(grid, CLI_LEVELS))
+
+
+@pytest.mark.parametrize(
+    ("model", "bad", "error"),
+    [
+        (PARETO05, 1.0 - 1e-12, GridRangeError),
+        (PARETO05, 1.0, DomainError),
+        (PARETO05, 0.0, DomainError),
+        (PARETO05, math.nan, DomainError),
+        (GANDH, 0.05, GridRangeError),  # below the g-and-h grid floor
+    ],
+)
+@pytest.mark.parametrize("where", [0, 17, 40])
+def test_oracle_quantiles_rejects_one_bad_level(model, bad, error, where):
+    grid = convolve_tail(model, 2)
+    with pytest.raises(error):
+        oracle_quantiles(grid, np.insert(CLI_LEVELS, where, bad))
+
+
+def test_oracle_quantiles_empty_input():
+    got = oracle_quantiles(convolve_tail(PARETO05, 2), [])
+    assert isinstance(got, np.ndarray) and got.shape == (0,)
+
+
+def _nan_after(calls, fresh):
+    """``fresh`` for the first ``calls`` calls, then all-NaN tails."""
+    seen = [0]
+
+    def wrapped(w):
+        seen[0] += 1
+        return fresh(w) if seen[0] <= calls else np.full(np.shape(w), math.nan)
+
+    return wrapped
+
+
+@pytest.mark.parametrize("calls", [0, 1, 3])
+def test_oracle_quantiles_non_finite_fresh_raises(monkeypatch, calls):
+    # calls = 0 fails at the bracket ends, 1 and 3 at an iterate
+    grid = convolve_tail(PARETO05, 2)
+    monkeypatch.setattr(grid, "_fresh", _nan_after(calls, grid._fresh))
+    with pytest.raises(PrecisionError):
+        oracle_quantiles(grid, CLI_LEVELS)
+
+
+def test_oracle_quantiles_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(convolution, "_ROOT_MAX_ITER", 1)
+    with pytest.raises(PrecisionError):
+        oracle_quantiles(convolve_tail(PARETO05, 2), CLI_LEVELS)
+
+
+@pytest.mark.parametrize(("model", "n"), [(PARETO05, 3), (GANDH, 2)])
+def test_oracle_quantiles_few_fresh_calls(monkeypatch, model, n):
+    grid = convolve_tail(model, n)
+    calls = []
+    fresh = grid._fresh
+    monkeypatch.setattr(grid, "_fresh", lambda w: calls.append(np.size(w)) or fresh(w))
+    q = oracle_quantiles(grid, CLI_LEVELS)
+    assert len(calls) <= 12
+    monkeypatch.undo()
+    assert np.allclose(grid.fresh_tail(q), 1.0 - CLI_LEVELS, rtol=1e-10, atol=0.0)
 
 
 def test_gandh_grid_floor():

@@ -3,7 +3,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from tailconc.errors import DomainError, PoleError
 from tailconc.models import (
@@ -57,6 +57,20 @@ def test_density_is_tail_derivative(model: LossModel):
     h = 1e-5
     numeric = (model.tail(xs - h) - model.tail(xs + h)) / (2.0 * h)
     assert np.allclose(numeric, model.density(xs), rtol=1e-6, atol=1e-10)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + repr(m))
+@settings(deadline=None)
+@given(log_x=st.floats(min_value=math.log(1.5), max_value=math.log(1e15)))
+def test_density_matches_tail_differences_to_1e15(model: LossModel, log_x: float):
+    # relative step r: the truncation error is about r^2 (1/xi + 1)(1/xi + 2)/6,
+    # at most 2e-8 for xi >= 1/2, and rounding adds about 1e-14/r
+    r = 1e-4
+    x = math.exp(log_x)
+    assume(x * (1.0 - r) > model.support_min)
+    h = r * x
+    numeric = (model.tail(x - h) - model.tail(x + h)) / (2.0 * h)
+    assert numeric == pytest.approx(float(model.density(x)), rel=1e-7)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + repr(m))

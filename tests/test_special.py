@@ -53,6 +53,16 @@ def test_gamma_matches_scipy_on_grid():
     assert worst < 1e-13
 
 
+@pytest.mark.parametrize("x", [142.7, 150.0, 160.0, 169.9, 171.0])
+def test_gamma_finite_up_to_the_overflow_point(x):
+    # t^(x - 1/2) alone overflows above 142.7, where gamma is still finite
+    assert special.gamma(x) == pytest.approx(scipy.special.gamma(x), rel=1e-13)
+
+
+def test_gamma_overflows_to_inf():
+    assert special.gamma(171.7) == math.inf
+
+
 @settings(deadline=None)
 @given(st.floats(min_value=0.05, max_value=30.0))
 def test_gamma_recurrence(x):
