@@ -317,7 +317,7 @@ def gh_transform_deriv(z: np.ndarray, g: float, h: float) -> np.ndarray:
 # Newton inverses stop once a step is within a few ulp, or after this many steps
 _NEWTON_TOL = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 100
-_GH_BLOCK = 1 << 16  # elements solved at once; bounds the working arrays
+_NEWTON_BLOCK = 1 << 16  # elements solved at once; bounds the working arrays
 
 
 def gh_inverse(w, g: float, h: float, lo=-60.0, hi=50.0) -> np.ndarray:
@@ -348,7 +348,7 @@ def gh_inverse(w, g: float, h: float, lo=-60.0, hi=50.0) -> np.ndarray:
     hi = np.broadcast_to(hi, w.shape)
     rows = w.shape[0] if w.ndim else 1
     per_row = w.size // rows if rows else 0
-    step = max(1, _GH_BLOCK // max(per_row, 1))
+    step = max(1, _NEWTON_BLOCK // max(per_row, 1))
     out = np.empty((rows, per_row))
     views = [v.reshape(rows, per_row) for v in (w, lo, hi, k_lo, k_hi)]
     for r0 in range(0, rows, step):
@@ -564,21 +564,29 @@ class ExactHall(LossModel):
         Newton in s = log t on f(s) = log U(e^s) - log x, from
         s0 = max(log(x/c)/xi, 0) and clipped at s >= 0. f' lies between xi
         and f'(0) > 0 and is monotone (f is convex for d > 0 and concave
-        for d < 0), so the iteration converges from either side; it stops
-        once every step is within a few ulp of max(s, 1)."""
+        for d < 0), so the iteration converges from either side. An element
+        leaves the working set once its step is within a few ulp of
+        max(s, 1), so its value does not depend on the array it is in. The
+        elements are solved in blocks of 2^16 so the working arrays stay
+        small."""
         x = np.asarray(x, dtype=float)
         c, d, xi, rho = self.c, self.d, self.xi, self.rho
-        log_x = np.log(x)
-        s = np.maximum((log_x - math.log(c)) / xi, 0.0)
-        for _ in range(_NEWTON_MAX_STEPS):
-            tr = np.exp(rho * s)
-            f = math.log(c) + xi * s + np.log1p(d * tr) - log_x
-            s_new = np.maximum(s - f / (xi + d * rho * tr / (1.0 + d * tr)), 0.0)
-            converged = np.all(np.abs(s_new - s) <= _NEWTON_TOL * np.maximum(s_new, 1.0))
-            s = s_new
-            if converged:
-                break
-        return np.exp(s)
+        xs = x.ravel()
+        out = np.empty(xs.shape)
+        for start in range(0, xs.size, _NEWTON_BLOCK):
+            log_x = np.log(xs[start : start + _NEWTON_BLOCK])
+            s = np.maximum((log_x - math.log(c)) / xi, 0.0)
+            idx = np.arange(start, start + s.size)
+            for _ in range(_NEWTON_MAX_STEPS):
+                tr = np.exp(rho * s)
+                f = math.log(c) + xi * s + np.log1p(d * tr) - log_x
+                s_new = np.maximum(s - f / (xi + d * rho * tr / (1.0 + d * tr)), 0.0)
+                out[idx] = s_new
+                keep = np.abs(s_new - s) > _NEWTON_TOL * np.maximum(s_new, 1.0)
+                if not keep.any():
+                    break
+                idx, s, log_x = idx[keep], s_new[keep], log_x[keep]
+        return np.exp(out).reshape(x.shape)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
         return 1.0 / self._t_of_x(x)

@@ -1,21 +1,21 @@
 """Scalar special functions: gamma, log-gamma, beta, and the normal law.
 
-Self-contained double-precision implementations. The gamma function uses a
-Lanczos approximation (g = 607/128, 15 coefficients) with the reflection
-formula for the negative half-line; the normal inverse CDF uses Acklam's
-rational initial guess polished by two Halley steps against the erfc-based
-CDF, which brings the round-trip error down to a few ulp.
+Thin wrappers over ``scipy.special`` (``gamma``, ``gammaln``, ``beta``,
+``ndtr``, ``ndtri``) that add the package's error contract: a NaN argument,
+or one outside the function's domain, raises :class:`DomainError`; 0 and the
+negative integers raise :class:`PoleError` in :func:`gamma`; overflow returns
+``inf``. Every function returns a builtin ``float``.
 
-These are the package's scalar public API for the special functions, used
-where one value is needed at a time (the convolution constants, the g-and-h
-closed forms). They are off the hot path: the models evaluate the normal law
-on arrays through ``scipy.special.ndtr`` and ``ndtri``.
+They serve scalar calls (the convolution constants, the g-and-h closed
+forms); the models evaluate the normal law on arrays through the same
+``ndtr`` and ``ndtri``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
+
+from scipy import special as _sc
 
 from .errors import DomainError, PoleError
 
@@ -27,72 +27,16 @@ __all__ = [
     "normal_inv_cdf",
 ]
 
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
-_LOG_DBL_MAX = math.log(sys.float_info.max)
-
-# Lanczos approximation, g = 607/128, 15 terms. Relative error on the
-# positive real axis is a few units in the 15th digit.
-_LANCZOS_G = 607.0 / 128.0
-_LANCZOS_COEFFS = (
-    0.99999999999999709182,
-    57.156235665862923517,
-    -59.597960355475491248,
-    14.136097974741747174,
-    -0.49191381609762019978,
-    3.3994649984811888699e-5,
-    4.6523628927048575665e-5,
-    -9.8374475304879564677e-5,
-    1.5808870322491248884e-4,
-    -2.1026444172410488319e-4,
-    2.1743961811521264320e-4,
-    -1.6431810653676389022e-4,
-    8.4418223983852743293e-5,
-    -2.6190838401581408670e-5,
-    3.6899182659531622704e-6,
-)
-
-
-def _lanczos_sum(x: float) -> float:
-    s = _LANCZOS_COEFFS[0]
-    for k in range(1, len(_LANCZOS_COEFFS)):
-        s += _LANCZOS_COEFFS[k] / (x + k - 1.0)
-    return s
-
-
-def _sinpi(x: float) -> float:
-    """sin(pi*x) with argument reduction exact at integers and half-integers."""
-    n = math.floor(x)
-    r = x - n
-    if r == 0.0:
-        return 0.0
-    if r <= 0.5:
-        s = math.sin(math.pi * r)
-    else:
-        s = math.sin(math.pi * (1.0 - r))
-    return s if (n % 2 == 0) else -s
-
 
 def gamma(x: float) -> float:
-    """Gamma function on the real line.
-
-    Raises :class:`PoleError` at 0 and the negative integers. Arguments
-    large enough to overflow double precision return ``inf``.
-    """
+    """Gamma function on the real line. Raises :class:`PoleError` at 0 and the
+    negative integers, and :class:`DomainError` at NaN and -inf."""
     x = float(x)
-    if math.isnan(x):
-        raise DomainError("gamma: argument is NaN")
-    if x <= 0.0 and x == math.floor(x):
+    if math.isnan(x) or x == -math.inf:
+        raise DomainError(f"gamma: argument must be a number above -inf, got {x:g}")
+    if x <= 0.0 and x.is_integer():
         raise PoleError(f"gamma: pole at non-positive integer x = {x:g}")
-    if x < 0.5:
-        # Reflection: gamma(x) * gamma(1-x) = pi / sin(pi x)
-        return math.pi / (_sinpi(x) * gamma(1.0 - x))
-    t = x + _LANCZOS_G - 0.5
-    a = _SQRT_TWO_PI * _lanczos_sum(x)
-    if (x - 0.5) * math.log(t) - t + math.log(a) > _LOG_DBL_MAX:
-        return math.inf
-    # t^(x - 0.5) alone overflows from x ~ 142.7; split it around exp(-t)
-    p = t ** (0.5 * (x - 0.5))
-    return p * (p * math.exp(-t)) * a
+    return float(_sc.gamma(x))
 
 
 def log_gamma(x: float) -> float:
@@ -100,9 +44,7 @@ def log_gamma(x: float) -> float:
     x = float(x)
     if not x > 0.0:
         raise DomainError(f"log_gamma: requires x > 0, got {x:g}")
-    t = x + _LANCZOS_G - 0.5
-    a = _lanczos_sum(x)
-    return 0.5 * math.log(2.0 * math.pi) + (x - 0.5) * math.log(t) - t + math.log(a)
+    return float(_sc.gammaln(x))
 
 
 def beta(x: float, y: float) -> float:
@@ -111,7 +53,9 @@ def beta(x: float, y: float) -> float:
     y = float(y)
     if not (x > 0.0 and y > 0.0):
         raise DomainError(f"beta: requires x > 0 and y > 0, got ({x:g}, {y:g})")
-    return math.exp(log_gamma(x) + log_gamma(y) - log_gamma(x + y))
+    # scipy gives NaN where B underflows (both arguments above ~1e77, or one inf)
+    b = float(_sc.beta(x, y))
+    return 0.0 if math.isnan(b) else b
 
 
 def normal_cdf(x: float) -> float:
@@ -119,87 +63,12 @@ def normal_cdf(x: float) -> float:
     x = float(x)
     if math.isnan(x):
         raise DomainError("normal_cdf: argument is NaN")
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
-# Acklam's rational approximation to the normal inverse CDF.
-_ACKLAM_A = (
-    -3.969683028665376e01,
-    2.209460984245205e02,
-    -2.759285104469687e02,
-    1.383577518672690e02,
-    -3.066479806614716e01,
-    2.506628277459239e00,
-)
-_ACKLAM_B = (
-    -5.447609879822406e01,
-    1.615858368580409e02,
-    -1.556989798598866e02,
-    6.680131188771972e01,
-    -1.328068155288572e01,
-)
-_ACKLAM_C = (
-    -7.784894002430293e-03,
-    -3.223964580411365e-01,
-    -2.400758277161838e00,
-    -2.549732539343734e00,
-    4.374664141464968e00,
-    2.938163982698783e00,
-)
-_ACKLAM_D = (
-    7.784695709041462e-03,
-    3.224671290700398e-01,
-    2.445134137142996e00,
-    3.754408661907416e00,
-)
-_ACKLAM_P_LOW = 0.02425
-
-
-def _acklam(p: float) -> float:
-    a, b, c, d = _ACKLAM_A, _ACKLAM_B, _ACKLAM_C, _ACKLAM_D
-    if p < _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(p))
-        return (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    if p > 1.0 - _ACKLAM_P_LOW:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        return -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    q = p - 0.5
-    r = q * q
-    return (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-        ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-    )
+    return float(_sc.ndtr(x))
 
 
 def normal_inv_cdf(p: float) -> float:
-    """Standard normal quantile for p in (0, 1).
-
-    Rational initial guess refined by two Halley iterations; the refined
-    value satisfies |normal_cdf(x) - p| within a few ulp of p for p not
-    absurdly deep in the tails.
-    """
+    """Standard normal quantile for p in (0, 1)."""
     p = float(p)
     if not (0.0 < p < 1.0):
         raise DomainError(f"normal_inv_cdf: requires 0 < p < 1, got {p:g}")
-    if p == 0.5:
-        return 0.0
-    x = _acklam(p)
-    # Halley refinement. Skip in the extreme tails where the density
-    # underflows; the rational guess is already ~1e-9 relative there.
-    # The residual is always formed on the small side of the distribution
-    # (1 - p is exact for p in [1/2, 1]), so no digits cancel near p = 1.
-    if abs(x) < 37.0:
-        for _ in range(2):
-            if p <= 0.5:
-                err = normal_cdf(x) - p
-            else:
-                err = (1.0 - p) - 0.5 * math.erfc(x / math.sqrt(2.0))
-            if err == 0.0:
-                break
-            pdf = math.exp(-0.5 * x * x) / _SQRT_TWO_PI
-            u = err / pdf
-            x -= u / (1.0 + 0.5 * x * u)
-    return x
+    return float(_sc.ndtri(p))

@@ -263,6 +263,7 @@ def test_info_boundary_reports_balance(capsys):
     )
     assert code == 0
     assert "regime: boundary" in out
+    assert "mean: 1\n" in out
     balance_line = next(l for l in out.splitlines() if l.startswith("boundary_balance:"))
     assert float(balance_line.split(":")[1]) == pytest.approx(2.0, rel=1e-10)
 

@@ -178,9 +178,7 @@ def test_oracle_quantiles_matches_one_level_at_a_time(model, n):
     grid = convolve_tail(model, n)
     got = oracle_quantiles(grid, CLI_LEVELS)
     want = np.array([oracle_quantile(grid, a) for a in CLI_LEVELS])
-    # ExactHall's Newton inverse takes as many steps as its slowest element
-    # needs, so its tails, and the roots, can move by an ulp with the array
-    assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+    assert np.array_equal(got, want)
     ratios = oracle_concentration(model, n, CLI_LEVELS)
     singles = [oracle_concentration(model, n, a) for a in CLI_LEVELS]
     assert np.allclose(ratios, singles, rtol=1e-15, atol=0.0)

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 
 from tailconc.errors import DomainError, PoleError
 from tailconc.models import (
-    _GH_BLOCK,
+    _NEWTON_BLOCK,
     Burr,
     ExactHall,
     GandH,
@@ -109,6 +109,11 @@ def test_burr_truncated_mean_closed_form():
     for x in (0.5, 3.0, 50.0, 1e4):
         assert m.moments(x) == pytest.approx((x / (1.0 + x)) ** 2, rel=1e-9)
     assert m.moments(math.inf) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_burr_unit_mean_is_exact():
+    # B(1, 1) / 1 = 1 exactly through scipy's beta
+    assert Burr(tau=1.0, kappa=2.0).moments(math.inf) == 1.0
 
 
 def test_burr_mean_via_beta_function():
@@ -249,7 +254,7 @@ def test_gh_inverse_shapes():
     assert gh_inverse(np.empty((2, 0)), g, h, -60.0, 50.0).shape == (2, 0)
 
 
-@pytest.mark.parametrize("size", [_GH_BLOCK - 1, _GH_BLOCK, _GH_BLOCK + 1])
+@pytest.mark.parametrize("size", [_NEWTON_BLOCK - 1, _NEWTON_BLOCK, _NEWTON_BLOCK + 1])
 def test_gh_inverse_across_block_edges(size):
     g, h = 2.0, 0.5
     w = np.geomspace(1e-3, 1e12, size) * np.where(np.arange(size) % 2, 1.0, -1.0)
@@ -313,6 +318,19 @@ def test_exact_hall_inverse_round_trip(model):
     t = 1.0 / np.asarray(model.tail(xs))
     assert np.all(t > 1.0)
     assert np.allclose(model.tail_quantile(t), xs, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("d", [-0.3, 0.3])
+def test_exact_hall_tail_does_not_depend_on_its_array(d):
+    # each element leaves the Newton loop on its own, so a value is the
+    # same bits whatever array it is computed in
+    m = ExactHall(c=1.0, d=d, xi=0.8, rho=-0.4)
+    xs = m.support_min * np.logspace(1e-9, 15.0, 2001)
+    singles = np.array([m.tail(float(x)) for x in xs])
+    assert np.array_equal(m.tail(xs), singles)
+    assert np.array_equal(m.tail(xs[1:].reshape(50, 40)), singles[1:].reshape(50, 40))
+    # 40 copies span the edge of the first 2^16-element block
+    assert np.array_equal(m.tail(np.tile(xs, 40)), np.tile(singles, 40))
 
 
 def test_exact_hall_rejects_nonmonotone_parameters():

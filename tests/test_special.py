@@ -1,6 +1,7 @@
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 import scipy.special
 from hypothesis import given, settings
@@ -161,3 +162,48 @@ def test_normal_inv_cdf_matches_scipy(p):
     assert special.normal_inv_cdf(p) == pytest.approx(
         scipy.special.ndtri(p), abs=1e-11, rel=1e-11
     )
+
+
+def test_gamma_at_plus_inf_is_inf():
+    assert special.gamma(math.inf) == math.inf
+
+
+def test_gamma_at_minus_inf_raises_domain_error():
+    with pytest.raises(DomainError):
+        special.gamma(-math.inf)
+
+
+def test_nan_raises_domain_error():
+    for f in (special.gamma, special.log_gamma, special.normal_cdf, special.normal_inv_cdf):
+        with pytest.raises(DomainError):
+            f(math.nan)
+    with pytest.raises(DomainError):
+        special.beta(math.nan, 1.0)
+
+
+def test_log_gamma_and_beta_at_inf():
+    assert special.log_gamma(math.inf) == math.inf
+    assert special.beta(math.inf, 1.0) == 0.0
+    assert special.beta(math.inf, math.inf) == 0.0
+
+
+def test_beta_at_huge_arguments_underflows_to_zero():
+    assert special.beta(1e250, 1e300) == 0.0
+
+
+def test_beta_near_the_origin():
+    # B(x, y) ~ 1/x + 1/y as x, y -> 0
+    assert special.beta(1e-300, 1e-300) == pytest.approx(2e300, rel=1e-13)
+
+
+@pytest.mark.parametrize("arg", [3, 0.25, np.float64(0.25)], ids=["int", "float", "float64"])
+def test_results_are_builtin_floats(arg):
+    p = arg if 0 < arg < 1 else 0.25  # no int lies in (0, 1)
+    results = [
+        special.gamma(arg),
+        special.log_gamma(arg),
+        special.beta(arg, arg),
+        special.normal_cdf(arg),
+        special.normal_inv_cdf(p),
+    ]
+    assert all(type(r) is float for r in results)
