@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import exprel
 
 from . import special
-from .errors import BoundaryCaseError, DomainError
+from .errors import BoundaryCaseError, DomainError, check_array, check_int, check_real
 from .models import LossModel, SecondOrderInfo
 
 __all__ = [
@@ -91,17 +91,6 @@ class ApproachDirection:
     derivative_limit: float
 
 
-def validate_n(n: int, max_n: Optional[int] = None) -> int:
-    """Check a number of summands: an integer >= 2 and, if given, <= max_n."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise DomainError(f"n must be an integer >= 2, got {n!r}")
-    if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
-    if max_n is not None and n > max_n:
-        raise DomainError(f"n must lie in [2, {max_n}], got {n}")
-    return n
-
-
 def _convolution_constant_upper(xi: float) -> float:
     """Pole-free form of the convolution constant for xi > 1 (finite at
     xi = 1 with value 1 and vanishing at xi = 2).
@@ -132,9 +121,7 @@ def convolution_constant(xi: float) -> float:
     evaluated in a pole-free form accurate near xi = 1 and exactly zero at
     xi = 2.
     """
-    xi = float(xi)
-    if not (math.isfinite(xi) and xi > 0.0):
-        raise DomainError(f"convolution_constant: requires finite xi > 0, got {xi!r}")
+    xi = check_real("convolution_constant: xi", xi, 0.0)
     if xi <= 1.0:
         return 1.0 / xi
     if xi == 2.0:
@@ -145,7 +132,7 @@ def convolution_constant(xi: float) -> float:
 def tail_ratio_limit(xi: float, n: int) -> float:
     """Limit of (G_bar(x)/F_bar(x) - n) / b(x) for the n-fold convolution
     tail G_bar: equals n (n - 1) times the convolution constant."""
-    n = validate_n(n)
+    n = check_int("n", n, 2)
     return n * (n - 1) * convolution_constant(xi)
 
 
@@ -157,7 +144,7 @@ def tail_ratio_scale(model: LossModel, x: float) -> float:
     """
     info = model.second_order_info()
     xi = info.xi
-    x = float(x)
+    x = float(check_array("tail_ratio_scale: x", x, model.support_min))
     if xi > 1.0:
         return model.tail(x) / (xi - 1.0)
     if xi == 1.0 and not info.mean_finite:
@@ -168,11 +155,9 @@ def tail_ratio_scale(model: LossModel, x: float) -> float:
 def second_order_kernel(xi: float, rho: float, s: float) -> float:
     """Limit kernel of second-order regular variation:
     s^xi (s^rho - 1)/rho, with the rho = 0 limit s^xi log s."""
-    s = float(s)
-    xi = float(xi)
-    rho = float(rho)
-    if not s > 0.0:
-        raise DomainError(f"second_order_kernel: requires s > 0, got {s!r}")
+    xi = check_real("second_order_kernel: xi", xi, 0.0)
+    rho = check_real("second_order_kernel: rho", rho)
+    s = check_real("second_order_kernel: s", s, 0.0)
     if rho > 0.0:
         raise DomainError(f"second_order_kernel: requires rho <= 0, got {rho!r}")
     ls = math.log(s)
@@ -186,9 +171,7 @@ def classify_regime(info: SecondOrderInfo, q: Optional[float] = None) -> Regime:
     inputs near (but not on) the boundary classify to the strict side.
     ``q`` (the boundary balance constant) is attached when supplied.
     """
-    xi, rho = info.xi, info.rho
-    if xi <= 0:
-        raise DomainError(f"classify_regime: requires xi > 0, got {xi!r}")
+    xi, rho = check_real("classify_regime: xi", info.xi, 0.0), info.rho
     thr = -min(1.0, xi)
     if rho < thr:
         if xi == 2.0:
@@ -212,11 +195,12 @@ def correction_coefficient(xi: float, rho: float, n: int) -> float:
     n^(xi-1) log n. On the boundary this coefficient is undefined and
     :class:`BoundaryCaseError` is raised.
     """
-    n = validate_n(n)
-    xi = float(xi)
-    rho = float(rho)
-    if not (math.isfinite(xi) and xi > 0):
-        raise DomainError(f"correction_coefficient: requires finite xi > 0, got {xi!r}")
+    n = check_int("n", n, 2)
+    xi = check_real("correction_coefficient: xi", xi, 0.0)
+    # rho = -inf (an eventually constant slowly varying part) is allowed
+    rho = float(check_array("correction_coefficient: rho", rho, -math.inf))
+    if rho > 0.0:
+        raise DomainError(f"correction_coefficient: requires rho <= 0, got {rho!r}")
     thr = -min(1.0, xi)
     if rho == thr:
         raise BoundaryCaseError(
@@ -242,9 +226,7 @@ def correction_amplitude(model: LossModel, alpha: float, closed_form: bool = Fal
     regime: the auxiliary function at 1/(1-alpha); for g-and-h this has the
     exact closed form g / normal_inv_cdf(alpha), which is always used.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"correction_amplitude: alpha must lie in (0, 1), got {alpha!r}")
+    alpha = check_real("correction_amplitude: alpha", alpha, 0.0, 1.0)
     info = model.second_order_info()
     regime = classify_regime(info)
     if regime.tag is RegimeTag.BOUNDARY:
@@ -280,10 +262,8 @@ def correction_amplitude(model: LossModel, alpha: float, closed_form: bool = Fal
 def first_order_limit(xi: float, n: int) -> float:
     """Limiting ratio n^(xi-1) of the sum quantile to n times the
     single-loss quantile."""
-    n = validate_n(n)
-    xi = float(xi)
-    if not (math.isfinite(xi) and xi > 0):
-        raise DomainError(f"first_order_limit: requires finite xi > 0, got {xi!r}")
+    n = check_int("n", n, 2)
+    xi = check_real("first_order_limit: xi", xi, 0.0)
     return float(n) ** (xi - 1.0)
 
 
@@ -320,10 +300,8 @@ def second_order_approx(
     degenerate case (xi = 2 in the fast regime) the correction is zero and
     the degenerate flag is set.
     """
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"second_order_approx: alpha must lie in (0, 1), got {alpha!r}")
-    n = validate_n(n)
+    alpha = check_real("second_order_approx: alpha", alpha, 0.0, 1.0)
+    n = check_int("n", n, 2)
     info = model.second_order_info()
     c1 = first_order_limit(info.xi, n)
     regime = classify_regime(info, q)
@@ -351,7 +329,7 @@ def approach_direction(model: LossModel, n: int) -> ApproachDirection:
     depends on unavailable model constants the direction is reported as
     model-dependent.
     """
-    n = validate_n(n)
+    n = check_int("n", n, 2)
     info = model.second_order_info()
     xi = info.xi
     regime = classify_regime(info)
@@ -406,11 +384,9 @@ def crossover(
     exists in [alpha_lo, alpha_hi]; None when the curve does not change
     side. Bisection to |delta alpha| <= 1e-7.
     """
-    n = validate_n(n)
-    alpha_lo = float(alpha_lo)
-    alpha_hi = float(alpha_hi)
-    if not (0.0 < alpha_lo < alpha_hi < 1.0):
-        raise DomainError("crossover: need 0 < alpha_lo < alpha_hi < 1")
+    n = check_int("n", n, 2)
+    alpha_lo = check_real("crossover: alpha_lo", alpha_lo, 0.0, 1.0)
+    alpha_hi = check_real("crossover: alpha_hi", alpha_hi, alpha_lo, 1.0)
 
     def f(a: float) -> float:
         return second_order_approx(model, a, n).c2 - 1.0

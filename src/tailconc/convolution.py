@@ -41,7 +41,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtr
 
 from . import approx
-from .errors import DomainError, GridRangeError, PrecisionError
+from .errors import DomainError, GridRangeError, PrecisionError, check_int, check_levels, check_real
 from .models import GandH, LossModel, gh_inverse, gh_transform, gh_transform_deriv
 
 __all__ = [
@@ -88,16 +88,17 @@ class GridSpec:
     check_order: int = 10
 
     def __post_init__(self):
-        if self.points < 64 or self.head_points < 16 or self.head_points >= self.points:
-            raise DomainError("GridSpec: need points >= 64 and 16 <= head_points < points")
-        if not (0.5 < self.head_level < self.max_level < 1.0):
-            raise DomainError("GridSpec: need 0.5 < head_level < max_level < 1")
-        if not (0.0 < self.tol < 1.0):
-            raise DomainError("GridSpec: tol must lie in (0, 1)")
-        if not (0.0 < self.pairwise_tol < 1.0):
-            raise DomainError("GridSpec: pairwise_tol must lie in (0, 1)")
-        if not (2 <= self.check_order < self.order <= 64):
-            raise DomainError("GridSpec: need 2 <= check_order < order <= 64")
+        for f, lo, hi in (("points", 64, None), ("head_points", 16, None), ("order", 3, 64),
+                          ("check_order", 2, 63)):
+            object.__setattr__(self, f, check_int(f"GridSpec: {f}", getattr(self, f), lo, hi))
+        for f in ("head_level", "max_level", "tol", "pairwise_tol"):
+            object.__setattr__(self, f, check_real(f"GridSpec: {f}", getattr(self, f), 0.0, 1.0))
+        if self.head_points >= self.points:
+            raise DomainError("GridSpec: need head_points < points")
+        if not (0.5 < self.head_level < self.max_level):
+            raise DomainError("GridSpec: need 0.5 < head_level < max_level")
+        if self.check_order >= self.order:
+            raise DomainError("GridSpec: need check_order < order")
 
     def certify_threshold(self, n: int) -> float:
         return self.tol if n == 2 else max(self.tol, self.pairwise_tol)
@@ -530,7 +531,7 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
 
 def convolve_tail(model: LossModel, n: int, spec: Optional[GridSpec] = None) -> ConvolutionGrid:
     """Build (or fetch from cache) the n-fold convolution tail grid."""
-    n = approx.validate_n(n, _MAX_N)
+    n = check_int("n", n, 2, _MAX_N)
     if spec is None:
         spec = GridSpec()
     return _build_grid(model, n, spec)
@@ -549,7 +550,7 @@ def oracle_quantile(grid: ConvolutionGrid, alpha: float) -> float:
     the smaller residual. A failed bracket, a non-finite fresh value or no
     convergence in ``_ROOT_MAX_ITER`` steps raises :class:`PrecisionError`.
     """
-    return float(oracle_quantiles(grid, np.array([float(alpha)]))[0])
+    return float(oracle_quantiles(grid, alpha))
 
 
 def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
@@ -557,11 +558,8 @@ def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
     the rules of :func:`oracle_quantile` jointly: every level is checked
     before any quadrature runs, one fresh call evaluates all cell ends, and
     each further call takes one Chandrupatla step on every live level."""
-    alphas = np.asarray(alphas, dtype=float)
-    bad = alphas[~((alphas > 0.0) & (alphas < 1.0))]
+    alphas = check_levels("oracle_quantile: alpha", alphas)
     p = 1.0 - alphas.ravel()
-    if bad.size:
-        raise DomainError(f"oracle_quantile: alpha must lie in (0, 1), got {float(bad[0])!r}")
     g, x = grid.g_tail, grid.x
     if np.any(p < g[-1]):
         raise GridRangeError(
@@ -646,7 +644,7 @@ def tail_ratio_diagnostic(model: LossModel, n: int, x) -> np.ndarray:
     """Diagnostic (G_bar(x)/F_bar(x) - n) / b(x) that converges to the
     tail-ratio limit as x grows; evaluated by fresh quadrature so the
     cancellation in the numerator is not polluted by interpolation error."""
-    n = approx.validate_n(n, _MAX_N)
+    n = check_int("n", n, 2, _MAX_N)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
     grid = convolve_tail(model, n)
     g_vals = grid.fresh_tail(arr)

@@ -4,9 +4,20 @@ Every error raised deliberately by this package derives from
 :class:`TailconcError`, so callers can catch one base type. Domain
 violations additionally derive from :class:`ValueError` to cooperate with
 generic validation code.
+
+The argument checks every public entry point runs live here too, so the
+package has one input policy: NaN is never accepted, ``bool`` is not a
+number, numpy integers and floats count as integers and reals, and every
+rejection is a :class:`DomainError`.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
+from typing import Optional
+
+import numpy as np
 
 __all__ = [
     "TailconcError",
@@ -49,3 +60,48 @@ class GridRangeError(DomainError):
 
 class ResourceLimitError(TailconcError):
     """A computation would exceed the configured memory budget."""
+
+
+def check_int(name: str, v, lo: int, hi: Optional[int] = None) -> int:
+    """``v`` as an ``int``: any :class:`numbers.Integral` but ``bool``, within
+    [lo, hi] (no upper bound when ``hi`` is None)."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {v!r}")
+    if v < lo or (hi is not None and v > hi):
+        span = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise DomainError(f"{name} must be an integer {span}, got {v!r}")
+    return int(v)
+
+
+def check_real(name: str, v, lo: Optional[float] = None, hi: Optional[float] = None) -> float:
+    """``v`` as a ``float``: a finite :class:`numbers.Real` but ``bool``,
+    strictly above ``lo`` and strictly below ``hi`` where they are given."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise DomainError(f"{name} must be a finite number, got {v!r}")
+    v = float(v)
+    if (lo is not None and not v > lo) or (hi is not None and not v < hi):
+        span = " and ".join(f"{op} {b:g}" for op, b in ((">", lo), ("<", hi)) if b is not None)
+        raise DomainError(f"{name} must be {span}, got {v!r}")
+    return v
+
+
+def check_array(name: str, v, lo: float, strict: bool = False) -> np.ndarray:
+    """``v`` (a real scalar or array, not ``bool``) as a float array whose
+    entries are all >= ``lo``, or > ``lo`` when ``strict``; +inf passes and
+    NaN does not."""
+    arr = np.asarray(v)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{name} must be a real number or array, got dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    low = arr.min(initial=math.inf)  # NaN if any entry is NaN
+    if not (low > lo if strict else low >= lo):
+        raise DomainError(f"{name} must be {'>' if strict else '>='} {lo:g} and not NaN")
+    return arr
+
+
+def check_levels(name: str, v) -> np.ndarray:
+    """``v`` as a float array of levels, each strictly inside (0, 1)."""
+    arr = check_array(name, v, 0.0, strict=True)
+    if not arr.max(initial=-math.inf) < 1.0:
+        raise DomainError(f"{name} must lie in (0, 1)")
+    return arr

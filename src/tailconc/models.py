@@ -14,14 +14,14 @@ Python floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar, Optional
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import special
-from .errors import DomainError, PoleError
+from .errors import DomainError, PoleError, check_array, check_int, check_levels, check_real
 
 __all__ = [
     "SecondOrderInfo",
@@ -54,13 +54,8 @@ class SecondOrderInfo:
     mean_finite: bool
 
 
-def _as_array(v) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(v, dtype=float)
-    return arr, arr.ndim == 0
-
-
-def _maybe_scalar(out: np.ndarray, scalar: bool):
-    return float(out) if scalar else out
+def _like(out: np.ndarray, arg: np.ndarray):
+    return float(out) if arg.ndim == 0 else out
 
 
 class LossModel:
@@ -91,43 +86,29 @@ class LossModel:
         raise NotImplementedError
 
     def quantile(self, alpha):
-        a, scalar = _as_array(alpha)
-        if a.size and (np.any(a <= 0.0) | np.any(a >= 1.0)):
-            raise DomainError(f"{self.kind} quantile: alpha must lie in (0, 1)")
-        return _maybe_scalar(self._quantile(a), scalar)
+        a = check_levels(f"{self.kind} quantile: alpha", alpha)
+        return _like(self._quantile(a), a)
 
     def tail(self, x):
-        xs, scalar = _as_array(x)
-        if xs.size and np.any(xs < self.support_min):
-            raise DomainError(
-                f"{self.kind} tail: x below the support minimum {self.support_min:g}"
-            )
-        return _maybe_scalar(self._tail(xs), scalar)
+        xs = check_array(f"{self.kind} tail: x", x, self.support_min)
+        return _like(self._tail(xs), xs)
 
     def density(self, x):
-        xs, scalar = _as_array(x)
-        if xs.size and np.any(xs < self.support_min):
-            raise DomainError(
-                f"{self.kind} density: x below the support minimum {self.support_min:g}"
-            )
-        return _maybe_scalar(self._density(xs), scalar)
+        xs = check_array(f"{self.kind} density: x", x, self.support_min)
+        return _like(self._density(xs), xs)
 
     def auxiliary(self, t):
         """Second-order auxiliary function a(t) = t U'(t)/U(t) - xi, t > 1.
 
         Raises :class:`PoleError` where U(t) = 0, which a g-and-h model
         reaches at its median when a = 0."""
-        ts, scalar = _as_array(t)
-        if ts.size and np.any(ts <= 1.0):
-            raise DomainError(f"{self.kind} auxiliary: requires t > 1")
-        return _maybe_scalar(self._auxiliary(ts), scalar)
+        ts = check_array(f"{self.kind} auxiliary: t", t, 1.0, strict=True)
+        return _like(self._auxiliary(ts), ts)
 
     def tail_quantile(self, t):
         """U(t) = quantile(1 - 1/t) for t > 1."""
-        ts, scalar = _as_array(t)
-        if ts.size and np.any(ts <= 1.0):
-            raise DomainError(f"{self.kind} tail_quantile: requires t > 1")
-        return _maybe_scalar(self._tail_quantile(ts), scalar)
+        ts = check_array(f"{self.kind} tail_quantile: t", t, 1.0, strict=True)
+        return _like(self._tail_quantile(ts), ts)
 
     def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
         # Overridden where U(t) has a direct form: evaluating through the
@@ -136,14 +117,17 @@ class LossModel:
 
     def sample(self, seed: int, count: int) -> np.ndarray:
         """Deterministic sample of ``count`` losses for the given seed."""
-        if count <= 0:
-            raise DomainError("sample: count must be positive")
+        seed = check_int("sample: seed", seed, 0)
+        count = check_int("sample: count", count, 1)
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        return self.draw(rng, int(count))
+        return self.draw(rng, count)
 
     def moments(self, x: float) -> float:
         """Truncated first moment: integral of t dF(t) from the lower end of
         the support up to x (x = inf gives the mean, possibly inf)."""
+        return self._moments(float(check_array(f"{self.kind} moments: x", x, self.support_min)))
+
+    def _moments(self, x: float) -> float:
         raise NotImplementedError
 
     def second_order_info(self) -> SecondOrderInfo:
@@ -183,9 +167,7 @@ class Pareto(LossModel):
     kind: ClassVar[str] = "pareto"
 
     def __post_init__(self):
-        if not (isinstance(self.xi, (int, float)) and math.isfinite(self.xi) and self.xi > 0):
-            raise DomainError(f"pareto: xi must be a finite number > 0, got {self.xi!r}")
-        object.__setattr__(self, "xi", float(self.xi))
+        object.__setattr__(self, "xi", check_real("pareto: xi", self.xi, 0.0))
 
     @property
     def support_min(self) -> float:
@@ -211,11 +193,8 @@ class Pareto(LossModel):
         u = rng.random(size)
         return np.exp(-self.xi * np.log1p(-u))
 
-    def moments(self, x: float) -> float:
+    def _moments(self, x: float) -> float:
         xi = self.xi
-        x = float(x)
-        if x < 1.0:
-            raise DomainError("pareto moments: x below the support minimum 1")
         if math.isinf(x):
             return 1.0 / (1.0 - xi) if xi < 1.0 else math.inf
         if xi == 1.0:
@@ -240,10 +219,7 @@ class Burr(LossModel):
 
     def __post_init__(self):
         for name in ("tau", "kappa"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-                raise DomainError(f"burr: {name} must be a finite number > 0, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, check_real(f"burr: {name}", getattr(self, name), 0.0))
 
     @property
     def support_min(self) -> float:
@@ -281,11 +257,8 @@ class Burr(LossModel):
         u = rng.random(size)
         return np.expm1(-np.log1p(-u) / self.kappa) ** (1.0 / self.tau)
 
-    def moments(self, x: float) -> float:
+    def _moments(self, x: float) -> float:
         tau, kappa = self.tau, self.kappa
-        x = float(x)
-        if x < 0.0:
-            raise DomainError("burr moments: x below the support minimum 0")
         if math.isinf(x):
             if tau * kappa <= 1.0:
                 return math.inf
@@ -422,17 +395,8 @@ class GandH(LossModel):
     kind: ClassVar[str] = "gandh"
 
     def __post_init__(self):
-        for name in ("a", "b", "g", "h"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"gandh: {name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
-        if self.b <= 0:
-            raise DomainError(f"gandh: b must be > 0, got {self.b:g}")
-        if self.g <= 0:
-            raise DomainError(f"gandh: g must be > 0, got {self.g:g}")
-        if self.h <= 0:
-            raise DomainError(f"gandh: h must be > 0, got {self.h:g}")
+        for name, lo in (("a", None), ("b", 0.0), ("g", 0.0), ("h", 0.0)):
+            object.__setattr__(self, name, check_real(f"gandh: {name}", getattr(self, name), lo))
 
     @property
     def support_min(self) -> float:
@@ -473,9 +437,8 @@ class GandH(LossModel):
         z = rng.standard_normal(size)
         return self.a + self.b * gh_transform(z, self.g, self.h)
 
-    def moments(self, x: float) -> float:
+    def _moments(self, x: float) -> float:
         g, h = self.g, self.h
-        x = float(x)
         if h >= 1.0:
             if math.isinf(x) and x > 0:
                 # The right tail dominates: E max(X, 0) = inf.
@@ -515,19 +478,11 @@ class ExactHall(LossModel):
     kind: ClassVar[str] = "hall"
 
     def __post_init__(self):
-        for name in ("c", "d", "xi", "rho"):
-            v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)):
-                raise DomainError(f"hall: {name} must be a finite number, got {v!r}")
-            object.__setattr__(self, name, float(v))
-        if self.c <= 0:
-            raise DomainError(f"hall: c must be > 0, got {self.c:g}")
+        bounds = {"c": (0.0, None), "d": (None, None), "xi": (0.0, None), "rho": (None, 0.0)}
+        for name, (lo, hi) in bounds.items():
+            object.__setattr__(self, name, check_real(f"hall: {name}", getattr(self, name), lo, hi))
         if self.d == 0:
             raise DomainError("hall: d must be nonzero (use pareto for a pure power tail)")
-        if self.xi <= 0:
-            raise DomainError(f"hall: xi must be > 0, got {self.xi:g}")
-        if self.rho >= 0:
-            raise DomainError(f"hall: rho must be < 0, got {self.rho:g}")
         if 1.0 + self.d < 0:
             raise DomainError(
                 f"hall: 1 + d must be >= 0 so the quantile stays positive, got d = {self.d:g}"
@@ -568,15 +523,17 @@ class ExactHall(LossModel):
         leaves the working set once its step is within a few ulp of
         max(s, 1), so its value does not depend on the array it is in. The
         elements are solved in blocks of 2^16 so the working arrays stay
-        small."""
+        small. Where log x is infinite (x = 0 or inf) the start, 0 or inf, is
+        the answer and takes no step; t = e^s may overflow to inf."""
         x = np.asarray(x, dtype=float)
         c, d, xi, rho = self.c, self.d, self.xi, self.rho
-        xs = x.ravel()
-        out = np.empty(xs.shape)
-        for start in range(0, xs.size, _NEWTON_BLOCK):
-            log_x = np.log(xs[start : start + _NEWTON_BLOCK])
-            s = np.maximum((log_x - math.log(c)) / xi, 0.0)
-            idx = np.arange(start, start + s.size)
+        with np.errstate(divide="ignore"):
+            log_xs = np.log(x.ravel())
+        out = np.maximum((log_xs - math.log(c)) / xi, 0.0)
+        todo = np.flatnonzero(np.isfinite(log_xs))
+        for start in range(0, todo.size, _NEWTON_BLOCK):
+            idx = todo[start : start + _NEWTON_BLOCK]
+            s, log_x = out[idx], log_xs[idx]
             for _ in range(_NEWTON_MAX_STEPS):
                 tr = np.exp(rho * s)
                 f = math.log(c) + xi * s + np.log1p(d * tr) - log_x
@@ -586,7 +543,8 @@ class ExactHall(LossModel):
                 if not keep.any():
                     break
                 idx, s, log_x = idx[keep], s_new[keep], log_x[keep]
-        return np.exp(out).reshape(x.shape)
+        with np.errstate(over="ignore"):
+            return np.exp(out).reshape(x.shape)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
         return 1.0 / self._t_of_x(x)
@@ -594,8 +552,11 @@ class ExactHall(LossModel):
     def _density(self, x: np.ndarray) -> np.ndarray:
         t = self._t_of_x(np.asarray(x, dtype=float))
         tr = t**self.rho
-        # dQ/dalpha = c t^(xi+1) (xi (1 + d t^rho) + d rho t^rho)
-        dq = self.c * t ** (self.xi + 1.0) * (self.xi * (1.0 + self.d * tr) + self.d * self.rho * tr)
+        psi = self.xi * (1.0 + self.d * tr) + self.d * self.rho * tr
+        # dQ/dalpha = c t^(xi+1) psi, which overflows to inf (the density
+        # to 0) far in the tail
+        with np.errstate(over="ignore"):
+            dq = self.c * t ** (self.xi + 1.0) * psi
         return 1.0 / dq
 
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
@@ -609,13 +570,8 @@ class ExactHall(LossModel):
         u = rng.random(size)
         return self._quantile(u)
 
-    def moments(self, x: float) -> float:
+    def _moments(self, x: float) -> float:
         c, d, xi, rho = self.c, self.d, self.xi, self.rho
-        x = float(x)
-        if x < self.support_min:
-            raise DomainError(
-                f"hall moments: x below the support minimum {self.support_min:g}"
-            )
         if math.isinf(x):
             if xi >= 1.0:
                 return math.inf
@@ -639,12 +595,6 @@ class ExactHall(LossModel):
 
 
 _MODEL_KINDS = {"pareto": Pareto, "burr": Burr, "gandh": GandH, "hall": ExactHall}
-_MODEL_PARAMS = {
-    "pareto": ("xi",),
-    "burr": ("tau", "kappa"),
-    "gandh": ("a", "b", "g", "h"),
-    "hall": ("c", "d", "xi", "rho"),
-}
 
 
 def model_from_dict(spec: dict) -> LossModel:
@@ -656,25 +606,19 @@ def model_from_dict(spec: dict) -> LossModel:
         raise DomainError(
             f"unknown model kind {kind!r}; expected one of {sorted(_MODEL_KINDS)}"
         )
-    wanted = _MODEL_PARAMS[kind]
+    wanted = [f.name for f in fields(_MODEL_KINDS[kind])]
     extra = set(spec) - {"kind", *wanted}
     if extra:
         raise DomainError(f"{kind}: unexpected parameters {sorted(extra)}")
     missing = [p for p in wanted if p not in spec]
     if missing:
         raise DomainError(f"{kind}: missing parameters {missing}")
-    kwargs = {}
-    for p in wanted:
-        v = spec[p]
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise DomainError(f"{kind}: parameter {p} must be a number, got {v!r}")
-        kwargs[p] = float(v)
-    return _MODEL_KINDS[kind](**kwargs)
+    return _MODEL_KINDS[kind](**{p: spec[p] for p in wanted})
 
 
 def model_to_dict(model: LossModel) -> dict:
     """Inverse of :func:`model_from_dict`."""
     out = {"kind": model.kind}
-    for p in _MODEL_PARAMS[model.kind]:
-        out[p] = getattr(model, p)
+    for f in fields(model):
+        out[f.name] = getattr(model, f.name)
     return out

@@ -17,12 +17,11 @@ import enum
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import approx
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, check_int, check_levels, check_real
 from .models import LossModel
 
 __all__ = [
@@ -60,32 +59,23 @@ class SimulationConfig:
     max_bytes: int = 4 << 30
 
     def __post_init__(self):
-        if isinstance(self.n, bool) or not isinstance(self.n, int) or self.n < 2:
-            raise DomainError(f"SimulationConfig: n must be an integer >= 2, got {self.n!r}")
-        if isinstance(self.samples, bool) or not isinstance(self.samples, int) or self.samples < 1:
-            raise DomainError("SimulationConfig: samples must be a positive integer")
-        if isinstance(self.batches, bool) or not isinstance(self.batches, int) or self.batches < 1:
-            raise DomainError("SimulationConfig: batches must be a positive integer")
+        for f, lo in {"n": 2, "samples": 1, "batches": 1, "seed": 0, "max_bytes": 1}.items():
+            object.__setattr__(self, f, check_int(f"SimulationConfig: {f}", getattr(self, f), lo))
         if self.samples % self.batches != 0:
             raise DomainError(
                 f"SimulationConfig: batches ({self.batches}) must divide samples ({self.samples})"
             )
-        if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
-            raise DomainError("SimulationConfig: seed must be a non-negative integer")
-        if isinstance(self.max_bytes, bool) or not isinstance(self.max_bytes, int) or self.max_bytes <= 0:
-            raise DomainError("SimulationConfig: max_bytes must be a positive integer")
-        mode = self.denominator
-        if isinstance(mode, str) and not isinstance(mode, DenominatorMode):
-            mode = DenominatorMode(mode)
+        try:
+            mode = DenominatorMode(self.denominator)
+        except ValueError:
+            raise DomainError(f"SimulationConfig: bad denominator {self.denominator!r}") from None
         object.__setattr__(self, "denominator", mode)
-        grid = tuple(float(a) for a in self.alpha_grid)
-        if not grid:
-            raise DomainError("SimulationConfig: alpha_grid must be non-empty")
-        if any(not (0.0 < a < 1.0) for a in grid):
-            raise DomainError("SimulationConfig: alpha_grid values must lie in (0, 1)")
-        if any(b <= a for a, b in zip(grid[:-1], grid[1:])):
+        grid = check_levels("SimulationConfig: alpha_grid", self.alpha_grid)
+        if grid.ndim != 1 or not grid.size:
+            raise DomainError("SimulationConfig: alpha_grid must be a non-empty sequence")
+        if np.any(np.diff(grid) <= 0):
             raise DomainError("SimulationConfig: alpha_grid must be strictly increasing")
-        object.__setattr__(self, "alpha_grid", grid)
+        object.__setattr__(self, "alpha_grid", tuple(grid.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +86,7 @@ class ConcentrationCurve:
     (2.5/97.5 batch percentiles when batches >= 40, else a normal-theory
     band from the batch standard error, clamped to contain the estimate).
     ``c1`` is the limiting ratio, ``c2`` the second-order approximation per
-    level (NaN where undefined), ``c_oracle`` an optional oracle column.
+    level (NaN where undefined).
     """
 
     alphas: np.ndarray
@@ -107,7 +97,6 @@ class ConcentrationCurve:
     c2: np.ndarray
     regime: approx.Regime
     degenerate: bool
-    c_oracle: Optional[np.ndarray] = None
 
 
 def empirical_quantile(values, alpha: float) -> float:
@@ -115,11 +104,8 @@ def empirical_quantile(values, alpha: float) -> float:
     v = np.asarray(values, dtype=float).ravel()
     if v.size == 0:
         raise DomainError("empirical_quantile: empty sample")
-    alpha = float(alpha)
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"empirical_quantile: alpha must lie in (0, 1), got {alpha!r}")
-    k = min(max(int(math.ceil(alpha * v.size)), 1), v.size)
-    return float(np.partition(v, k - 1)[k - 1])
+    alpha = check_real("empirical_quantile: alpha", alpha, 0.0, 1.0)
+    return float(_order_stat_quantiles(v, np.array([alpha]))[0])
 
 
 def _order_stat_quantiles(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
@@ -159,8 +145,7 @@ def empirical_concentration(
     closed_form: bool = False,
 ) -> ConcentrationCurve:
     """Estimate the concentration ratio over the configured level grid."""
-    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
-        raise DomainError(f"empirical_concentration: workers must be an integer >= 1, got {workers!r}")
+    workers = check_int("empirical_concentration: workers", workers, 1)
     n = config.n
     m = config.samples // config.batches
     per_batch = m * n * 8 * (2 if config.denominator is DenominatorMode.EMPIRICAL else 1) + m * 8

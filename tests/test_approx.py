@@ -1,6 +1,7 @@
 import math
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
@@ -22,7 +23,7 @@ from tailconc.approx import (
     tail_ratio_scale,
 )
 from tailconc.errors import BoundaryCaseError, DomainError
-from tailconc.models import Burr, ExactHall, GandH, Pareto
+from tailconc.models import Burr, ExactHall, GandH, Pareto, SecondOrderInfo
 
 GANDH = GandH(a=0.0, b=1.0, g=2.0, h=0.5)
 
@@ -104,6 +105,20 @@ def test_second_order_kernel_domain():
         second_order_kernel(0.5, -0.5, 0.0)
     with pytest.raises(DomainError):
         second_order_kernel(0.5, 0.25, 2.0)
+    with pytest.raises(DomainError):
+        second_order_kernel(math.nan, -1.0, 2.0)
+
+
+def test_nan_and_infinite_arguments_raise():
+    with pytest.raises(DomainError):
+        tail_ratio_scale(Pareto(xi=0.5), math.nan)
+    for rho in (math.nan, 0.5):
+        with pytest.raises(DomainError):
+            correction_coefficient(0.5, rho, 2)
+    with pytest.raises(DomainError):
+        classify_regime(SecondOrderInfo(math.inf, -1.0, None, None, False))
+    with pytest.raises(DomainError):
+        second_order_approx(Pareto(xi=0.5), math.nan, 2)
 
 
 @settings(deadline=None)
@@ -187,6 +202,13 @@ def test_n_validation(bad_n):
         correction_coefficient(0.5, -2.0, bad_n)
     with pytest.raises(DomainError):
         tail_ratio_limit(0.5, bad_n)
+
+
+def test_numpy_integers_are_integers():
+    assert first_order_limit(0.5, np.int64(3)) == first_order_limit(0.5, 3)
+    assert second_order_approx(Pareto(xi=0.5), 0.99, np.int32(2)) == second_order_approx(
+        Pareto(xi=0.5), 0.99, 2
+    )
 
 
 def test_first_order_limit_values():

@@ -319,6 +319,15 @@ def test_gridspec_validation():
         GridSpec(tol=0.0)
     with pytest.raises(DomainError):
         GridSpec(order=8, check_order=10)
+    with pytest.raises(DomainError):
+        GridSpec(points=4096.5)
+    with pytest.raises(DomainError):
+        GridSpec(tol=math.nan)
+
+
+def test_numpy_scalars_are_numbers():
+    assert GridSpec(points=np.int64(4096), tol=np.float64(1e-10)) == GridSpec()
+    assert convolve_tail(PARETO05, np.int64(2)) is convolve_tail(PARETO05, 2)
 
 
 def test_certify_threshold_tiers():

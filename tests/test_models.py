@@ -75,9 +75,19 @@ def test_density_matches_tail_differences_to_1e15(model: LossModel, log_x: float
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + repr(m))
 def test_quantile_rejects_bad_levels(model: LossModel):
-    for alpha in (0.0, 1.0, -0.3, 1.5):
+    for alpha in (0.0, 1.0, -0.3, 1.5, math.nan, np.array([0.5, math.nan]), True):
         with pytest.raises(DomainError):
             model.quantile(alpha)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + repr(m))
+def test_entry_points_reject_nan(model: LossModel):
+    for method in (model.tail, model.density, model.auxiliary, model.tail_quantile):
+        for arg in (math.nan, np.array([3.0, math.nan])):
+            with pytest.raises(DomainError):
+                method(arg)
+    with pytest.raises(DomainError):
+        model.moments(math.nan)
 
 
 def test_tail_rejects_x_below_support():
@@ -163,9 +173,28 @@ def test_gandh_auxiliary_pole_raises():
     assert np.all(np.isfinite(model.auxiliary(np.array([1.5, 2.0 + 1e-6, 3.0]))))
 
 
+def test_exact_hall_tail_at_infinity():
+    """Far tail of the catalogue Hall model: 0, with no overflow warning."""
+    m = ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4)
+    for x in (math.inf, 1e300):
+        assert m.tail(x) == 0.0
+        assert m.density(x) == 0.0
+        xs = np.array([2.0, x])
+        assert np.array_equal(m.tail(xs), [m.tail(2.0), 0.0])
+        assert np.array_equal(m.density(xs), [m.density(2.0), 0.0])
+
+
 def test_auxiliary_rejects_small_t():
     with pytest.raises(DomainError):
         Burr(tau=1.0, kappa=2.0).auxiliary(1.0)
+
+
+def test_sample_rejects_non_integers():
+    for seed, count in ((1, 10.5), (1, 0), (1, True), (-1, 10), (1.5, 10)):
+        with pytest.raises(DomainError):
+            Pareto(xi=0.5).sample(seed, count)
+    m = Pareto(xi=0.5)
+    assert np.array_equal(m.sample(np.int64(1), np.int64(10)), m.sample(1, 10))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + repr(m))
@@ -351,6 +380,27 @@ def test_exact_hall_rejects_nonmonotone_parameters():
 def test_invalid_parameters_raise(bad):
     with pytest.raises(DomainError):
         model_from_dict(bad)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Pareto(True),
+        lambda: Pareto("0.5"),
+        lambda: Burr(1.0, math.inf),
+        lambda: GandH(0.0, 1.0, True, 0.5),
+        lambda: GandH(math.nan, 1.0, 2.0, 0.5),
+        lambda: ExactHall(1.0, 0.5, 1.0, math.nan),
+    ],
+)
+def test_constructors_reject_non_numbers(build):
+    with pytest.raises(DomainError):
+        build()
+
+
+def test_constructors_take_numpy_scalars():
+    assert Pareto(np.float64(0.5)) == Pareto(0.5)
+    assert GandH(np.int64(0), 1, np.float32(2.0), 0.5) == GandH(0.0, 1.0, 2.0, 0.5)
 
 
 def test_model_dict_round_trip():

@@ -44,7 +44,10 @@ def make_config(**overrides):
         dict(alpha_grid=(0.9, 0.9)),
         dict(alpha_grid=(0.99, 0.9)),
         dict(alpha_grid=(0.9, 1.0)),
+        dict(alpha_grid=(0.9, math.nan)),
+        dict(alpha_grid=("a",)),
         dict(max_bytes=0),
+        dict(denominator="bogus"),
     ],
 )
 def test_config_validation(overrides):
@@ -132,6 +135,14 @@ def test_workers_validation():
     for bad in (0, -1, 1.5, True):
         with pytest.raises(DomainError):
             empirical_concentration(PARETO05, cfg, workers=bad)
+
+
+def test_numpy_integers_are_integers():
+    want = empirical_concentration(PARETO05, make_config(), workers=2)
+    cfg = make_config(n=np.int64(2), samples=np.int64(100_000), batches=np.int32(10))
+    got = empirical_concentration(PARETO05, cfg, workers=np.int64(2))
+    assert cfg == make_config() and type(cfg.n) is int
+    assert np.array_equal(got.c_emp, want.c_emp)
 
 
 def test_band_contains_estimate_small_batches():
