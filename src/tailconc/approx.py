@@ -147,6 +147,8 @@ def tail_ratio_scale(model: LossModel, x: float) -> float:
     x = float(check_array("tail_ratio_scale: x", x, model.support_min))
     if xi > 1.0:
         return model.tail(x) / (xi - 1.0)
+    if x == 0.0:
+        raise DomainError("tail_ratio_scale: x must be nonzero for xi <= 1 (b(x) divides by x)")
     if xi == 1.0 and not info.mean_finite:
         return model.moments(x) / x
     return model.moments(math.inf) / x

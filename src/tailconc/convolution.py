@@ -11,9 +11,9 @@ recursion G_{k+1}(x) = F(x - m_k) + integral_0^{F(x - m_k)} G_k(x - Q(u)) du
 with m_k the lower support point of the k-fold sum. Quadrature uses fixed
 panels clustered geometrically toward both endpoints (the upper boundary
 layer has width F(x/2), far too narrow for generic adaptive rules) with
-Gauss-Legendre nodes per panel; a lower-order re-run provides an error
-estimate, and :class:`PrecisionError` is raised when it exceeds the grid
-tolerance.
+Gauss-Legendre nodes per panel; a lower-order re-run of the final level
+provides an error estimate, and :class:`PrecisionError` is raised when it
+exceeds the grid tolerance.
 
 The g-and-h model lives on the whole real line, so its two-fold tail is
 computed in the Gaussian z-coordinate,
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -65,43 +65,35 @@ _ROOT_RTOL = 1e-12  # quantile bracket width at convergence, relative to max(|x|
 _ROOT_MAX_ITER = 100
 
 
+# The oracle grid: _POINTS nodes, of which _HEAD_POINTS are linearly spaced
+# from the support minimum (for g-and-h: the 0.6-quantile) up to the
+# _HEAD_LEVEL quantile; the rest are log-spaced up to the _MAX_LEVEL quantile.
+_POINTS = 4096
+_HEAD_POINTS = 1024
+_HEAD_LEVEL = 0.99
+_MAX_LEVEL = 1.0 - 1e-10
+# Bound on the certificate of the iterated gridded chain used for n > 2,
+# whose error compounds per level and cannot honestly be pushed to the
+# direct-quadrature tier.
+_PAIRWISE_TOL = 1e-6
+_ORDER = 14  # Gauss-Legendre nodes per panel
+_CHECK_ORDER = 10  # the lower-order re-run of the final level that certifies it
+
+
 @dataclass(frozen=True, slots=True)
 class GridSpec:
-    """Configuration of the oracle grid.
+    """Accuracy target of the oracle: ``tol`` bounds the certified relative
+    quadrature error of the direct two-fold computation, and n > 2 is held
+    to the larger of ``tol`` and the pairwise tier ``_PAIRWISE_TOL``. The
+    grid itself is fixed by the module constants above."""
 
-    ``points`` total nodes, of which ``head_points`` are linearly spaced
-    from the support minimum (for g-and-h: the 0.6-quantile) up to the
-    ``head_level`` quantile; the rest are log-spaced up to the ``max_level``
-    quantile. ``tol`` bounds the certified relative quadrature error of the
-    direct two-fold computation; ``pairwise_tol`` bounds the certificate of
-    the iterated gridded chain used for n > 2, whose error compounds
-    per level and cannot honestly be pushed to the direct-quadrature tier.
-    """
-
-    points: int = 4096
-    head_points: int = 1024
-    head_level: float = 0.99
-    max_level: float = 1.0 - 1e-10
     tol: float = 1e-10
-    pairwise_tol: float = 1e-6
-    order: int = 14
-    check_order: int = 10
 
     def __post_init__(self):
-        for f, lo, hi in (("points", 64, None), ("head_points", 16, None), ("order", 3, 64),
-                          ("check_order", 2, 63)):
-            object.__setattr__(self, f, check_int(f"GridSpec: {f}", getattr(self, f), lo, hi))
-        for f in ("head_level", "max_level", "tol", "pairwise_tol"):
-            object.__setattr__(self, f, check_real(f"GridSpec: {f}", getattr(self, f), 0.0, 1.0))
-        if self.head_points >= self.points:
-            raise DomainError("GridSpec: need head_points < points")
-        if not (0.5 < self.head_level < self.max_level):
-            raise DomainError("GridSpec: need 0.5 < head_level < max_level")
-        if self.check_order >= self.order:
-            raise DomainError("GridSpec: need check_order < order")
+        object.__setattr__(self, "tol", check_real("GridSpec: tol", self.tol, 0.0, 1.0))
 
     def certify_threshold(self, n: int) -> float:
-        return self.tol if n == 2 else max(self.tol, self.pairwise_tol)
+        return self.tol if n == 2 else max(self.tol, _PAIRWISE_TOL)
 
 
 # Relative panel edges on (0, 1), clustered toward both endpoints. The
@@ -256,15 +248,13 @@ def _gbar_step_gandh(
         args = xp[:, None] - (a + b * gh_transform(z_nodes, g, h))
         phi1 = np.exp(-0.5 * z_nodes * z_nodes) / _SQRT_TWO_PI
         piece1 = span1 * np.sum(prev(args) * phi1 * wts[None, :], axis=1)
+        del z_nodes, args, phi1  # free piece 1's node arrays before piece 2 allocates its own
 
         span2 = np.maximum(zs - prev.c_floor, 0.0)
         t_nodes = prev.c_floor + span2[:, None] * v[None, :]
         y_vals = a + b * gh_transform(t_nodes, g, h)
-        zeta = gh_inverse((xp[:, None] - y_vals - a) / b, g, h)
-        dens = np.exp(-0.5 * zeta * zeta) / _SQRT_TWO_PI / np.maximum(
-            gh_transform_deriv(zeta, g, h), 1e-300
-        )
-        jac = gh_transform_deriv(t_nodes, g, h)
+        dens = model.density(xp[:, None] - y_vals)
+        jac = b * gh_transform_deriv(t_nodes, g, h)
         piece2 = span2 * np.sum(prev(y_vals, t_nodes) * dens * jac * wts[None, :], axis=1)
 
         zeta_floor = gh_inverse((xp - prev.w_floor - a) / b, g, h)
@@ -285,11 +275,8 @@ def _gbar_step_gandh(
         phi = np.exp(-0.5 * nodes * nodes) / _SQRT_TWO_PI
         low_piece = span * np.sum(prev(args) * phi * wts[None, :], axis=1)
 
-        zeta = gh_inverse((args - a) / b, g, h)
-        dens = np.exp(-0.5 * zeta * zeta) / _SQRT_TWO_PI / np.maximum(
-            gh_transform_deriv(zeta, g, h), 1e-300
-        )
-        jac = gh_transform_deriv(nodes, g, h)
+        dens = model.density(args)
+        jac = b * gh_transform_deriv(nodes, g, h)
         up_piece = span * np.sum(prev(xv, nodes) * dens * jac * wts[None, :], axis=1)
         out[neg] = low_piece + up_piece
     return out
@@ -381,61 +368,32 @@ class _LogTail:
         return np.clip(out, 0.0, 1.0, out=out)
 
 
+@dataclass(slots=True, eq=False)
 class ConvolutionGrid:
     """Precomputed tail of the n-fold convolution on a log-tailed grid.
 
-    Attributes ``x`` (nodes), ``g_tail`` (survival values), ``n``, ``model``,
-    ``spec``. ``tail_at`` reads the stored tail with the interpolant class
-    the recursion uses between levels, on the main nodes: monotone
-    piecewise-cubic interpolation of log survival in x over the linearly
-    spaced head and in log x over the geometric tail, with the spline broken
-    between the two; beyond the last node the tail extends by the power law
-    of index -1/xi. ``tail_at``
-    returns 1 at or below the sum's support for positive-support models and
-    raises :class:`GridRangeError` below the grid floor for g-and-h (whose
-    grid deliberately starts at the 0.6 quantile).
+    Fields ``model``, ``n``, ``spec``, ``x`` (nodes), ``g_tail`` (survival
+    values) and ``certified_error``: the largest relative disagreement, over
+    the nodes, between the final level at the working quadrature order and
+    its re-run at the lower check order. ``tail_at`` reads the stored tail
+    with the interpolant class the recursion uses between levels, on the
+    main nodes: monotone piecewise-cubic interpolation of log survival in x
+    over the linearly spaced head and in log x over the geometric tail,
+    with the spline broken between the two; beyond the last node the tail
+    extends by the power law of index -1/xi. ``tail_at`` returns 1 at or
+    below the sum's support for positive-support models and raises
+    :class:`GridRangeError` below the grid floor for g-and-h (whose grid
+    deliberately starts at the 0.6 quantile).
     """
 
-    __slots__ = (
-        "model",
-        "n",
-        "spec",
-        "x",
-        "g_tail",
-        "_tail",
-        "_fresh",
-        "_err_estimate",
-    )
-
-    def __init__(
-        self,
-        model: LossModel,
-        n: int,
-        spec: GridSpec,
-        tail: _LogTail,
-        x: np.ndarray,
-        g_tail: np.ndarray,
-        fresh: Callable[[np.ndarray], np.ndarray],
-        err_estimate: float,
-    ):
-        if np.any(np.diff(g_tail[g_tail < 1.0]) >= 0):
-            raise PrecisionError(
-                "convolution grid failed its monotonicity self-check; "
-                "tighten the grid or tolerance"
-            )
-        self.model = model
-        self.n = n
-        self.spec = spec
-        self.x = x
-        self.g_tail = g_tail
-        self._tail = tail
-        self._fresh = fresh
-        self._err_estimate = err_estimate
-
-    @property
-    def certified_error(self) -> float:
-        """Relative disagreement between the two quadrature orders at build."""
-        return self._err_estimate
+    model: LossModel
+    n: int
+    spec: GridSpec
+    x: np.ndarray
+    g_tail: np.ndarray
+    certified_error: float
+    _tail: _LogTail
+    _fresh: Callable[[np.ndarray], np.ndarray]
 
     def tail_at(self, w):
         """Interpolated tail of the n-fold sum at w (scalar or array)."""
@@ -473,12 +431,12 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     xi = model.second_order_info().xi
     gandh = isinstance(model, GandH)
     floor = float(model.quantile(0.6)) if gandh else smin
-    head_hi = float(model.quantile(spec.head_level))
+    head_hi = float(model.quantile(_HEAD_LEVEL))
     if not head_hi > floor:
-        raise DomainError("convolve_tail: degenerate grid (head level too low)")
-    head = np.linspace(floor, head_hi, spec.head_points, endpoint=False)
-    top = float(model.quantile(spec.max_level))
-    x = np.concatenate([head, np.geomspace(head_hi, top, spec.points - spec.head_points)])
+        raise DomainError("convolve_tail: degenerate grid (the 0.99 quantile is the grid floor)")
+    head = np.linspace(floor, head_hi, _HEAD_POINTS, endpoint=False)
+    top = float(model.quantile(_MAX_LEVEL))
+    x = np.concatenate([head, np.geomspace(head_hi, top, _POINTS - _HEAD_POINTS)])
     if gandh:
         a, b, g, h = model.a, model.b, model.g, model.h
         two_fold, step = _gbar2_gandh, _gbar_step_gandh
@@ -501,32 +459,34 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
             coord, node_c = np.asarray, x  # the identity on float arrays
         return _LogTail(coord, node_c, nodes, vals, xi, k * smin)
 
-    g_hi = two_fold(model, nodes, spec.order)
-    g_lo = two_fold(model, nodes, spec.check_order)
+    level = two_fold(model, nodes, _ORDER)
     prev = None
     for k in range(2, n):
-        prev = level_tail(g_hi, k)
-        g_hi = step(model, prev, nodes, spec.order)
-        g_lo = step(model, prev, nodes, spec.check_order)
-    main = slice(nodes.size - x.size, None)
-    g_tail = g_hi[main]
-    err = float(np.max(np.abs(g_tail - g_lo[main]) / np.maximum(np.abs(g_tail), 1e-300)))
+        prev = level_tail(level, k)
+        level = step(model, prev, nodes, _ORDER)
+    if prev is None:
+        fresh = partial(two_fold, model, order=_ORDER)
+    else:
+        # the final step against the level-(n-1) interpolant, off the grid
+        fresh = partial(step, model, prev, order=_ORDER)
+    g_tail = level[nodes.size - x.size :]
+    # the certificate: the final level re-run at the check order (a call's
+    # keyword overrides the one the partial holds)
+    g_lo = fresh(x, order=_CHECK_ORDER)
+    err = float(np.max(np.abs(g_tail - g_lo) / np.maximum(np.abs(g_tail), 1e-300)))
     threshold = spec.certify_threshold(n)
     if err > threshold:
         raise PrecisionError(
             f"convolve_tail: certified relative quadrature error {err:.3e} "
             f"exceeds tol {threshold:g}"
         )
-    if prev is None:
-        fresh = lambda w: two_fold(model, w, spec.order)  # noqa: E731
-    else:
-        # the final step against the level-(n-1) interpolant, off the grid
-        fresh = lambda w: step(model, prev, w, spec.order)  # noqa: E731
+    if np.any(np.diff(g_tail[g_tail < 1.0]) >= 0):
+        raise PrecisionError("convolve_tail: the tail failed its monotonicity self-check")
     # the final level is read on its main nodes in x over the linear head and
     # in log x over the geometric tail, with a break in the spline between
-    split = spec.head_points if head_hi > 0 else None
+    split = _HEAD_POINTS if head_hi > 0 else None
     tail = _LogTail(np.asarray, x, x, g_tail, xi, n * smin, split)
-    return ConvolutionGrid(model, n, spec, tail, x, g_tail, fresh, err)
+    return ConvolutionGrid(model, n, spec, x, g_tail, err, tail, fresh)
 
 
 def convolve_tail(model: LossModel, n: int, spec: Optional[GridSpec] = None) -> ConvolutionGrid:
@@ -564,7 +524,7 @@ def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
     if np.any(p < g[-1]):
         raise GridRangeError(
             f"oracle_quantile: level {alphas.max():g} is deeper than the grid covers "
-            f"(smallest stored tail {g[-1]:.3e}); rebuild with a larger max_level"
+            f"(smallest stored tail {g[-1]:.3e})"
         )
     if np.any(p > g[0]):
         # positive-support grids start at the single-loss support point where

@@ -519,7 +519,11 @@ class ExactHall(LossModel):
         Newton in s = log t on f(s) = log U(e^s) - log x, from
         s0 = max(log(x/c)/xi, 0) and clipped at s >= 0. f' lies between xi
         and f'(0) > 0 and is monotone (f is convex for d > 0 and concave
-        for d < 0), so the iteration converges from either side. An element
+        for d < 0), so the iteration converges from either side. With
+        d = -1, U(1) = 0 and f'(0) is infinite, so s starts no lower than
+        min(x/(c e |rho|), 1/xi), which lies below the root because
+        1 - e^(rho s) <= |rho| s and e^(xi s) <= e there, and is clipped at
+        ulp(1)/|rho|, where e^(rho s) rounds below 1 and so U > 0. An element
         leaves the working set once its step is within a few ulp of
         max(s, 1), so its value does not depend on the array it is in. The
         elements are solved in blocks of 2^16 so the working arrays stay
@@ -531,13 +535,18 @@ class ExactHall(LossModel):
             log_xs = np.log(x.ravel())
         out = np.maximum((log_xs - math.log(c)) / xi, 0.0)
         todo = np.flatnonzero(np.isfinite(log_xs))
+        floor = 0.0
+        if 1.0 + d == 0.0:
+            floor = math.ulp(1.0) / -rho
+            s_lo = np.minimum(x.ravel()[todo] / (-c * math.e * rho), 1.0 / xi)
+            out[todo] = np.maximum(out[todo], np.maximum(s_lo, floor))
         for start in range(0, todo.size, _NEWTON_BLOCK):
             idx = todo[start : start + _NEWTON_BLOCK]
             s, log_x = out[idx], log_xs[idx]
             for _ in range(_NEWTON_MAX_STEPS):
                 tr = np.exp(rho * s)
                 f = math.log(c) + xi * s + np.log1p(d * tr) - log_x
-                s_new = np.maximum(s - f / (xi + d * rho * tr / (1.0 + d * tr)), 0.0)
+                s_new = np.maximum(s - f / (xi + d * rho * tr / (1.0 + d * tr)), floor)
                 out[idx] = s_new
                 keep = np.abs(s_new - s) > _NEWTON_TOL * np.maximum(s_new, 1.0)
                 if not keep.any():

@@ -90,6 +90,14 @@ def test_tail_ratio_scale_closed_forms():
     )
 
 
+@pytest.mark.parametrize("model", [Burr(tau=1.0, kappa=2.0), Burr(tau=1.0, kappa=1.0)])
+def test_tail_ratio_scale_at_zero_raises(model):
+    # support from 0 and xi <= 1: b(x) = mu/x (finite mean) or the
+    # truncated mean over x (xi = 1, infinite mean) divides by x
+    with pytest.raises(DomainError):
+        tail_ratio_scale(model, 0.0)
+
+
 def test_second_order_kernel_values():
     assert second_order_kernel(0.5, -0.5, 1.0) == 0.0
     assert second_order_kernel(1.0, -1.0, 2.0) == pytest.approx(1.0, rel=1e-14)

@@ -308,33 +308,21 @@ def test_n_validation(bad_n):
 
 def test_gridspec_validation():
     with pytest.raises(DomainError):
-        GridSpec(points=32)
-    with pytest.raises(DomainError):
-        GridSpec(head_points=5000)
-    with pytest.raises(DomainError):
-        GridSpec(head_level=0.3)
-    with pytest.raises(DomainError):
-        GridSpec(max_level=1.0)
-    with pytest.raises(DomainError):
         GridSpec(tol=0.0)
-    with pytest.raises(DomainError):
-        GridSpec(order=8, check_order=10)
-    with pytest.raises(DomainError):
-        GridSpec(points=4096.5)
     with pytest.raises(DomainError):
         GridSpec(tol=math.nan)
 
 
 def test_numpy_scalars_are_numbers():
-    assert GridSpec(points=np.int64(4096), tol=np.float64(1e-10)) == GridSpec()
+    assert GridSpec(tol=np.float64(1e-10)) == GridSpec()
     assert convolve_tail(PARETO05, np.int64(2)) is convolve_tail(PARETO05, 2)
 
 
 def test_certify_threshold_tiers():
     spec = GridSpec()
     assert spec.certify_threshold(2) == spec.tol
-    assert spec.certify_threshold(3) == spec.pairwise_tol
-    assert spec.certify_threshold(8) == spec.pairwise_tol
+    assert spec.certify_threshold(3) == 1e-6
+    assert spec.certify_threshold(8) == 1e-6
 
 
 @pytest.mark.parametrize(
@@ -345,6 +333,35 @@ def test_certified_error_within_tier(model):
     assert g2.certified_error <= 1e-10
     g3 = convolve_tail(model, 3)
     assert g3.certified_error <= 1e-6
+
+
+@pytest.mark.parametrize(
+    "model, n, err",
+    [
+        (PARETO05, 2, 9.881768178111712e-12),
+        (PARETO05, 3, 2.6859186979191526e-08),
+        (PARETO05, 4, 7.733491271607174e-09),
+        (GANDH, 3, 3.3002146330475457e-07),
+    ],
+)
+def test_certified_error_pinned(model, n, err):
+    assert convolve_tail(model, n).certified_error == pytest.approx(err, rel=1e-12)
+
+
+def test_build_runs_check_order_once(monkeypatch):
+    """Only the final level is re-run at the check order, whatever n is: at
+    n = 4 the build makes three order-14 passes and one order-10 pass."""
+    orders = []
+    for name in ("_gbar2_positive", "_gbar_step_positive"):
+
+        def counted(*args, _fn=getattr(convolution, name), **kwargs):
+            orders.append(kwargs["order"] if "order" in kwargs else args[-1])
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(convolution, name, counted)
+    # the uncached build, so an earlier test's grid is not reused
+    convolution._build_grid.__wrapped__(PARETO05, 4, GridSpec())
+    assert sorted(orders) == [10, 14, 14, 14]
 
 
 @settings(deadline=None, max_examples=25)
@@ -389,7 +406,7 @@ def test_convolve_tail_caches_grids():
     a = convolve_tail(PARETO05, 2)
     b = convolve_tail(PARETO05, 2)
     assert a is b
-    c = convolve_tail(PARETO05, 2, GridSpec(points=512, head_points=128))
+    c = convolve_tail(PARETO05, 2, GridSpec(tol=1e-9))
     assert c is not a
     assert isinstance(c, ConvolutionGrid)
 

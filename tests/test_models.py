@@ -316,6 +316,17 @@ def test_tail_quantile_round_trip_to_1e15(model: LossModel, log_t: float):
     assert t * model.tail(model.tail_quantile(t)) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_exact_hall_with_d_minus_one():
+    """d = -1 puts U(1) = 0 at the support point 0, where the inverse's
+    Newton iteration cannot start."""
+    m = ExactHall(c=2.0, d=-1.0, xi=0.5, rho=-1.0)
+    t = np.concatenate([1.0 + np.geomspace(1e-6, 1.0, 200), np.geomspace(2.0, 1e15, 200)])
+    assert np.allclose(t * m.tail(m.tail_quantile(t)), 1.0, rtol=1e-12, atol=0.0)
+    x = np.array([0.0, 1e-300, 1e-6, 1.0, 2.0])
+    assert m.tail(x)[0] == 1.0
+    assert np.all(np.isfinite(m.density(x)))
+
+
 def test_gandh_mean_closed_form():
     # h < 1: E X = a + b (exp(g^2/(2(1-h))) - 1) / (g sqrt(1-h))
     m = GandH(a=0.0, b=1.0, g=2.0, h=0.5)
