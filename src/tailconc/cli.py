@@ -299,9 +299,7 @@ def _cmd_crossover(model: LossModel, args) -> int:
             straddle = (float(alphas[covered[0]]), float(alphas[covered[-1]]))
     if args.format == "json":
         payload = {
-            "metadata": _metadata(
-                model, args, *_regime_pair(model)
-            ),
+            "metadata": _metadata(model, args, *_regime_pair(model, args.n)),
             "analytic_crossover": _json_num(a_star),
             "empirical_bracket": list(bracket) if bracket else None,
             "band_straddles_one": list(straddle) if straddle else None,
@@ -332,8 +330,12 @@ def _cmd_crossover(model: LossModel, args) -> int:
     return 0
 
 
-def _regime_pair(model: LossModel):
+def _regime_pair(model: LossModel, n: int):
+    """The model's regime, with the boundary balance q filled in on the
+    boundary as ``second_order_approx`` reports it, and the degeneracy flag."""
     regime = approx.classify_regime(model.second_order_info())
+    if regime.tag is approx.RegimeTag.BOUNDARY:
+        regime = approx.second_order_approx(model, 0.999, n).regime
     return regime, regime.tag is approx.RegimeTag.DEGENERATE
 
 
@@ -365,7 +367,7 @@ def _cmd_diag(model: LossModel, args) -> int:
         text = _csv_table(_DIAG_COLUMNS, rows)
     else:
         payload = {
-            "metadata": _metadata(model, args, *_regime_pair(model)),
+            "metadata": _metadata(model, args, *_regime_pair(model, args.n)),
             "columns": _json_columns(_DIAG_COLUMNS, rows),
         }
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -375,14 +377,11 @@ def _cmd_diag(model: LossModel, args) -> int:
 
 def _cmd_info(model: LossModel, args) -> int:
     info = model.second_order_info()
-    regime, degenerate = _regime_pair(model)
+    regime, degenerate = _regime_pair(model, args.n)
     c1 = approx.first_order_limit(info.xi, args.n)
     direction = approx.approach_direction(model, args.n)
     a_star = approx.crossover(model, args.n)
     mean = model.moments(math.inf)
-    q_hat = regime.q
-    if regime.tag is approx.RegimeTag.BOUNDARY and q_hat is None:
-        q_hat = approx.second_order_approx(model, 0.999, args.n).regime.q
     entries = [
         ("kind", model.kind),
         ("parameters", ", ".join(f"{k}={_fmt(v)}" for k, v in model_to_dict(model).items() if k != "kind")),
@@ -392,7 +391,7 @@ def _cmd_info(model: LossModel, args) -> int:
         ("tail_index", _fmt(info.xi)),
         ("second_order_index", str(info.rho) if math.isinf(info.rho) else _fmt(info.rho)),
         ("regime", regime.tag.value + (f" ({regime.reason})" if regime.reason else "")),
-        ("boundary_balance", _fmt(q_hat) if q_hat is not None else "n/a"),
+        ("boundary_balance", _fmt(regime.q) if regime.q is not None else "n/a"),
         ("degenerate", "yes" if degenerate else "no"),
         ("first_order_limit", _fmt(c1)),
         ("approach", direction.direction.value),
@@ -409,7 +408,7 @@ def _cmd_info(model: LossModel, args) -> int:
             "second_order_index": _json_num(info.rho),
             "regime": regime.tag.value,
             "regime_note": regime.reason,
-            "boundary_balance": _json_num(q_hat),
+            "boundary_balance": _json_num(regime.q),
             "degenerate": degenerate,
             "first_order_limit": _json_num(c1),
             "approach": direction.direction.value,

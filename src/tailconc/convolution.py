@@ -410,10 +410,17 @@ class ConvolutionGrid:
 
     def fresh_tail(self, w):
         """Tail recomputed by direct quadrature (no grid interpolation in the
-        outermost integral); used for quantile refinement and diagnostics."""
+        outermost integral); used for quantile refinement and diagnostics.
+        At a node it is the stored tail, bit for bit."""
         arr = np.atleast_1d(np.asarray(w, dtype=float))
         out = self._fresh(arr)
         return float(out[0]) if np.asarray(w).ndim == 0 else out
+
+
+def _finite(vals: np.ndarray, caller: str = "convolve_tail") -> np.ndarray:
+    if not np.all(np.isfinite(vals)):
+        raise PrecisionError(f"{caller}: fresh quadrature returned a non-finite tail")
+    return vals
 
 
 @lru_cache(maxsize=8)
@@ -459,23 +466,19 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
             coord, node_c = np.asarray, x  # the identity on float arrays
         return _LogTail(coord, node_c, nodes, vals, xi, k * smin)
 
-    level = two_fold(model, nodes, _ORDER)
-    prev = None
+    # each level is the quadrature (a functools.partial) over the interpolant
+    # of the level below; the last one is fresh_tail, and g_tail is its value
+    # on the nodes, so the stored and the fresh tail agree bit for bit there
+    fresh = partial(two_fold, model, order=_ORDER)
     for k in range(2, n):
-        prev = level_tail(level, k)
-        level = step(model, prev, nodes, _ORDER)
-    if prev is None:
-        fresh = partial(two_fold, model, order=_ORDER)
-    else:
-        # the final step against the level-(n-1) interpolant, off the grid
-        fresh = partial(step, model, prev, order=_ORDER)
-    g_tail = level[nodes.size - x.size :]
+        fresh = partial(step, model, level_tail(_finite(fresh(nodes)), k), order=_ORDER)
+    g_tail = _finite(fresh(x))
     # the certificate: the final level re-run at the check order (a call's
-    # keyword overrides the one the partial holds)
+    # keyword overrides the one the partial holds); NaN fails it
     g_lo = fresh(x, order=_CHECK_ORDER)
     err = float(np.max(np.abs(g_tail - g_lo) / np.maximum(np.abs(g_tail), 1e-300)))
     threshold = spec.certify_threshold(n)
-    if err > threshold:
+    if not err <= threshold:
         raise PrecisionError(
             f"convolve_tail: certified relative quadrature error {err:.3e} "
             f"exceeds tol {threshold:g}"
@@ -501,14 +504,14 @@ def oracle_quantile(grid: ConvolutionGrid, alpha: float) -> float:
     """Quantile of the n-fold sum at level alpha; :func:`oracle_quantiles` on one level.
 
     An exact hit on a stored tail value returns that node's abscissa.
-    Otherwise the level's grid cell, widened by one cell width per side up
-    to 8 times where fresh quadrature does not straddle the level, brackets
-    the root, and Chandrupatla's hybrid of inverse quadratic interpolation
-    and bisection (Adv. Eng. Software 28(3), 1997) refines it against fresh
-    direct quadrature. It stops when the residual is 0 or the bracket is no
-    wider than 1e-12 max(|lo|, |hi|, 1), and returns the bracket end with
-    the smaller residual. A failed bracket, a non-finite fresh value or no
-    convergence in ``_ROOT_MAX_ITER`` steps raises :class:`PrecisionError`.
+    Otherwise the level's grid cell brackets the root, since every stored
+    tail is bit for bit the fresh quadrature at its node, and Chandrupatla's
+    hybrid of inverse quadratic interpolation and bisection (Adv. Eng.
+    Software 28(3), 1997) refines it against fresh quadrature. It stops when
+    the residual is 0 or the bracket is no wider than 1e-12 max(|lo|, |hi|,
+    1), and returns the bracket end with the smaller residual. A non-finite
+    fresh value or no convergence in ``_ROOT_MAX_ITER`` steps raises
+    :class:`PrecisionError`.
     """
     return float(oracle_quantiles(grid, alpha))
 
@@ -516,8 +519,8 @@ def oracle_quantile(grid: ConvolutionGrid, alpha: float) -> float:
 def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
     """Quantiles of the n-fold sum at every level in ``alphas``, solved by
     the rules of :func:`oracle_quantile` jointly: every level is checked
-    before any quadrature runs, one fresh call evaluates all cell ends, and
-    each further call takes one Chandrupatla step on every live level."""
+    before any quadrature runs, the brackets' residuals are stored tails,
+    and each fresh call takes one Chandrupatla step on every live level."""
     alphas = check_levels("oracle_quantile: alpha", alphas)
     p = 1.0 - alphas.ravel()
     g, x = grid.g_tail, grid.x
@@ -538,30 +541,11 @@ def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
     idx = np.searchsorted(-g, -p, side="left")
     out = x[idx]
     live = np.flatnonzero(g[idx] != p)
-    p, lo, hi = p[live], x[idx[live] - 1], x[idx[live]]
+    p, i = p[live], idx[live]
 
-    def residual(w, p_w):
-        f = grid.fresh_tail(w) - p_w
-        if not np.all(np.isfinite(f)):
-            raise PrecisionError("oracle_quantile: fresh quadrature returned a non-finite tail")
-        return f
-
-    def at_ends(k):  # residuals at both ends of brackets k, from one fresh call
-        return np.split(residual(np.concatenate([lo[k], hi[k]]), np.tile(p[k], 2)), 2)
-
-    width = hi - lo
-    f_lo, f_hi = at_ends(slice(None))
-    for _ in range(8):
-        wide = np.sign(f_lo) * np.sign(f_hi) > 0  # fresh quadrature disagrees with the grid
-        if not np.any(wide):
-            break
-        lo[wide] = np.maximum(lo[wide] - width[wide], grid.n * grid.model.support_min)
-        hi[wide] += width[wide]
-        f_lo[wide], f_hi[wide] = at_ends(wide)
-    if np.any(np.sign(f_lo) * np.sign(f_hi) > 0):
-        raise PrecisionError("oracle_quantile: failed to bracket the root")
-    # x1 is the newest iterate, x2 the other bracket end, x3 the end x1 replaced
-    x1, f1, x2, f2, t = lo, f_lo, hi, f_hi, np.full(p.size, 0.5)
+    # the cell brackets the level, g[i - 1] > p > g[i]; x1 is the newest
+    # iterate, x2 the other bracket end, x3 the end x1 replaced
+    x1, f1, x2, f2, t = x[i - 1], g[i - 1] - p, x[i], g[i] - p, np.full(p.size, 0.5)
     for step in range(_ROOT_MAX_ITER + 1):
         dx = np.abs(x2 - x1)
         tol = _ROOT_RTOL * np.maximum(np.maximum(np.abs(x1), np.abs(x2)), 1.0)
@@ -576,7 +560,7 @@ def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
         )
         tl = 0.5 * tol / dx  # keep each iterate tol/2 inside the bracket
         x_new = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
-        f_new = residual(x_new, p)
+        f_new = _finite(grid.fresh_tail(x_new) - p, "oracle_quantile")
         same = np.sign(f_new) == np.sign(f1)
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)

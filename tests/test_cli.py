@@ -268,6 +268,24 @@ def test_info_boundary_reports_balance(capsys):
     assert float(balance_line.split(":")[1]) == pytest.approx(2.0, rel=1e-10)
 
 
+def test_boundary_balance_agrees_across_subcommands(capsys):
+    """Every JSON output reports the boundary balance q of Burr(1, 2)."""
+    model = '{"kind": "burr", "tau": 1.0, "kappa": 2.0}'
+    balances = []
+    for argv in (
+        ("info",),
+        ("curve", "--samples", "0"),
+        ("crossover", "--samples", "0"),
+        ("diag",),
+    ):
+        code, out, _ = run(capsys, *argv, "--model", model, "--n", "2", "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        balances.append(payload.get("metadata", payload)["boundary_balance"])
+    assert balances[0] == pytest.approx(2.0, rel=1e-10)
+    assert balances == [balances[0]] * 4
+
+
 def test_info_json(capsys):
     code, out, _ = run(
         capsys, "info", "--model", GANDH, "--n", "2", "--format", "json"

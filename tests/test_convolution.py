@@ -231,7 +231,8 @@ def _nan_after(calls, fresh):
 
 @pytest.mark.parametrize("calls", [0, 1, 3])
 def test_oracle_quantiles_non_finite_fresh_raises(monkeypatch, calls):
-    # calls = 0 fails at the bracket ends, 1 and 3 at an iterate
+    # the brackets come from the stored tails, so no fresh call touches a
+    # bracket end: every case fails at an iterate (the first, second or fourth)
     grid = convolve_tail(PARETO05, 2)
     monkeypatch.setattr(grid, "_fresh", _nan_after(calls, grid._fresh))
     with pytest.raises(PrecisionError):
@@ -251,9 +252,41 @@ def test_oracle_quantiles_few_fresh_calls(monkeypatch, model, n):
     fresh = grid._fresh
     monkeypatch.setattr(grid, "_fresh", lambda w: calls.append(np.size(w)) or fresh(w))
     q = oracle_quantiles(grid, CLI_LEVELS)
-    assert len(calls) <= 12
+    assert len(calls) <= 4
     monkeypatch.undo()
     assert np.allclose(grid.fresh_tail(q), 1.0 - CLI_LEVELS, rtol=1e-10, atol=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "model", [PARETO05, BURR2508, GANDH, HALL], ids=["pareto05", "burr2508", "gandh", "hall"]
+)
+def test_stored_tails_are_fresh_tails(model, n):
+    """The invariant the quantile solver brackets with: every stored tail is,
+    bit for bit, what fresh quadrature returns at its node."""
+    grid = convolve_tail(model, n)
+    assert np.array_equal(grid.fresh_tail(grid.x), grid.g_tail)
+    idx = np.sort(np.random.default_rng(n).choice(grid.x.size, 97, replace=False))
+    assert np.array_equal(grid.fresh_tail(grid.x[idx]), grid.g_tail[idx])
+
+
+@pytest.mark.parametrize(
+    ("name", "n"), [("_gbar2_positive", 2), ("_gbar_step_positive", 3)]
+)
+def test_non_finite_level_raises(monkeypatch, name, n):
+    """A NaN in any convolution level fails the build with PrecisionError,
+    not with the interpolant's ValueError."""
+    quadrature = getattr(convolution, name)
+
+    def poisoned(*args, **kwargs):
+        out = quadrature(*args, **kwargs)
+        out[out.size // 2] = math.nan
+        return out
+
+    monkeypatch.setattr(convolution, name, poisoned)
+    convolution._build_grid.cache_clear()  # a build that raises is not cached
+    with pytest.raises(PrecisionError):
+        convolve_tail(PARETO05, n)
 
 
 def test_gandh_grid_floor():
