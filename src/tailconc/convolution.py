@@ -42,7 +42,7 @@ from scipy.special import ndtr
 
 from . import approx
 from .errors import DomainError, GridRangeError, PrecisionError, check_int, check_levels, check_real
-from .models import GandH, LossModel, gh_inverse, gh_transform, gh_transform_deriv
+from .models import GandH, LossModel, gh_inverse, gh_transform, gh_transform_deriv, normal_pdf
 
 __all__ = [
     "GridSpec",
@@ -55,7 +55,6 @@ __all__ = [
 ]
 
 _MAX_N = 8
-_SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _GH_Z_LO = -12.0  # Gaussian integration floor; mass below is ~2e-33
 _GH_HEAD_Z_LO = -10.0
 _GH_HEAD_POINTS = 512
@@ -198,13 +197,14 @@ def _gbar2_gandh(model: GandH, x: np.ndarray, order: int) -> np.ndarray:
     """Two-fold convolution tail for g-and-h, computed in z-space."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b, g, h = model.a, model.b, model.g, model.h
-    z_star = gh_inverse((0.5 * x - a) / b, g, h)
+    z_star = model.z_of_x(0.5 * x)
     v, wts = _panel_rule(order)
     span = np.maximum(z_star - _GH_Z_LO, 0.0)
     z_nodes = _GH_Z_LO + span[:, None] * v[None, :]
     rem = (x[:, None] - 2.0 * a) / b - gh_transform(z_nodes, g, h)
     zz = gh_inverse(rem, g, h, lo=z_star[:, None])
-    integrand = ndtr(-zz) * np.exp(-0.5 * z_nodes * z_nodes) / _SQRT_TWO_PI
+    # sqrt(2 pi) divides last; ndtr(-zz) * normal_pdf(z_nodes) rounds differently
+    integrand = ndtr(-zz) * np.exp(-0.5 * z_nodes * z_nodes) / math.sqrt(2.0 * math.pi)
     integral = span * np.sum(integrand * wts[None, :], axis=1)
     tail_half = ndtr(-z_star)
     return tail_half**2 + 2.0 * integral
@@ -232,7 +232,7 @@ def _gbar_step_gandh(
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b, g, h = model.a, model.b, model.g, model.h
     v, wts = _panel_rule(order)
-    z_split = gh_inverse((0.5 * x - a) / b, g, h)
+    z_split = model.z_of_x(0.5 * x)
     out = np.empty(x.shape)
 
     # Arguments to the right of the single-loss median: the density factor
@@ -246,9 +246,8 @@ def _gbar_step_gandh(
         span1 = np.maximum(zs - _GH_Z_LO, 0.0)
         z_nodes = _GH_Z_LO + span1[:, None] * v[None, :]
         args = xp[:, None] - (a + b * gh_transform(z_nodes, g, h))
-        phi1 = np.exp(-0.5 * z_nodes * z_nodes) / _SQRT_TWO_PI
-        piece1 = span1 * np.sum(prev(args) * phi1 * wts[None, :], axis=1)
-        del z_nodes, args, phi1  # free piece 1's node arrays before piece 2 allocates its own
+        piece1 = span1 * np.sum(prev(args) * normal_pdf(z_nodes) * wts[None, :], axis=1)
+        del z_nodes, args  # free piece 1's node arrays before piece 2 allocates its own
 
         span2 = np.maximum(zs - prev.c_floor, 0.0)
         t_nodes = prev.c_floor + span2[:, None] * v[None, :]
@@ -257,7 +256,7 @@ def _gbar_step_gandh(
         jac = b * gh_transform_deriv(t_nodes, g, h)
         piece2 = span2 * np.sum(prev(y_vals, t_nodes) * dens * jac * wts[None, :], axis=1)
 
-        zeta_floor = gh_inverse((xp - prev.w_floor - a) / b, g, h)
+        zeta_floor = model.z_of_x(xp - prev.w_floor)
         out[pos] = piece1 + piece2 + ndtr(-zeta_floor)
 
     # Arguments to the left of the single-loss median: mirrored treatment.
@@ -272,8 +271,7 @@ def _gbar_step_gandh(
         nodes = zs[:, None] + span[:, None] * v[None, :]
         xv = a + b * gh_transform(nodes, g, h)
         args = xn[:, None] - xv
-        phi = np.exp(-0.5 * nodes * nodes) / _SQRT_TWO_PI
-        low_piece = span * np.sum(prev(args) * phi * wts[None, :], axis=1)
+        low_piece = span * np.sum(prev(args) * normal_pdf(nodes) * wts[None, :], axis=1)
 
         dens = model.density(args)
         jac = b * gh_transform_deriv(nodes, g, h)
@@ -449,11 +447,7 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
         two_fold, step = _gbar2_gandh, _gbar_step_gandh
         z_head = np.linspace(_GH_HEAD_Z_LO, _GH_Z_FLOOR, _GH_HEAD_POINTS, endpoint=False)
         nodes = np.concatenate([a + b * gh_transform(z_head, g, h), x])
-
-        def z_of(w):
-            return gh_inverse((w - a) / b, g, h)
-
-        family = (z_of, np.concatenate([z_head, z_of(x)]))
+        family = (model.z_of_x, np.concatenate([z_head, model.z_of_x(x)]))
     else:
         two_fold, step = _gbar2_positive, _gbar_step_positive
         nodes = x

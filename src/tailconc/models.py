@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from . import special
-from .errors import DomainError, PoleError, check_array, check_int, check_levels, check_real
+from .errors import DomainError, PoleError, PrecisionError, check_array, check_int, check_levels, check_real
 
 __all__ = [
     "SecondOrderInfo",
@@ -287,10 +287,60 @@ def gh_transform_deriv(z: np.ndarray, g: float, h: float) -> np.ndarray:
         return np.exp(0.5 * h * z * z) * (np.exp(g * z) + h * z * np.expm1(g * z) / g)
 
 
-# Newton inverses stop once a step is within a few ulp, or after this many steps
+def normal_pdf(z: np.ndarray) -> np.ndarray:
+    """The standard normal density exp(-z^2/2)/sqrt(2 pi)."""
+    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+
+# Newton inverses stop once a step is within a few ulp, or raise after this many steps
 _NEWTON_TOL = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 100
 _NEWTON_BLOCK = 1 << 16  # elements solved at once; bounds the working arrays
+
+
+def _newton(fun, z, lo, hi, scale, *args):
+    """Root per element of ``fun(z, *args)``, a value monotone in z and its
+    slope, by Newton from the 1-d ``z`` inside the running bracket [lo, hi]
+    (which broadcast against z), bisecting where a step leaves it. An
+    element leaves the working set, its ``args`` with it, once its step is
+    at most 4 ulp of max(|z|, ``scale``) or it lands exactly on a bracket
+    end (an earlier iterate), so its value does not depend on the array it
+    is in; one still live after ``_NEWTON_MAX_STEPS`` raises PrecisionError."""
+    out, idx = np.empty(z.shape), np.arange(z.size)
+    for _ in range(_NEWTON_MAX_STEPS):
+        f, slope = fun(z, *args)
+        z_new = z - f / slope
+        below = (f < 0.0) == (slope > 0.0)  # signs apart: the root lies above z
+        lo = np.where(below, z, lo)
+        hi = np.where(below, hi, z)
+        stray = ~((z_new >= lo) & (z_new <= hi))
+        if stray.any():
+            z_new[stray] = 0.5 * (lo[stray] + hi[stray])
+        done = np.abs(z_new - z) <= _NEWTON_TOL * np.maximum(np.abs(z_new), scale)
+        done |= (z_new == lo) | (z_new == hi)
+        if done.any():  # most steps finish no element: skip the copies
+            out[idx[done]] = z_new[done]
+            keep = np.flatnonzero(~done)
+            idx, z_new, lo, hi, *args = (v[keep] for v in (idx, z_new, lo, hi, *args))
+        if not idx.size:
+            return out
+        z = z_new
+    raise PrecisionError(f"Newton inverse: {idx.size} elements live after {_NEWTON_MAX_STEPS} steps")
+
+
+def _blockwise(solve, shape, *arrays):
+    """``solve``, from 1-d arrays to a 1-d result, on ``arrays`` broadcast to
+    ``shape``, in blocks of whole rows of about 2^16 elements."""
+    out = np.empty(shape)
+    if not out.size:
+        return out
+    by_row = out.reshape(shape[0] if shape else 1, -1)
+    step = max(1, _NEWTON_BLOCK // by_row.shape[1])
+    views = [np.broadcast_to(v, shape).reshape(by_row.shape) for v in arrays]
+    for r0 in range(0, len(by_row), step):
+        block = (v[r0 : r0 + step].ravel() for v in views)
+        by_row[r0 : r0 + step] = solve(*block).reshape(-1, by_row.shape[1])
+    return out
 
 
 def gh_inverse(w, g: float, h: float, lo=-60.0, hi=50.0) -> np.ndarray:
@@ -302,78 +352,41 @@ def gh_inverse(w, g: float, h: float, lo=-60.0, hi=50.0) -> np.ndarray:
     loses nothing by clamping: the standard normal tail is 1 at -60 and 0
     at 50 in double precision.
 
-    Each element starts from the analytic guess, the root of
-    g z + h z^2/2 = log1p(g w) for w >= 0 and
-    max(log1p(g w)/g, -sqrt(2 log1p(g|w|)/h)) for w < 0, and takes Newton
-    steps on log|k(z)| - log|w|, which cannot overflow, inside a running
-    bracket. A step that leaves the bracket is replaced by bisection, and an
-    element leaves the working set once its step is within a few ulp. The
-    elements are solved in blocks of 2^16 so the working arrays stay small.
+    :func:`_newton` solves log|k(z)| - log|w| = 0, which cannot overflow,
+    from the root of g z + h z^2/2 = log1p(g w) for w >= 0 and
+    max(log1p(g w)/g, -sqrt(2 log1p(g|w|)/h)) for w < 0, inside the part
+    of [lo, hi] on the side of 0 where w lies.
     """
     w = np.asarray(w, dtype=float)
-    if not w.size:
-        return np.empty(w.shape)
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    k_lo = np.broadcast_to(gh_transform(lo, g, h), w.shape)
-    k_hi = np.broadcast_to(gh_transform(hi, g, h), w.shape)
-    lo = np.broadcast_to(lo, w.shape)
-    hi = np.broadcast_to(hi, w.shape)
-    rows = w.shape[0] if w.ndim else 1
-    per_row = w.size // rows if rows else 0
-    step = max(1, _NEWTON_BLOCK // max(per_row, 1))
-    out = np.empty((rows, per_row))
-    views = [v.reshape(rows, per_row) for v in (w, lo, hi, k_lo, k_hi)]
-    for r0 in range(0, rows, step):
-        block = [v[r0 : r0 + step].ravel() for v in views]
-        out[r0 : r0 + step] = _gh_inverse_block(*block, g, h).reshape(-1, per_row)
-    return out.reshape(w.shape)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
 
+    def log_k(z, g_sgn, log_w):
+        em1 = np.expm1(g * z)
+        return np.log(em1 / g_sgn) + 0.5 * h * z * z - log_w, g + g / em1 + h * z
 
-def _gh_inverse_block(w, lo, hi, k_lo, k_hi, g: float, h: float) -> np.ndarray:
-    out = np.where(w >= k_hi, hi, lo)
-    out[np.isnan(w)] = np.nan
-    inside = (w > k_lo) & (w < k_hi)
-    out[inside & (w == 0.0)] = 0.0
-    idx = np.flatnonzero(inside & (w != 0.0))
-    if not idx.size:
+    def solve(w, lo, hi, k_lo, k_hi):
+        out = np.where(w >= k_hi, hi, lo)
+        out[np.isnan(w)] = np.nan
+        inside = (w > k_lo) & (w < k_hi)
+        out[inside & (w == 0.0)] = 0.0
+        idx = np.flatnonzero(inside & (w != 0.0))
+        w = w[idx]
+        pos = w > 0.0
+        # |k| increases with |z| and k has the sign of z
+        a = np.where(pos, np.maximum(lo[idx], 0.0), lo[idx])
+        b = np.where(pos, hi[idx], np.minimum(hi[idx], 0.0))
+        with np.errstate(invalid="ignore", divide="ignore"):
+            log_gw = np.log1p(g * np.abs(w))
+            z = np.where(
+                pos,
+                2.0 * log_gw / (g + np.sqrt(g * g + 2.0 * h * log_gw)),
+                np.fmax(np.log1p(g * w) / g, -np.sqrt(2.0 * log_gw / h)),
+            )
+            np.clip(z, a, b, out=z)
+            out[idx] = _newton(log_k, z, a, b, 0.0, np.where(pos, g, -g), np.log(np.abs(w)))
         return out
-    w = w[idx]
-    pos = w > 0.0
-    # |k| increases with |z| and k has the sign of z, so the root lies
-    # between the bracket edge and 0 on the side of w
-    a = np.where(pos, np.maximum(lo[idx], 0.0), lo[idx])
-    b = np.where(pos, hi[idx], np.minimum(hi[idx], 0.0))
-    g_sgn = np.where(pos, g, -g)
-    log_w = np.log(np.abs(w))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        log_gw = np.log1p(g * np.abs(w))
-        z = np.where(
-            pos,
-            2.0 * log_gw / (g + np.sqrt(g * g + 2.0 * h * log_gw)),
-            np.fmax(np.log1p(g * w) / g, -np.sqrt(2.0 * log_gw / h)),
-        )
-        np.clip(z, a, b, out=z)
-        for _ in range(_NEWTON_MAX_STEPS):
-            em1 = np.expm1(g * z)
-            phi = np.log(em1 / g_sgn) + 0.5 * h * z * z - log_w
-            z_new = z - phi / (g + g / em1 + h * z)
-            # phi * g_sgn increases with z: its sign says which side the root is on
-            below = phi * g_sgn < 0.0
-            np.copyto(a, z, where=below)
-            np.copyto(b, z, where=~below)
-            stray = ~((z_new >= a) & (z_new <= b))
-            if stray.any():
-                z_new[stray] = 0.5 * (a[stray] + b[stray])
-            done = np.abs(z_new - z) <= _NEWTON_TOL * np.abs(z_new)
-            out[idx[done]] = z_new[done]
-            keep = ~done
-            if not keep.any():
-                break
-            idx, z, a, b, g_sgn, log_w = (v[keep] for v in (idx, z_new, a, b, g_sgn, log_w))
-        else:
-            out[idx] = z
-    return out
+
+    return _blockwise(solve, w.shape, w, lo, hi, gh_transform(lo, g, h), gh_transform(hi, g, h))
 
 
 @dataclass(frozen=True, slots=True)
@@ -405,25 +418,24 @@ class GandH(LossModel):
     def _quantile(self, a: np.ndarray) -> np.ndarray:
         return self.a + self.b * gh_transform(ndtri(a), self.g, self.h)
 
-    def _z_of_x(self, x: np.ndarray) -> np.ndarray:
+    def z_of_x(self, x: np.ndarray) -> np.ndarray:
+        """The z with a + b k(z) = x, for an unvalidated array x."""
         return gh_inverse((x - self.a) / self.b, self.g, self.h)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
-        return ndtr(-self._z_of_x(x))
+        return ndtr(-self.z_of_x(x))
 
     def _density(self, x: np.ndarray) -> np.ndarray:
-        z = self._z_of_x(x)
-        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-        return phi / (self.b * gh_transform_deriv(z, self.g, self.h))
+        z = self.z_of_x(x)
+        return normal_pdf(z) / (self.b * gh_transform_deriv(z, self.g, self.h))
 
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
         z = self._z_of_t(t)
         u = self.a + self.b * gh_transform(z, self.g, self.h)
         if np.any(u == 0.0):
             raise PoleError("gandh auxiliary: pole at a t where U(t) = a + b*k(z) = 0")
-        phi = np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
         num = self.b * gh_transform_deriv(z, self.g, self.h)
-        return num / (t * phi * u) - self.h
+        return num / (t * normal_pdf(z) * u) - self.h
 
     def _z_of_t(self, t: np.ndarray) -> np.ndarray:
         # z = -ndtri(1/t) keeps full precision deep in the tail, where
@@ -451,7 +463,7 @@ class GandH(LossModel):
         bias = math.exp(g * g / (2.0 * (1.0 - h)))
         if math.isinf(x) and x > 0:
             return self.a + self.b / g * (bias - 1.0) / s
-        z = float(self._z_of_x(np.asarray(x, dtype=float)))
+        z = float(self.z_of_x(np.asarray(x, dtype=float)))
         term = bias * special.normal_cdf(s * z - g / s) - special.normal_cdf(s * z)
         return self.a * special.normal_cdf(z) + self.b / g * term / s
 
@@ -516,44 +528,37 @@ class ExactHall(LossModel):
     def _t_of_x(self, x: np.ndarray) -> np.ndarray:
         """Invert U(t) = x for t >= 1.
 
-        Newton in s = log t on f(s) = log U(e^s) - log x, from
-        s0 = max(log(x/c)/xi, 0) and clipped at s >= 0. f' lies between xi
-        and f'(0) > 0 and is monotone (f is convex for d > 0 and concave
-        for d < 0), so the iteration converges from either side. With
-        d = -1, U(1) = 0 and f'(0) is infinite, so s starts no lower than
-        min(x/(c e |rho|), 1/xi), which lies below the root because
-        1 - e^(rho s) <= |rho| s and e^(xi s) <= e there, and is clipped at
-        ulp(1)/|rho|, where e^(rho s) rounds below 1 and so U > 0. An element
-        leaves the working set once its step is within a few ulp of
-        max(s, 1), so its value does not depend on the array it is in. The
-        elements are solved in blocks of 2^16 so the working arrays stay
-        small. Where log x is infinite (x = 0 or inf) the start, 0 or inf, is
-        the answer and takes no step; t = e^s may overflow to inf."""
-        x = np.asarray(x, dtype=float)
+        :func:`_newton` solves f(s) = log U(e^s) - log x = 0 in s = log t
+        from s0 = max(log(x/c)/xi, 0) in the bracket [0, inf): f' is
+        monotone between xi and f'(0) > 0 (f is convex for d > 0, concave
+        for d < 0), so Newton converges from either side. With d = -1,
+        U(1) = 0 and f'(0) is infinite, so s starts no lower than
+        min(x/(c e |rho|), 1/xi), below the root as 1 - e^(rho s) <= |rho| s
+        and e^(xi s) <= e there, and the bracket starts at ulp(1)/|rho|,
+        where e^(rho s) rounds below 1 and so U > 0. Where log x is infinite
+        (x = 0 or inf) the start, 0 or inf, is the answer and takes no step;
+        t = e^s may overflow to inf."""
         c, d, xi, rho = self.c, self.d, self.xi, self.rho
-        with np.errstate(divide="ignore"):
-            log_xs = np.log(x.ravel())
-        out = np.maximum((log_xs - math.log(c)) / xi, 0.0)
-        todo = np.flatnonzero(np.isfinite(log_xs))
-        floor = 0.0
-        if 1.0 + d == 0.0:
-            floor = math.ulp(1.0) / -rho
-            s_lo = np.minimum(x.ravel()[todo] / (-c * math.e * rho), 1.0 / xi)
-            out[todo] = np.maximum(out[todo], np.maximum(s_lo, floor))
-        for start in range(0, todo.size, _NEWTON_BLOCK):
-            idx = todo[start : start + _NEWTON_BLOCK]
-            s, log_x = out[idx], log_xs[idx]
-            for _ in range(_NEWTON_MAX_STEPS):
-                tr = np.exp(rho * s)
-                f = math.log(c) + xi * s + np.log1p(d * tr) - log_x
-                s_new = np.maximum(s - f / (xi + d * rho * tr / (1.0 + d * tr)), floor)
-                out[idx] = s_new
-                keep = np.abs(s_new - s) > _NEWTON_TOL * np.maximum(s_new, 1.0)
-                if not keep.any():
-                    break
-                idx, s, log_x = idx[keep], s_new[keep], log_x[keep]
-        with np.errstate(over="ignore"):
-            return np.exp(out).reshape(x.shape)
+        floor = math.ulp(1.0) / -rho if 1.0 + d == 0.0 else 0.0
+
+        def log_u(s, log_x):
+            tr = np.exp(rho * s)
+            f = math.log(c) + xi * s + np.log1p(d * tr) - log_x
+            return f, xi + d * rho * tr / (1.0 + d * tr)
+
+        def solve(x):
+            with np.errstate(divide="ignore"):
+                log_x = np.log(x)
+            s = np.maximum((log_x - math.log(c)) / xi, 0.0)
+            todo = np.flatnonzero(np.isfinite(log_x))
+            if floor:
+                s_lo = np.minimum(x[todo] / (-c * math.e * rho), 1.0 / xi)
+                s[todo] = np.maximum(s[todo], np.maximum(s_lo, floor))
+            s[todo] = _newton(log_u, s[todo], floor, math.inf, 1.0, log_x[todo])
+            with np.errstate(over="ignore"):
+                return np.exp(s)
+
+        return _blockwise(solve, np.shape(x), x)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
         return 1.0 / self._t_of_x(x)

@@ -120,7 +120,7 @@ def test_oracle_concentration_frozen_values():
     assert oracle_concentration(GANDH, 2, 0.9999) == pytest.approx(
         0.9771766, abs=5e-6
     )
-    # bisection-inverse values, at 0.9997 as in bench/reference.json
+    # models whose tails invert by Newton, at 0.9997 as in bench/reference.json
     for model, n, alpha, value in (
         (GANDH, 3, 0.99, 1.20015649),
         (GANDH, 3, 0.9997, 0.99161016),
@@ -143,7 +143,8 @@ def test_oracle_quantile_exact_node_hit():
     idx = int(np.argmin(np.abs(grid.g_tail - 0.75)))
     alpha = 1.0 - float(grid.g_tail[idx])
     assert oracle_quantile(grid, alpha) == float(grid.x[idx])
-    # smaller tails do not round-trip exactly; bisection lands within 1e-11
+    # smaller tails do not round-trip exactly; the Chandrupatla refinement
+    # lands within 1e-11
     for target in (0.01, 1e-6):
         idx = int(np.argmin(np.abs(grid.g_tail - target)))
         alpha = 1.0 - float(grid.g_tail[idx])
@@ -375,6 +376,8 @@ def test_certified_error_within_tier(model):
         (PARETO05, 3, 2.6859186979191526e-08),
         (PARETO05, 4, 7.733491271607174e-09),
         (GANDH, 3, 3.3002146330475457e-07),
+        (HALL, 2, 5.2073761166934795e-12),
+        (HALL, 3, 3.990407017410046e-08),
     ],
 )
 def test_certified_error_pinned(model, n, err):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 
-from tailconc.errors import DomainError, PoleError
+from tailconc import models
+from tailconc.errors import DomainError, PoleError, PrecisionError
 from tailconc.models import (
     _NEWTON_BLOCK,
     Burr,
@@ -281,6 +282,30 @@ def test_gh_inverse_shapes():
     assert z0.shape == () and z0 == z[5]
     assert np.array_equal(gh_inverse(w.reshape(3, 4), g, h, -60.0, 50.0), z.reshape(3, 4))
     assert gh_inverse(np.empty((2, 0)), g, h, -60.0, 50.0).shape == (2, 0)
+
+
+@pytest.mark.parametrize("w", [-0.011368396993758172, -0.007294367106037894])
+def test_gh_inverse_ends_a_cycle_on_its_bracket(w):
+    # Newton cycles within a few ulp of these roots and never takes a step
+    # within 4 ulp; the iterate that lands back on a bracket end stops it
+    z = gh_inverse(np.array([w]), 2.0, 0.5)
+    assert gh_transform(z, 2.0, 0.5)[0] == pytest.approx(w, rel=1e-15)
+
+
+def test_newton_raises_at_the_step_cap(monkeypatch):
+    monkeypatch.setattr(models, "_NEWTON_MAX_STEPS", 1)
+    with pytest.raises(PrecisionError):
+        gh_inverse(np.array([0.5, 3.0]), 2.0, 0.5)
+    with pytest.raises(PrecisionError):
+        ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4).tail(np.array([2.0, 5.0]))
+
+
+def test_exact_hall_keeps_empty_shapes():
+    # gh_inverse's empty case is in test_gh_inverse_shapes
+    m = ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4)
+    empty = np.empty((2, 0))
+    assert m.tail(empty).shape == (2, 0)
+    assert m.density(empty).shape == (2, 0)
 
 
 @pytest.mark.parametrize("size", [_NEWTON_BLOCK - 1, _NEWTON_BLOCK, _NEWTON_BLOCK + 1])
