@@ -321,6 +321,26 @@ def second_order_approx(
     return ApproxResult(c1=c1, c2=c1 + corr, correction=corr, regime=regime, degenerate=False)
 
 
+def second_order_column(
+    model: LossModel, alphas, n: int, closed_form: bool = False
+) -> tuple[float, np.ndarray, Regime, bool]:
+    """A curve's approximation block: the first-order limit, the
+    second-order value at each level (NaN where it is undefined), the
+    regime, with q estimated on the boundary, and the degeneracy flag."""
+    info = model.second_order_info()
+    c1 = first_order_limit(info.xi, n)
+    regime = classify_regime(info)
+    if regime.tag is RegimeTag.BOUNDARY:
+        regime = classify_regime(info, _boundary_q_estimate(model))
+    c2 = np.empty(np.shape(alphas))
+    for i, a in enumerate(alphas):
+        try:
+            c2[i] = second_order_approx(model, float(a), n, regime.q, closed_form).c2
+        except DomainError:
+            c2[i] = math.nan
+    return c1, c2, regime, regime.tag is RegimeTag.DEGENERATE
+
+
 def approach_direction(model: LossModel, n: int) -> ApproachDirection:
     """Direction from which the ratio approaches its limit as alpha -> 1,
     read off the sign of the correction term, together with the limit of

@@ -32,17 +32,11 @@ from .errors import (
     TailconcError,
 )
 from .models import LossModel, model_from_dict, model_to_dict
-from .montecarlo import (
-    DenominatorMode,
-    SimulationConfig,
-    second_order_column,
-    empirical_concentration,
-)
+from .montecarlo import DenominatorMode, SimulationConfig, empirical_concentration
 
 __all__ = ["main", "main_entry"]
 
 _CURVE_COLUMNS = ("alpha", "c_emp", "c_emp_lo", "c_emp_hi", "c1", "c2", "c_oracle")
-_DIAG_COLUMNS = ("kind", "x", "value", "reference", "ratio")
 
 
 class _UsageError(Exception):
@@ -153,8 +147,8 @@ def _fmt(v) -> str:
 
 
 def _json_num(v):
-    if v is None:
-        return None
+    if v is None or isinstance(v, str):
+        return v
     f = float(v)
     if math.isnan(f):
         return None
@@ -163,20 +157,24 @@ def _json_num(v):
     return f
 
 
-def _csv_table(columns, rows) -> str:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c]) for c in columns))
+def _csv_table(table: dict) -> str:
+    lines = [",".join(table)]
+    lines += [",".join(map(_fmt, row)) for row in zip(*table.values())]
     return "\n".join(lines) + "\n"
 
 
-def _json_columns(columns, rows) -> dict:
-    return {c: [_json_num(row[c]) if not isinstance(row[c], str) else row[c] for row in rows] for c in columns}
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _metadata(model: LossModel, args, regime: approx.Regime, degenerate: bool) -> dict:
+def _versions() -> dict:
     import scipy
 
+    return {"tailconc": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _metadata(model: LossModel, args) -> dict:
+    _, _, regime, degenerate = approx.second_order_column(model, (), args.n)
     meta = {
         "model": model_to_dict(model),
         "n": args.n,
@@ -184,11 +182,7 @@ def _metadata(model: LossModel, args, regime: approx.Regime, degenerate: bool) -
         "regime_note": regime.reason,
         "boundary_balance": _json_num(regime.q),
         "degenerate": degenerate,
-        "versions": {
-            "tailconc": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-        },
+        "versions": _versions(),
     }
     for field in ("samples", "batches", "seed", "workers"):
         if hasattr(args, field):
@@ -198,6 +192,18 @@ def _metadata(model: LossModel, args, regime: approx.Regime, degenerate: bool) -
             DenominatorMode.EXACT if args.exact_denominator else DenominatorMode.EMPIRICAL
         ).value
     return meta
+
+
+def _write_table(model: LossModel, args, table: dict) -> int:
+    """Write ``table`` (column name -> values) as CSV, or as JSON columns
+    under a metadata block."""
+    if args.format == "csv":
+        text = _csv_table(table)
+    else:
+        columns = {c: list(map(_json_num, vals)) for c, vals in table.items()}
+        text = _json_text({"metadata": _metadata(model, args), "columns": columns})
+    _write_out(text, args.out)
+    return 0
 
 
 def _write_out(text: str, out: str) -> None:
@@ -242,43 +248,22 @@ def _run_simulation(model: LossModel, args, alphas: np.ndarray):
 def _cmd_curve(model: LossModel, args) -> int:
     alphas = _alpha_grid(args)
     _check_simulation_args(args)
-    curve = None
+    table = dict.fromkeys(_CURVE_COLUMNS, [None] * alphas.size)
+    table["alpha"] = alphas
     if args.samples > 0:
         curve = _run_simulation(model, args, alphas)
-        c1, c2 = curve.c1, curve.c2
-        regime, degenerate = curve.regime, curve.degenerate
+        c1, c2, regime, degenerate = curve.c1, curve.c2, curve.regime, curve.degenerate
+        table.update(c_emp=curve.c_emp, c_emp_lo=curve.band_lo, c_emp_hi=curve.band_hi)
     else:
-        c1, c2, regime, degenerate = second_order_column(
-            model, alphas, args.n, bool(args.hall_closed_form)
+        c1, c2, regime, degenerate = approx.second_order_column(
+            model, alphas, args.n, args.hall_closed_form
         )
-    c_oracle = None
+    table.update(c1=[c1] * alphas.size, c2=c2)
     if args.oracle:
         spec = convolution.GridSpec(tol=args.oracle_tol)
-        c_oracle = convolution.oracle_concentration(model, args.n, alphas, spec)
+        table["c_oracle"] = convolution.oracle_concentration(model, args.n, alphas, spec)
     _stderr_regime(regime, degenerate)
-    rows = []
-    for i, a in enumerate(alphas):
-        rows.append(
-            {
-                "alpha": float(a),
-                "c_emp": float(curve.c_emp[i]) if curve is not None else None,
-                "c_emp_lo": float(curve.band_lo[i]) if curve is not None else None,
-                "c_emp_hi": float(curve.band_hi[i]) if curve is not None else None,
-                "c1": float(c1),
-                "c2": float(c2[i]),
-                "c_oracle": float(c_oracle[i]) if c_oracle is not None else None,
-            }
-        )
-    if args.format == "csv":
-        text = _csv_table(_CURVE_COLUMNS, rows)
-    else:
-        payload = {
-            "metadata": _metadata(model, args, regime, degenerate),
-            "columns": _json_columns(_CURVE_COLUMNS, rows),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_out(text, args.out)
-    return 0
+    return _write_table(model, args, table)
 
 
 def _cmd_crossover(model: LossModel, args) -> int:
@@ -299,12 +284,12 @@ def _cmd_crossover(model: LossModel, args) -> int:
             straddle = (float(alphas[covered[0]]), float(alphas[covered[-1]]))
     if args.format == "json":
         payload = {
-            "metadata": _metadata(model, args, *_regime_pair(model, args.n)),
+            "metadata": _metadata(model, args),
             "analytic_crossover": _json_num(a_star),
             "empirical_bracket": list(bracket) if bracket else None,
             "band_straddles_one": list(straddle) if straddle else None,
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     else:
         lines = []
         if a_star is None:
@@ -330,55 +315,30 @@ def _cmd_crossover(model: LossModel, args) -> int:
     return 0
 
 
-def _regime_pair(model: LossModel, n: int):
-    """The model's regime, with the boundary balance q filled in on the
-    boundary as ``second_order_approx`` reports it, and the degeneracy flag."""
-    regime = approx.classify_regime(model.second_order_info())
-    if regime.tag is approx.RegimeTag.BOUNDARY:
-        regime = approx.second_order_approx(model, 0.999, n).regime
-    return regime, regime.tag is approx.RegimeTag.DEGENERATE
-
-
 def _cmd_diag(model: LossModel, args) -> int:
     alphas = _alpha_grid(args)
     info = model.second_order_info()
     xs = np.atleast_1d(np.asarray(model.quantile(alphas), dtype=float))
     values = np.atleast_1d(convolution.tail_ratio_diagnostic(model, args.n, xs))
     j_const = approx.tail_ratio_limit(info.xi, args.n)
-    rows = []
-    for x, v in zip(xs, values):
-        rows.append(
-            {
-                "kind": "tail_ratio_diag",
-                "x": float(x),
-                "value": float(v),
-                "reference": j_const,
-                "ratio": float(v) / j_const if j_const != 0.0 else None,
-            }
-        )
     hall_like = info.hall_d is not None and math.isfinite(info.rho) and info.rho != 0.0
-    for a in alphas:
-        t = 1.0 / (1.0 - float(a))
-        a_val = float(model.auxiliary(t))
-        ref = info.hall_d * info.rho * t**info.rho if hall_like else None
-        ratio = a_val / ref if ref not in (None, 0.0) else None
-        rows.append({"kind": "auxiliary", "x": t, "value": a_val, "reference": ref, "ratio": ratio})
-    if args.format == "csv":
-        text = _csv_table(_DIAG_COLUMNS, rows)
-    else:
-        payload = {
-            "metadata": _metadata(model, args, *_regime_pair(model, args.n)),
-            "columns": _json_columns(_DIAG_COLUMNS, rows),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    _write_out(text, args.out)
-    return 0
+    ts = [1.0 / (1.0 - float(a)) for a in alphas]
+    aux = [float(model.auxiliary(t)) for t in ts]
+    refs = [info.hall_d * info.rho * t**info.rho if hall_like else None for t in ts]
+    table = {
+        "kind": ["tail_ratio_diag"] * xs.size + ["auxiliary"] * len(ts),
+        "x": [*xs, *ts],
+        "value": [*values, *aux],
+        "reference": [j_const] * xs.size + refs,
+        "ratio": [v / j_const if j_const != 0.0 else None for v in values]
+        + [a / r if r not in (None, 0.0) else None for a, r in zip(aux, refs)],
+    }
+    return _write_table(model, args, table)
 
 
 def _cmd_info(model: LossModel, args) -> int:
     info = model.second_order_info()
-    regime, degenerate = _regime_pair(model, args.n)
-    c1 = approx.first_order_limit(info.xi, args.n)
+    c1, _, regime, degenerate = approx.second_order_column(model, (), args.n)
     direction = approx.approach_direction(model, args.n)
     a_star = approx.crossover(model, args.n)
     mean = model.moments(math.inf)
@@ -414,9 +374,9 @@ def _cmd_info(model: LossModel, args) -> int:
             "approach": direction.direction.value,
             "correction_slope_limit": _json_num(direction.derivative_limit),
             "analytic_crossover": _json_num(a_star),
-            "versions": _metadata(model, args, regime, degenerate)["versions"],
+            "versions": _versions(),
         }
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = _json_text(payload)
     else:
         text = "\n".join(f"{k}: {v}" for k, v in entries) + "\n"
     _write_out(text, args.out)

@@ -42,7 +42,7 @@ from scipy.special import ndtr
 
 from . import approx
 from .errors import DomainError, GridRangeError, PrecisionError, check_int, check_levels, check_real
-from .models import GandH, LossModel, gh_inverse, gh_transform, gh_transform_deriv, normal_pdf
+from .models import GandH, LossModel, gh_inverse, gh_transform, gh_transform_deriv, normal_pdf, panel_rule
 
 __all__ = [
     "GridSpec",
@@ -95,38 +95,6 @@ class GridSpec:
         return self.tol if n == 2 else max(self.tol, _PAIRWISE_TOL)
 
 
-# Relative panel edges on (0, 1), clustered toward both endpoints. The
-# right-end clustering resolves the boundary layer of width ~F(x/2)/u_hi;
-# the left end covers integrable steepness of Q near u = 0.
-_REL_EDGES = np.concatenate(
-    [
-        np.array(
-            [0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.03,
-             0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
-        ),
-        1.0
-        - np.array(
-            [1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-7,
-             1e-8, 1e-9, 1e-10, 1e-12, 1e-14, 0.0]
-        ),
-    ]
-)
-
-
-@lru_cache(maxsize=8)
-def _panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on (0, 1) over the clustered panels."""
-    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
-    nodes = []
-    weights = []
-    for lo, hi in zip(_REL_EDGES[:-1], _REL_EDGES[1:]):
-        mid = 0.5 * (lo + hi)
-        half = 0.5 * (hi - lo)
-        nodes.append(mid + half * gl_x)
-        weights.append(half * gl_w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _gbar2_positive(model: LossModel, x: np.ndarray, order: int) -> np.ndarray:
     """Two-fold convolution tail for a positive-support model, vectorized."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -138,7 +106,7 @@ def _gbar2_positive(model: LossModel, x: np.ndarray, order: int) -> np.ndarray:
     xl = x[live]
     half_tail = np.asarray(model.tail(xl / 2.0))
     u_hi = 1.0 - half_tail
-    v, wts = _panel_rule(order)
+    v, wts = panel_rule(order)
     u_nodes = u_hi[:, None] * v[None, :]
     args = xl[:, None] - np.asarray(model.quantile(u_nodes))
     np.maximum(args, smin, out=args)
@@ -175,7 +143,7 @@ def _gbar_step_positive(
     xl = x[live]
     split = np.where(xl >= 2.0 * m_prev, 0.5 * xl, xl - m_prev)
     first = np.asarray(model.tail(np.maximum(xl - m_prev, smin)))
-    v, wts = _panel_rule(order)
+    v, wts = panel_rule(order)
     # single loss below the split point, previous-level tail inside
     u_hi = 1.0 - np.asarray(model.tail(np.maximum(split, smin)))
     u_nodes = u_hi[:, None] * v[None, :]
@@ -198,7 +166,7 @@ def _gbar2_gandh(model: GandH, x: np.ndarray, order: int) -> np.ndarray:
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b, g, h = model.a, model.b, model.g, model.h
     z_star = model.z_of_x(0.5 * x)
-    v, wts = _panel_rule(order)
+    v, wts = panel_rule(order)
     span = np.maximum(z_star - _GH_Z_LO, 0.0)
     z_nodes = _GH_Z_LO + span[:, None] * v[None, :]
     rem = (x[:, None] - 2.0 * a) / b - gh_transform(z_nodes, g, h)
@@ -231,7 +199,7 @@ def _gbar_step_gandh(
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     a, b, g, h = model.a, model.b, model.g, model.h
-    v, wts = _panel_rule(order)
+    v, wts = panel_rule(order)
     z_split = model.z_of_x(0.5 * x)
     out = np.empty(x.shape)
 

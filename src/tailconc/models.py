@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -54,6 +55,37 @@ class SecondOrderInfo:
     mean_finite: bool
 
 
+# Relative panel edges on (0, 1), clustered toward both endpoints. The
+# right-end clustering resolves the oracle's boundary layer of width
+# ~F(x/2)/u_hi; the left end covers integrable steepness of Q near u = 0.
+_REL_EDGES = np.concatenate(
+    [
+        np.array(
+            [0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 1e-2, 0.03,
+             0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95]
+        ),
+        1.0
+        - np.array(
+            [1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 1e-5, 1e-6, 1e-7,
+             1e-8, 1e-9, 1e-10, 1e-12, 1e-14, 0.0]
+        ),
+    ]
+)
+_MOMENT_ORDER = 24  # Gauss-Legendre nodes per panel of a truncated mean
+_LOG_MAX = math.log(np.finfo(float).max)
+
+
+@lru_cache(maxsize=8)
+def panel_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on (0, 1) over the clustered panels:
+    the package's one quadrature rule, shared by truncated means and the
+    convolution oracle."""
+    gl_x, gl_w = np.polynomial.legendre.leggauss(order)
+    half = 0.5 * np.diff(_REL_EDGES)[:, None]
+    mid = 0.5 * (_REL_EDGES[:-1] + _REL_EDGES[1:])[:, None]
+    return (mid + half * gl_x).ravel(), (half * gl_w).ravel()
+
+
 def _like(out: np.ndarray, arg: np.ndarray):
     return float(out) if arg.ndim == 0 else out
 
@@ -78,7 +110,7 @@ class LossModel:
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw variates using the supplied generator (inverse transform)."""
-        raise NotImplementedError
+        return self._quantile(rng.random(size))
 
     # ----- shared surface -----
     @property
@@ -125,7 +157,7 @@ class LossModel:
     def moments(self, x: float) -> float:
         """Truncated first moment: integral of t dF(t) from the lower end of
         the support up to x (x = inf gives the mean, possibly inf)."""
-        return self._moments(float(check_array(f"{self.kind} moments: x", x, self.support_min)))
+        return float(self._moments(float(check_array(f"{self.kind} moments: x", x, self.support_min))))
 
     def _moments(self, x: float) -> float:
         raise NotImplementedError
@@ -133,28 +165,25 @@ class LossModel:
     def second_order_info(self) -> SecondOrderInfo:
         raise NotImplementedError
 
-    # generic quantile-space quadrature for truncated means, used where no
-    # closed form exists: integral of Q(u) du over [0, F(x)].
+    # generic quadrature for truncated means, used where no closed form
+    # exists: the integral of Q(u) du over [0, F(x)], taken in u up to the
+    # median and above it in s = -log(1 - u), where it is the integral of
+    # U(e^s) e^-s ds up to -log F_bar(x), so that no level rounds toward 1.
+    # Levels above 1 - e^-709, where e^s overflows, are left out.
     def _truncated_mean_quad(self, x: float) -> float:
-        u_hi = 1.0 - float(self._tail(np.asarray(x, dtype=float)))
-        if u_hi <= 0.0:
-            return 0.0
-        edges = np.concatenate(
-            [
-                [0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3, 0.5, 0.7, 0.9],
-                1.0 - np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6, 1e-8, 1e-10, 1e-12, 1e-14, 0.0]),
-            ]
-        )
-        gl_x, gl_w = np.polynomial.legendre.leggauss(24)
-        total = 0.0
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            a_lo, a_hi = lo * u_hi, hi * u_hi
-            if a_hi <= a_lo:
-                continue
-            mid = 0.5 * (a_lo + a_hi)
-            half = 0.5 * (a_hi - a_lo)
-            nodes = mid + half * gl_x
-            total += half * float(np.sum(gl_w * self._quantile(nodes)))
+        tail = float(self._tail(np.asarray(x, dtype=float)))
+        v, w = panel_rule(_MOMENT_ORDER)
+        u_hi = min(1.0 - tail, 0.5)
+        total = u_hi * float(w @ self._quantile(u_hi * v))
+        if tail < 0.5:
+            s_lo = math.log(2.0)
+            s_hi = min(-math.log(tail), _LOG_MAX) if tail > 0.0 else _LOG_MAX
+            s = s_lo + (s_hi - s_lo) * v
+            with np.errstate(over="ignore"):
+                q = self._tail_quantile(np.exp(s))
+            if not np.isfinite(q).all():
+                raise PrecisionError(f"{self.kind} moments: the tail rounds to 0 below x = {x:g}")
+            total += (s_hi - s_lo) * float(w @ (q * np.exp(-s)))
         return total
 
 
@@ -188,10 +217,6 @@ class Pareto(LossModel):
 
     def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
         return t**self.xi
-
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        u = rng.random(size)
-        return np.exp(-self.xi * np.log1p(-u))
 
     def _moments(self, x: float) -> float:
         xi = self.xi
@@ -252,10 +277,6 @@ class Burr(LossModel):
 
     def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
         return np.expm1(np.log(t) / self.kappa) ** (1.0 / self.tau)
-
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        u = rng.random(size)
-        return np.expm1(-np.log1p(-u) / self.kappa) ** (1.0 / self.tau)
 
     def _moments(self, x: float) -> float:
         tau, kappa = self.tau, self.kappa
@@ -368,8 +389,12 @@ def gh_inverse(w, g: float, h: float, lo=-60.0, hi=50.0) -> np.ndarray:
         out = np.where(w >= k_hi, hi, lo)
         out[np.isnan(w)] = np.nan
         inside = (w > k_lo) & (w < k_hi)
-        out[inside & (w == 0.0)] = 0.0
-        idx = np.flatnonzero(inside & (w != 0.0))
+        # k(z) = z (1 + g z/2 + ...): where |w| min(g, 1) is below the
+        # smallest normal double, w is the root to double precision, and
+        # the Newton step would meet a subnormal or overflowing g/em1
+        exact = inside & (np.abs(w) * min(g, 1.0) < np.finfo(float).tiny)
+        out[exact] = w[exact]
+        idx = np.flatnonzero(inside & ~exact)
         w = w[idx]
         pos = w > 0.0
         # |k| increases with |z| and k has the sign of z
@@ -579,10 +604,6 @@ class ExactHall(LossModel):
 
     def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
         return self._u_of_t(t)
-
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        u = rng.random(size)
-        return self._quantile(u)
 
     def _moments(self, x: float) -> float:
         c, d, xi, rho = self.c, self.d, self.xi, self.rho

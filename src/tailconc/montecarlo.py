@@ -116,28 +116,6 @@ def _order_stat_quantiles(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return part[ks - 1]
 
 
-def second_order_column(
-    model: LossModel, alphas: np.ndarray, n: int, closed_form: bool
-) -> tuple[float, np.ndarray, approx.Regime, bool]:
-    """First-order limit, second-order values at each level (NaN where the
-    approximation is undefined), regime and degeneracy flag of a curve."""
-    info = model.second_order_info()
-    c1 = approx.first_order_limit(info.xi, n)
-    vals = np.empty(alphas.shape)
-    regime = approx.classify_regime(info)
-    degenerate = regime.tag is approx.RegimeTag.DEGENERATE
-    for i, a in enumerate(alphas):
-        try:
-            res = approx.second_order_approx(model, float(a), n, closed_form=closed_form)
-        except DomainError:
-            vals[i] = math.nan
-            continue
-        regime = res.regime
-        degenerate = res.degenerate
-        vals[i] = res.c2
-    return c1, vals, regime, degenerate
-
-
 def empirical_concentration(
     model: LossModel,
     config: SimulationConfig,
@@ -196,7 +174,7 @@ def empirical_concentration(
         hi = c_emp.copy()
     np.minimum(lo, c_emp, out=lo)
     np.maximum(hi, c_emp, out=hi)
-    c1, c2, regime, degenerate = second_order_column(model, alphas, n, closed_form)
+    c1, c2, regime, degenerate = approx.second_order_column(model, alphas, n, closed_form)
     return ConcentrationCurve(
         alphas=alphas,
         c_emp=c_emp,

@@ -384,3 +384,21 @@ def test_curve_values_are_seventeen_digit_reals(capsys):
             assert math.isfinite(value)
             # 17 significant digits round-trip doubles exactly
             assert f"{value:.17g}" == row[key]
+
+
+def test_hall_closed_form_c2_on_both_curve_paths(capsys):
+    """--hall-closed-form reaches c2 alike without and with simulation, and
+    moves it off the default on the catalogue Hall model."""
+    hall = '{"kind": "hall", "c": 1.0, "d": -0.3, "xi": 0.8, "rho": -0.4}'
+
+    def c2(*extra):
+        code, out, _ = run(capsys, "curve", "--model", hall, "--n", "2", "--points", "5", *extra)
+        assert code == 0
+        return [row["c2"] for row in parse_csv(out)[1]]
+
+    closed = c2("--samples", "0", "--hall-closed-form")
+    assert c2("--samples", "20000", "--batches", "4", "--hall-closed-form") == closed
+    default = c2("--samples", "0")
+    assert all(a != b for a, b in zip(closed, default))
+    assert float(default[0]) == pytest.approx(0.8915, abs=1e-4)
+    assert float(closed[0]) == pytest.approx(0.8896, abs=1e-4)

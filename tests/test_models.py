@@ -117,9 +117,31 @@ def test_pareto_unit_tail_index_moments():
 def test_burr_truncated_mean_closed_form():
     # tau=1, kappa=2: integral of t * 2(1+t)^(-3) from 0 to x is (x/(1+x))^2
     m = Burr(tau=1.0, kappa=2.0)
-    for x in (0.5, 3.0, 50.0, 1e4):
-        assert m.moments(x) == pytest.approx((x / (1.0 + x)) ** 2, rel=1e-9)
+    for x in (0.5, 3.0, 50.0, 1e4, 1e6, 1e9, 1e15):
+        assert m.moments(x) == pytest.approx((x / (1.0 + x)) ** 2, rel=1e-12)
     assert m.moments(math.inf) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_burr_infinite_mean_truncated_mean_closed_form():
+    # tau=kappa=1: integral of t (1+t)^(-2) from 0 to x is log1p(x) - x/(1+x),
+    # the b(x) that the boundary balance of Burr(1, 1) reads at x ~ 1e8
+    m = Burr(tau=1.0, kappa=1.0)
+    for x in (0.5, 3.0, 1e4, 1e8, 1e15, 1e30, 1e300):
+        assert m.moments(x) == pytest.approx(math.log1p(x) - x / (1.0 + x), rel=1e-12)
+
+
+def test_burr_truncated_mean_reaches_the_mean_deep_in_the_tail():
+    # F(1e15) rounds to 1; the mean B(4, 4)/0.25 = 1/35 is reached in tail space
+    value = Burr(tau=0.25, kappa=8.0).moments(1e15)
+    assert type(value) is float
+    assert value == pytest.approx(1.0 / 35.0, rel=1e-12)
+
+
+def test_truncated_mean_raises_where_the_tail_rounds_to_zero():
+    # x^tau overflows, so the computed tail of 1e200 is 0 and the quantile
+    # overflows before it reaches x
+    with pytest.raises(PrecisionError):
+        Burr(tau=2.0, kappa=0.5).moments(1e200)
 
 
 def test_burr_unit_mean_is_exact():
@@ -210,6 +232,26 @@ def test_sample_deterministic(model: LossModel):
         assert np.all(a >= lo)
 
 
+@pytest.mark.parametrize(
+    "model, inverse",
+    [
+        (Pareto(xi=0.5), lambda u: np.exp(-0.5 * np.log1p(-u))),
+        (Pareto(xi=1.25), lambda u: np.exp(-1.25 * np.log1p(-u))),
+        (Burr(tau=0.25, kappa=8.0), lambda u: np.expm1(-np.log1p(-u) / 8.0) ** 4.0),
+        (Burr(tau=1.0, kappa=2.0), lambda u: np.expm1(-np.log1p(-u) / 2.0) ** 1.0),
+        (ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4),
+         lambda u: (1.0 / (1.0 - u)) ** 0.8 * (1.0 - 0.3 * (1.0 / (1.0 - u)) ** -0.4)),
+    ],
+    ids=lambda v: repr(v) if isinstance(v, LossModel) else "",
+)
+def test_draw_is_the_inverse_transform(model, inverse):
+    """Draws are the model quantile of uniforms, bit for bit: Monte Carlo
+    output depends on these exact operations."""
+    draws = model.draw(np.random.Generator(np.random.PCG64(5)), (1000, 3))
+    u = np.random.Generator(np.random.PCG64(5)).random((1000, 3))
+    assert np.array_equal(draws, inverse(u))
+
+
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + repr(m))
 def test_draws_match_distribution(model: LossModel):
     """Empirical survival frequencies at fixed quantiles, 200k draws."""
@@ -290,6 +332,14 @@ def test_gh_inverse_ends_a_cycle_on_its_bracket(w):
     # within 4 ulp; the iterate that lands back on a bracket end stops it
     z = gh_inverse(np.array([w]), 2.0, 0.5)
     assert gh_transform(z, 2.0, 0.5)[0] == pytest.approx(w, rel=1e-15)
+
+
+@pytest.mark.parametrize("g", [0.1, 2.0])
+@pytest.mark.parametrize("w", [5e-324, -5e-324, 1e-320, -1e-320, 1e-310, -1e-310])
+def test_gh_inverse_of_subnormal_w_is_w(w, g):
+    # k(z) = z (1 + g z/2 + ...), so w is the root to double precision
+    assert gh_inverse(np.array([w]), g, 0.5)[0] == w
+    assert GandH(a=0.0, b=1.0, g=g, h=0.5).tail(w) == 0.5
 
 
 def test_newton_raises_at_the_step_cap(monkeypatch):
