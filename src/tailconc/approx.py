@@ -278,6 +278,15 @@ def _boundary_q_estimate(model: LossModel) -> float:
     return b_val / a_val
 
 
+def _model_regime(model: LossModel) -> Regime:
+    """The model's regime, with q estimated once on the boundary."""
+    info = model.second_order_info()
+    regime = classify_regime(info)
+    if regime.tag is RegimeTag.BOUNDARY:
+        return classify_regime(info, _boundary_q_estimate(model))
+    return regime
+
+
 def _boundary_coefficient(info: SecondOrderInfo, n: int, q: float) -> float:
     """Coefficient multiplying the auxiliary function on the boundary:
     the fast-type term (weighted by q) plus the slow-type kernel term."""
@@ -329,9 +338,7 @@ def second_order_column(
     regime, with q estimated on the boundary, and the degeneracy flag."""
     info = model.second_order_info()
     c1 = first_order_limit(info.xi, n)
-    regime = classify_regime(info)
-    if regime.tag is RegimeTag.BOUNDARY:
-        regime = classify_regime(info, _boundary_q_estimate(model))
+    regime = _model_regime(model)
     c2 = np.empty(np.shape(alphas))
     for i, a in enumerate(alphas):
         try:
@@ -354,21 +361,17 @@ def approach_direction(model: LossModel, n: int) -> ApproachDirection:
     n = check_int("n", n, 2)
     info = model.second_order_info()
     xi = info.xi
-    regime = classify_regime(info)
+    regime = _model_regime(model)
     if regime.tag is RegimeTag.DEGENERATE:
         return ApproachDirection(Direction.MODEL_DEPENDENT, 0.0)
     if regime.tag is RegimeTag.FAST:
-        if xi < 1.0:
-            # correction ~ ((n-1)/n) mu (1-alpha)^xi / c > 0, slope -> -inf
+        if xi <= 1.0:
+            # correction ~ ((n-1)/n) mu (1-alpha)^xi / c > 0, slope -> -inf; at
+            # xi = 1 (an infinite mean in every catalogue model) it goes as
+            # (1-alpha) log(1/(1-alpha)), with the same slope
             return ApproachDirection(Direction.FROM_ABOVE, -math.inf)
-        if xi == 1.0:
-            if not info.mean_finite:
-                return ApproachDirection(Direction.FROM_ABOVE, -math.inf)
-            c = info.hall_c if info.hall_c is not None else 1.0
-            slope = -((n - 1.0) / n) * model.moments(math.inf) / c
-            return ApproachDirection(Direction.FROM_ABOVE, slope)
-        # xi > 1: correction = n^(xi-2) (n-1) xi c(xi) (1-alpha)/(xi-1) + o(1-alpha)
-        slope = -(n ** (xi - 2.0)) * (n - 1.0) * xi * convolution_constant(xi) / (xi - 1.0)
+        # xi > 1: correction = K(n) (1-alpha)/(xi-1) + o(1-alpha)
+        slope = -correction_coefficient(xi, info.rho, n) / (xi - 1.0)
         if xi < 2.0:
             return ApproachDirection(Direction.FROM_ABOVE, slope)
         return ApproachDirection(Direction.FROM_BELOW, slope)
@@ -384,8 +387,7 @@ def approach_direction(model: LossModel, n: int) -> ApproachDirection:
             return ApproachDirection(direction, -sign * math.inf)
         return ApproachDirection(Direction.MODEL_DEPENDENT, math.nan)
     # boundary
-    q_eff = _boundary_q_estimate(model)
-    coeff = _boundary_coefficient(info, n, q_eff)
+    coeff = _boundary_coefficient(info, n, regime.q)
     probe = model.auxiliary(1.0 / (1.0 - _Q_PROBE_ALPHA))
     sign = math.copysign(1.0, coeff * probe)
     direction = Direction.FROM_ABOVE if sign > 0 else Direction.FROM_BELOW
@@ -409,9 +411,10 @@ def crossover(
     n = check_int("n", n, 2)
     alpha_lo = check_real("crossover: alpha_lo", alpha_lo, 0.0, 1.0)
     alpha_hi = check_real("crossover: alpha_hi", alpha_hi, alpha_lo, 1.0)
+    q = _model_regime(model).q
 
     def f(a: float) -> float:
-        return second_order_approx(model, a, n).c2 - 1.0
+        return second_order_approx(model, a, n, q).c2 - 1.0
 
     lo, hi = alpha_lo, alpha_hi
     f_lo, f_hi = f(lo), f(hi)

@@ -182,7 +182,7 @@ class LossModel:
             with np.errstate(over="ignore"):
                 q = self._tail_quantile(np.exp(s))
             if not np.isfinite(q).all():
-                raise PrecisionError(f"{self.kind} moments: the tail rounds to 0 below x = {x:g}")
+                raise PrecisionError(f"{self.kind} moments: the tail quantile overflows below x = {x:g}")
             total += (s_hi - s_lo) * float(w @ (q * np.exp(-s)))
         return total
 
@@ -259,15 +259,24 @@ class Burr(LossModel):
         core = np.expm1(-np.log1p(-a) / self.kappa)
         return core ** (1.0 / self.tau)
 
+    # where x^tau overflows, 1 + x^tau is x^tau to double precision and the
+    # tail and density take their power forms x^(-tau kappa) and
+    # kappa tau x^(-tau kappa - 1)
     def _tail(self, x: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):
-            return (1.0 + x**self.tau) ** (-self.kappa)
+        with np.errstate(divide="ignore", over="ignore"):
+            xt = x**self.tau
+            out = (1.0 + xt) ** (-self.kappa)
+            big = np.isinf(xt)
+            return np.where(big, x ** (-self.tau * self.kappa), out) if big.any() else out
 
     def _density(self, x: np.ndarray) -> np.ndarray:
         tau, kappa = self.tau, self.kappa
-        with np.errstate(divide="ignore", over="ignore"):
-            xt = x ** (tau - 1.0)
-            out = kappa * tau * xt * (1.0 + x**tau) ** (-kappa - 1.0)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            xt = x**tau
+            out = kappa * tau * x ** (tau - 1.0) * (1.0 + xt) ** (-kappa - 1.0)
+            big = np.isinf(xt)
+            if big.any():
+                out = np.where(big, kappa * tau * x ** (-tau * kappa - 1.0), out)
         if tau == 1.0:
             out = np.where(x == 0.0, kappa, out)
         return out

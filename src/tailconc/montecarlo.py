@@ -154,13 +154,9 @@ def empirical_concentration(
         return num / den
 
     ratios = np.empty((config.batches, alphas.size))
-    if workers == 1:
-        for b in range(config.batches):
-            ratios[b] = run_batch(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for b, row in enumerate(pool.map(run_batch, range(config.batches))):
-                ratios[b] = row
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        for b, row in enumerate(pool.map(run_batch, range(config.batches))):
+            ratios[b] = row
     c_emp = ratios.mean(axis=0)
     if config.batches >= 40:
         lo = np.percentile(ratios, 2.5, axis=0)

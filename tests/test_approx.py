@@ -383,3 +383,16 @@ def test_crossover_argument_validation():
         crossover(GANDH, 2, 0.99, 0.9)
     with pytest.raises(DomainError):
         crossover(GANDH, 2, 0.0, 0.999)
+
+
+def test_boundary_q_is_estimated_once_per_call(monkeypatch):
+    # crossover evaluates the second-order curve at some 260 levels, all
+    # with the same boundary balance q, so q is estimated once
+    calls = []
+    estimate = approx._boundary_q_estimate
+    monkeypatch.setattr(approx, "_boundary_q_estimate", lambda m: calls.append(m) or estimate(m))
+    model = Burr(tau=1.0, kappa=1.0)
+    crossover(model, 2)
+    assert len(calls) == 1
+    approach_direction(model, 2)
+    assert len(calls) == 2

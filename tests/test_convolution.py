@@ -271,6 +271,16 @@ def test_stored_tails_are_fresh_tails(model, n):
     assert np.array_equal(grid.fresh_tail(grid.x[idx]), grid.g_tail[idx])
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_gandh_step_is_elementwise_on_both_sides_of_the_median(n):
+    """The g-and-h step runs the rows left and right of the single-loss
+    median (x = 0 here) through the same body, each side on its own: a
+    mixed vector gives, bit for bit, what each argument gives alone."""
+    grid = convolve_tail(GANDH, n)
+    w = np.array([-3.0, -0.5, 0.0, 0.2, 1.0, 7.0, 400.0])
+    assert np.array_equal(grid.fresh_tail(w), [grid.fresh_tail(v) for v in w])
+
+
 @pytest.mark.parametrize(
     ("name", "n"), [("_gbar2_positive", 2), ("_gbar_step_positive", 3)]
 )

@@ -1,6 +1,8 @@
-"""The package and its scripts reach no private name across a module
-boundary: no ``from .x import _name`` and no ``obj._attr`` read on anything
-but ``self`` or ``cls``. Tests may reach private names; they are not scanned."""
+"""The package's layout. Its scripts and modules reach no private name
+across a module boundary: no ``from .x import _name`` and no ``obj._attr``
+read on anything but ``self`` or ``cls`` (tests may; they are not scanned).
+The panel rule has one caller per quadrature family, and the package's
+public names are declared once, in each module's ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -36,3 +38,48 @@ def test_scan_finds_private_access():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_private_cross_module_access(path):
     assert private_uses(path.read_text()) == []
+
+
+def callers(source: str, callee: str) -> list:
+    """The innermost function around each call of ``callee`` (None at module level)."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == callee:
+                    found.append(owner)
+            visit(child, owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_callers_scan():
+    source = "def f():\n    def g():\n        rule(1)\n    m.rule(2)\nrule(3)\n"
+    assert callers(source, "rule") == ["g", "f", None]
+
+
+def test_panel_rule_has_one_caller_per_quadrature_family():
+    # the oracle's integrals all go through convolution._integrate; the
+    # truncated mean keeps its dot product with the rule's weights, which
+    # rounds differently from the row sum and reaches the bytes of `info`
+    found = [name for path in SOURCES for name in callers(path.read_text(), "panel_rule")]
+    assert sorted(found) == ["_integrate", "_truncated_mean_quad"]
+
+
+def test_public_api_is_the_union_of_the_module_lists():
+    import tailconc
+    from tailconc import approx, convolution, errors, models, montecarlo
+
+    names = tailconc.__all__
+    assert len(names) == len(set(names))
+    modules = (errors, models, approx, convolution, montecarlo)
+    assert set(names) == {"__version__"}.union(*(m.__all__ for m in modules))
+    for name in names:
+        assert getattr(tailconc, name) is not None

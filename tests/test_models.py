@@ -138,8 +138,8 @@ def test_burr_truncated_mean_reaches_the_mean_deep_in_the_tail():
 
 
 def test_truncated_mean_raises_where_the_tail_rounds_to_zero():
-    # x^tau overflows, so the computed tail of 1e200 is 0 and the quantile
-    # overflows before it reaches x
+    # the tail of 1e200 is 1e-200, but U(t) = expm1(2 log t)^(1/2) overflows
+    # in expm1 before it reaches x
     with pytest.raises(PrecisionError):
         Burr(tau=2.0, kappa=0.5).moments(1e200)
 
@@ -162,6 +162,19 @@ def test_burr_matches_shifted_pareto():
     p = Pareto(xi=0.5)
     a = np.array([0.3, 0.9, 0.999, 1.0 - 1e-8])
     assert np.allclose(b.quantile(a), p.quantile(a) - 1.0, rtol=1e-12)
+
+
+def test_burr_tail_and_density_where_x_tau_overflows():
+    # x^tau is inf there, yet the tail is x^(-tau kappa) and the density
+    # kappa tau x^(-tau kappa - 1), both normal doubles
+    b = Burr(tau=4.0, kappa=0.1)
+    assert b.tail(1e100) == pytest.approx(1e-40, rel=1e-12, abs=0.0)
+    assert b.density(1e100) == pytest.approx(4e-141, rel=1e-12, abs=0.0)
+    assert Burr(tau=2.0, kappa=0.5).tail(1e200) == pytest.approx(1e-200, rel=1e-12, abs=0.0)
+    # where x^tau is finite the closed forms are evaluated as written
+    x = np.array([0.0, 0.5, 3.0, 1e30, 1e77])
+    assert np.array_equal(b.tail(x), (1.0 + x**4.0) ** -0.1)
+    assert np.array_equal(b.density(x), 0.1 * 4.0 * x**3.0 * (1.0 + x**4.0) ** -1.1)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + repr(m))
