@@ -350,52 +350,33 @@ def second_order_column(
 
 def approach_direction(model: LossModel, n: int) -> ApproachDirection:
     """Direction from which the ratio approaches its limit as alpha -> 1,
-    read off the sign of the correction term, together with the limit of
-    d(correction)/d(alpha).
+    with the limit of d(correction)/d(alpha).
 
-    A positive correction near alpha = 1 means the ratio sits above its
-    limit (approach from above); negative means from below. Where the sign
-    depends on unavailable model constants the direction is reported as
-    model-dependent.
+    The direction is the sign of the correction :func:`second_order_approx`
+    gives at alpha = 1 - 1e-8 with closed-form amplitudes (a numeric one is
+    0 where the quantile overflows): positive is from above, negative from
+    below, and the degenerate case is model-dependent. The slope is finite
+    where the amplitude goes as 1 - alpha (the fast regime with xi > 1, and
+    the boundary with rho = -1 and Hall constants); elsewhere it diverges,
+    opposite in sign to the correction.
     """
     n = check_int("n", n, 2)
     info = model.second_order_info()
-    xi = info.xi
+    xi, rho = info.xi, info.rho
     regime = _model_regime(model)
     if regime.tag is RegimeTag.DEGENERATE:
         return ApproachDirection(Direction.MODEL_DEPENDENT, 0.0)
-    if regime.tag is RegimeTag.FAST:
-        if xi <= 1.0:
-            # correction ~ ((n-1)/n) mu (1-alpha)^xi / c > 0, slope -> -inf; at
-            # xi = 1 (an infinite mean in every catalogue model) it goes as
-            # (1-alpha) log(1/(1-alpha)), with the same slope
-            return ApproachDirection(Direction.FROM_ABOVE, -math.inf)
-        # xi > 1: correction = K(n) (1-alpha)/(xi-1) + o(1-alpha)
-        slope = -correction_coefficient(xi, info.rho, n) / (xi - 1.0)
-        if xi < 2.0:
-            return ApproachDirection(Direction.FROM_ABOVE, slope)
-        return ApproachDirection(Direction.FROM_BELOW, slope)
-    if regime.tag is RegimeTag.SLOW:
-        k = correction_coefficient(xi, info.rho, n)
-        if model.kind == "gandh":
-            return ApproachDirection(Direction.FROM_ABOVE, -math.inf)
-        if info.hall_d is not None:
-            sign = math.copysign(1.0, info.hall_d * info.rho * k)
-            # amplitude ~ d rho (1-alpha)^(-rho) with -1 < rho <= 0 here, so
-            # its alpha-derivative diverges, opposite in sign to the correction
-            direction = Direction.FROM_ABOVE if sign > 0 else Direction.FROM_BELOW
-            return ApproachDirection(direction, -sign * math.inf)
-        return ApproachDirection(Direction.MODEL_DEPENDENT, math.nan)
-    # boundary
-    coeff = _boundary_coefficient(info, n, regime.q)
-    probe = model.auxiliary(1.0 / (1.0 - _Q_PROBE_ALPHA))
-    sign = math.copysign(1.0, coeff * probe)
+    corr = second_order_approx(model, _Q_PROBE_ALPHA, n, regime.q, closed_form=True).correction
+    sign = math.copysign(1.0, corr)
     direction = Direction.FROM_ABOVE if sign > 0 else Direction.FROM_BELOW
-    if info.rho == -1.0 and info.hall_d is not None:
+    if regime.tag is RegimeTag.FAST and xi > 1.0:
+        # correction = K(n) (1-alpha)/(xi-1) + o(1-alpha)
+        return ApproachDirection(direction, -correction_coefficient(xi, rho, n) / (xi - 1.0))
+    if regime.tag is RegimeTag.BOUNDARY and rho == -1.0 and info.hall_d is not None:
         # a(t) ~ d rho / t, so d(correction)/d(alpha) -> coeff * d * rho^2
-        slope = coeff * info.hall_d * info.rho * info.rho
+        slope = _boundary_coefficient(info, n, regime.q) * info.hall_d * rho * rho
         return ApproachDirection(direction, slope)
-    return ApproachDirection(direction, -math.inf if sign > 0 else math.inf)
+    return ApproachDirection(direction, -sign * math.inf)
 
 
 def crossover(
@@ -423,19 +404,16 @@ def crossover(
     if f_hi == 0.0:
         return hi
     if f_lo * f_hi > 0:
-        # scan a log-spaced grid in 1-alpha for a sign change
+        # scan a log-spaced grid in 1-alpha for the first sign change
         grid = 1.0 - np.geomspace(1.0 - alpha_lo, 1.0 - alpha_hi, 257)
-        vals = [f(float(a)) for a in grid]
-        bracket = None
-        for i in range(len(grid) - 1):
-            if vals[i] == 0.0:
-                return float(grid[i])
-            if vals[i] * vals[i + 1] < 0:
-                bracket = (float(grid[i]), float(grid[i + 1]), vals[i])
-                break
-        if bracket is None:
+        vals = np.array([f(float(a)) for a in grid])
+        hits = np.flatnonzero((vals[:-1] == 0) | (vals[:-1] * vals[1:] < 0))
+        if not hits.size:
             return None
-        lo, hi, f_lo = bracket
+        i = hits[0]
+        if vals[i] == 0.0:
+            return float(grid[i])
+        lo, hi, f_lo = float(grid[i]), float(grid[i + 1]), float(vals[i])
     while hi - lo > 1e-7:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)

@@ -275,10 +275,9 @@ def _cmd_crossover(model: LossModel, args) -> int:
     if args.samples > 0:
         curve = _run_simulation(model, args, alphas)
         gap = curve.c_emp - 1.0
-        for i in range(alphas.size - 1):
-            if gap[i] == 0.0 or gap[i] * gap[i + 1] < 0.0:
-                bracket = (float(alphas[i]), float(alphas[i + 1]))
-                break
+        hits = np.flatnonzero((gap[:-1] == 0) | (gap[:-1] * gap[1:] < 0))
+        if hits.size:
+            bracket = (float(alphas[hits[0]]), float(alphas[hits[0] + 1]))
         covered = np.nonzero((curve.band_lo <= 1.0) & (curve.band_hi >= 1.0))[0]
         if covered.size:
             straddle = (float(alphas[covered[0]]), float(alphas[covered[-1]]))
@@ -360,21 +359,15 @@ def _cmd_info(model: LossModel, args) -> int:
     ]
     if args.format == "json":
         payload = {
-            "model": model_to_dict(model),
-            "n": args.n,
+            **_metadata(model, args),
             "support_min": _json_num(model.support_min),
             "mean": _json_num(mean),
             "tail_index": _json_num(info.xi),
             "second_order_index": _json_num(info.rho),
-            "regime": regime.tag.value,
-            "regime_note": regime.reason,
-            "boundary_balance": _json_num(regime.q),
-            "degenerate": degenerate,
             "first_order_limit": _json_num(c1),
             "approach": direction.direction.value,
             "correction_slope_limit": _json_num(direction.derivative_limit),
             "analytic_crossover": _json_num(a_star),
-            "versions": _versions(),
         }
         text = _json_text(payload)
     else:

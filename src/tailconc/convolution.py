@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from . import approx
 from .errors import DomainError, GridRangeError, PrecisionError, check_int, check_levels, check_real
@@ -57,7 +57,7 @@ _MAX_N = 8
 _GH_Z_LO = -12.0  # Gaussian integration floor; mass below is ~2e-33
 _GH_HEAD_Z_LO = -10.0
 _GH_HEAD_POINTS = 512
-_GH_Z_FLOOR = 0.2533471031357997  # standard normal 0.6-quantile: z of the grid floor
+_GH_FLOOR_LEVEL = 0.6  # g-and-h grids start at this quantile
 _FLAT = 1.0 - 1e-15  # a stored tail at or above this is 1 to double precision
 _ROOT_RTOL = 1e-12  # quantile bracket width at convergence, relative to max(|x|, 1)
 _ROOT_MAX_ITER = 100
@@ -191,7 +191,7 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
     so each node array holds one side's rows only.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    a, b, g, h = model.a, model.b, model.g, model.h
+    b, g, h = model.b, model.g, model.h
     z_split = model.z_of_x(0.5 * x)
     out = np.empty(x.shape)
     for right in (True, False):
@@ -201,12 +201,12 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
         xs, zs = x[rows], z_split[rows]
 
         def below(z):
-            return prev(xs[:, None] - (a + b * gh_transform(z, g, h))) * normal_pdf(z)
+            return prev(xs[:, None] - model.x_of_z(z)) * normal_pdf(z)
 
         # the level is evaluated last: evaluated before the density, it
         # raised the traced peak of a g-and-h build by 13.5 MB
         def above(t):
-            y = a + b * gh_transform(t, g, h)
+            y = model.x_of_z(t)
             dens = model.density(xs[:, None] - y)
             jac = b * gh_transform_deriv(t, g, h)
             return prev(y, t) * dens * jac
@@ -373,7 +373,7 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     smin = model.support_min
     xi = model.second_order_info().xi
     gandh = isinstance(model, GandH)
-    floor = float(model.quantile(0.6)) if gandh else smin
+    floor = float(model.quantile(_GH_FLOOR_LEVEL)) if gandh else smin
     head_hi = float(model.quantile(_HEAD_LEVEL))
     if not head_hi > floor:
         raise DomainError("convolve_tail: degenerate grid (the 0.99 quantile is the grid floor)")
@@ -381,10 +381,9 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     top = float(model.quantile(_MAX_LEVEL))
     x = np.concatenate([head, np.geomspace(head_hi, top, _POINTS - _HEAD_POINTS)])
     if gandh:
-        a, b, g, h = model.a, model.b, model.g, model.h
         two_fold, step = _gbar2_gandh, _gbar_step_gandh
-        z_head = np.linspace(_GH_HEAD_Z_LO, _GH_Z_FLOOR, _GH_HEAD_POINTS, endpoint=False)
-        nodes = np.concatenate([a + b * gh_transform(z_head, g, h), x])
+        z_head = np.linspace(_GH_HEAD_Z_LO, ndtri(_GH_FLOOR_LEVEL), _GH_HEAD_POINTS, endpoint=False)
+        nodes = np.concatenate([model.x_of_z(z_head), x])
         family = (model.z_of_x, np.concatenate([z_head, model.z_of_x(x)]))
     else:
         two_fold, step = _gbar2_positive, _gbar_step_positive

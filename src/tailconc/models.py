@@ -169,11 +169,12 @@ class LossModel:
     # exists: the integral of Q(u) du over [0, F(x)], taken in u up to the
     # median and above it in s = -log(1 - u), where it is the integral of
     # U(e^s) e^-s ds up to -log F_bar(x), so that no level rounds toward 1.
-    # Levels above 1 - e^-709, where e^s overflows, are left out.
-    def _truncated_mean_quad(self, x: float) -> float:
+    # Levels above 1 - e^-709, where e^s overflows, are left out. The model
+    # passes in F(x), formed without the cancellation of 1 - F_bar(x).
+    def _truncated_mean_quad(self, x: float, cdf: float) -> float:
         tail = float(self._tail(np.asarray(x, dtype=float)))
         v, w = panel_rule(_MOMENT_ORDER)
-        u_hi = min(1.0 - tail, 0.5)
+        u_hi = min(cdf, 0.5)
         total = u_hi * float(w @ self._quantile(u_hi * v))
         if tail < 0.5:
             s_lo = math.log(2.0)
@@ -250,10 +251,6 @@ class Burr(LossModel):
     def support_min(self) -> float:
         return 0.0
 
-    @property
-    def xi(self) -> float:
-        return 1.0 / (self.tau * self.kappa)
-
     def _quantile(self, a: np.ndarray) -> np.ndarray:
         # (1-a)^(-1/kappa) - 1 computed without cancellation near a = 0
         core = np.expm1(-np.log1p(-a) / self.kappa)
@@ -293,7 +290,10 @@ class Burr(LossModel):
             if tau * kappa <= 1.0:
                 return math.inf
             return special.beta(1.0 / tau, kappa - 1.0 / tau) / tau
-        return self._truncated_mean_quad(x)
+        # F(x) on the small side, in numpy so that an overflowing x^tau gives 1
+        with np.errstate(over="ignore"):
+            cdf = -np.expm1(-kappa * np.log1p(np.float64(x) ** tau))
+        return self._truncated_mean_quad(x, float(cdf))
 
     def second_order_info(self) -> SecondOrderInfo:
         return SecondOrderInfo(
@@ -450,7 +450,11 @@ class GandH(LossModel):
         return -math.inf
 
     def _quantile(self, a: np.ndarray) -> np.ndarray:
-        return self.a + self.b * gh_transform(ndtri(a), self.g, self.h)
+        return self.x_of_z(ndtri(a))
+
+    def x_of_z(self, z: np.ndarray) -> np.ndarray:
+        """The loss a + b k(z) at normal score z."""
+        return self.a + self.b * gh_transform(z, self.g, self.h)
 
     def z_of_x(self, x: np.ndarray) -> np.ndarray:
         """The z with a + b k(z) = x, for an unvalidated array x."""
@@ -465,7 +469,7 @@ class GandH(LossModel):
 
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
         z = self._z_of_t(t)
-        u = self.a + self.b * gh_transform(z, self.g, self.h)
+        u = self.x_of_z(z)
         if np.any(u == 0.0):
             raise PoleError("gandh auxiliary: pole at a t where U(t) = a + b*k(z) = 0")
         num = self.b * gh_transform_deriv(z, self.g, self.h)
@@ -477,11 +481,10 @@ class GandH(LossModel):
         return -ndtri(1.0 / t)
 
     def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
-        return self.a + self.b * gh_transform(self._z_of_t(t), self.g, self.h)
+        return self.x_of_z(self._z_of_t(t))
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        z = rng.standard_normal(size)
-        return self.a + self.b * gh_transform(z, self.g, self.h)
+        return self.x_of_z(rng.standard_normal(size))
 
     def _moments(self, x: float) -> float:
         g, h = self.g, self.h
@@ -552,12 +555,8 @@ class ExactHall(LossModel):
     def support_min(self) -> float:
         return self.c * (1.0 + self.d)
 
-    def _u_of_t(self, t: np.ndarray) -> np.ndarray:
-        return self.c * t**self.xi * (1.0 + self.d * t**self.rho)
-
     def _quantile(self, a: np.ndarray) -> np.ndarray:
-        t = 1.0 / (1.0 - a)
-        return self._u_of_t(t)
+        return self._tail_quantile(1.0 / (1.0 - a))
 
     def _t_of_x(self, x: np.ndarray) -> np.ndarray:
         """Invert U(t) = x for t >= 1.
@@ -612,7 +611,7 @@ class ExactHall(LossModel):
         return self.d * self.rho * tr / (1.0 + self.d * tr)
 
     def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
-        return self._u_of_t(t)
+        return self.c * t**self.xi * (1.0 + self.d * t**self.rho)
 
     def _moments(self, x: float) -> float:
         c, d, xi, rho = self.c, self.d, self.xi, self.rho

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import hypothesis.strategies as st
@@ -361,6 +362,22 @@ def test_approach_direction_derivatives():
     assert r.derivative_limit == pytest.approx(expected, rel=1e-12)
     assert approach_direction(Pareto(xi=3.0), 2).derivative_limit > 0.0
     assert approach_direction(Pareto(xi=2.0), 2).direction is Direction.MODEL_DEPENDENT
+
+
+class _BareBurr(Burr):
+    """Burr(0.25, 8), a slow model, without its Hall constants."""
+
+    def second_order_info(self):
+        return dataclasses.replace(super().second_order_info(), hall_c=None, hall_d=None)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_slow_model_without_hall_constants_has_a_direction(n):
+    # the sign comes from the numeric auxiliary function, and agrees with
+    # the one the Hall constants give
+    bare = approach_direction(_BareBurr(tau=0.25, kappa=8.0), n)
+    assert bare == approach_direction(Burr(tau=0.25, kappa=8.0), n)
+    assert bare == ApproachDirection(Direction.FROM_ABOVE, -math.inf)
 
 
 def test_crossover_values():

@@ -358,6 +358,17 @@ def test_domain_errors_exit_two(capsys, argv):
     assert code == 2
 
 
+def test_resource_limit_exits_two(capsys):
+    # one batch of 1e12 sums is refused before anything is allocated
+    code, out, err = run(
+        capsys, "curve", "--model", PARETO, "--n", "2",
+        "--samples", "1000000000000", "--batches", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("tailconc: resource limit:")
+
+
 def test_precision_error_exits_three(capsys):
     code, _, err = run(
         capsys,

@@ -1,8 +1,9 @@
 """The package's layout. Its scripts and modules reach no private name
 across a module boundary: no ``from .x import _name`` and no ``obj._attr``
 read on anything but ``self`` or ``cls`` (tests may; they are not scanned).
-The panel rule has one caller per quadrature family, and the package's
-public names are declared once, in each module's ``__all__``."""
+The panel rule has one caller per quadrature family, the g-and-h transform
+is reached through one affine map, and the package's public names are
+declared once, in each module's ``__all__``."""
 
 import ast
 from pathlib import Path
@@ -83,3 +84,10 @@ def test_public_api_is_the_union_of_the_module_lists():
     assert set(names) == {"__version__"}.union(*(m.__all__ for m in modules))
     for name in names:
         assert getattr(tailconc, name) is not None
+
+
+def test_gh_transform_is_called_by_the_affine_map_and_the_inverse():
+    # every loss a + b k(z) goes through GandH.x_of_z; the two-fold g-and-h
+    # integrand keeps its (x - 2a)/b - k(z) form, which rounds differently
+    found = [name for path in SOURCES for name in callers(path.read_text(), "gh_transform")]
+    assert sorted(found) == ["gh_inverse", "gh_inverse", "integrand", "x_of_z"]

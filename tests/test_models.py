@@ -4,6 +4,8 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
+from scipy.integrate import quad
+from scipy.special import ndtr
 
 from tailconc import models
 from tailconc.errors import DomainError, PoleError, PrecisionError
@@ -135,6 +137,14 @@ def test_burr_truncated_mean_reaches_the_mean_deep_in_the_tail():
     value = Burr(tau=0.25, kappa=8.0).moments(1e15)
     assert type(value) is float
     assert value == pytest.approx(1.0 / 35.0, rel=1e-12)
+
+
+def test_burr_truncated_mean_near_the_support_minimum():
+    # F(x) is formed on the small side, not as 1 - F_bar(x), which lost up
+    # to 1.5e-8 of the mean's relative accuracy at x = 1e-8
+    m = Burr(tau=1.0, kappa=2.0)
+    for x in np.logspace(-12.0, -2.0, 21):
+        assert m.moments(x) == pytest.approx((x / (1.0 + x)) ** 2, rel=2e-15, abs=0.0)
 
 
 def test_truncated_mean_raises_where_the_tail_rounds_to_zero():
@@ -422,11 +432,41 @@ def test_gandh_mean_closed_form():
     assert m.moments(math.inf) == pytest.approx(expected, rel=1e-12)
 
 
+def test_gandh_truncated_mean_at_finite_x():
+    # the integral of Q(u) du over [0, F(x)], taken in u = ndtr(s)
+    m = GandH(a=0.0, b=1.0, g=2.0, h=0.5)
+    for x in (-1.0, 0.5, 3.0, 50.0):
+        s_hi = float(m.z_of_x(x))
+        ref, _ = quad(
+            lambda s: float(m.quantile(ndtr(s))) * math.exp(-0.5 * s * s) / math.sqrt(2.0 * math.pi),
+            -20.0, s_hi, epsabs=1e-14, epsrel=1e-12, limit=200,
+        )
+        assert m.moments(x) == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+
 def test_gandh_high_h_truncated_moment_raises():
     m = GandH(a=0.0, b=1.0, g=2.0, h=1.2)
     assert m.moments(math.inf) == math.inf
     with pytest.raises(DomainError):
         m.moments(10.0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4),
+        ExactHall(c=0.5, d=0.5, xi=1.0, rho=-0.5),
+        ExactHall(c=0.5, d=0.5, xi=1.5, rho=-0.5),  # xi + rho = 1
+    ],
+    ids=repr,
+)
+def test_exact_hall_truncated_mean_at_finite_x(model):
+    for x in (1.0, 3.0, 100.0):
+        ref, _ = quad(
+            lambda u: float(model.quantile(u)), 0.0, 1.0 - model.tail(x),
+            epsabs=0.0, epsrel=1e-13, limit=200,
+        )
+        assert model.moments(x) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
 
 def test_exact_hall_tail_quantile_is_exact():
