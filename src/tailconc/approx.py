@@ -13,13 +13,13 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import exprel
 
 from . import special
-from .errors import BoundaryCaseError, DomainError, check_array, check_int, check_real
+from .errors import BoundaryCaseError, DomainError, PrecisionError, check_array, check_int, check_real
 from .models import LossModel, SecondOrderInfo
 
 __all__ = [
@@ -210,13 +210,17 @@ def correction_coefficient(xi: float, rho: float, n: int) -> float:
             "rho = -min(1, xi); use second_order_approx, which applies the "
             "boundary expansion"
         )
-    if rho < thr:
-        if xi <= 1.0:
-            return (n - 1.0) / n
-        return n ** (xi - 2.0) * (n - 1.0) * xi * convolution_constant(xi)
-    if rho == 0.0:
-        return n ** (xi - 1.0) * math.log(n)
-    return n ** (xi - 1.0) * math.expm1(rho * math.log(n)) / rho
+    if rho < thr and xi <= 1.0:
+        return (n - 1.0) / n
+
+    def coefficient():
+        if rho < thr:
+            return n ** (xi - 2.0) * (n - 1.0) * xi * convolution_constant(xi)
+        if rho == 0.0:
+            return n ** (xi - 1.0) * math.log(n)
+        return n ** (xi - 1.0) * math.expm1(rho * math.log(n)) / rho
+
+    return _in_range("correction_coefficient", n, xi, coefficient)
 
 
 def correction_amplitude(model: LossModel, alpha: float, closed_form: bool = False) -> float:
@@ -266,15 +270,37 @@ def first_order_limit(xi: float, n: int) -> float:
     single-loss quantile."""
     n = check_int("n", n, 2)
     xi = check_real("first_order_limit: xi", xi, 0.0)
-    return float(n) ** (xi - 1.0)
+    return _in_range("first_order_limit", n, xi, lambda: float(n) ** (xi - 1.0))
+
+
+def _in_range(caller: str, n: int, xi: float, value: Callable[[], float]) -> float:
+    """value(), a power of n that grows with xi, or :class:`DomainError`
+    naming n and xi where it leaves the double range."""
+    try:
+        out = value()
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise DomainError(f"{caller}: the power of n overflows at n = {n}, xi = {xi:g}")
+    return out
 
 
 def _boundary_q_estimate(model: LossModel) -> float:
     """Numeric estimate of the boundary balance constant q =
-    lim b(Q(alpha)) / a(1/(1-alpha)), probed deep in the tail."""
+    lim b(Q(alpha)) / a(1/(1-alpha)), probed deep in the tail. A probe
+    quantile that overflows, or a b or a that is 0 or not finite, raises
+    :class:`PrecisionError`: its ratio would not measure q."""
     alpha = _Q_PROBE_ALPHA
-    b_val = tail_ratio_scale(model, model.quantile(alpha))
+    with np.errstate(over="ignore"):
+        x = float(model.quantile(alpha))
+    if not math.isfinite(x):
+        raise PrecisionError(f"boundary balance: the probe quantile Q({alpha!r}) overflows")
+    b_val = tail_ratio_scale(model, x)
     a_val = model.auxiliary(1.0 / (1.0 - alpha))
+    if not all(math.isfinite(v) and v != 0.0 for v in (b_val, a_val)):
+        raise PrecisionError(
+            f"boundary balance: b = {b_val!r} and a = {a_val!r} at the probe level {alpha!r} give no ratio"
+        )
     return b_val / a_val
 
 
@@ -292,9 +318,12 @@ def _boundary_coefficient(info: SecondOrderInfo, n: int, q: float) -> float:
     the fast-type term (weighted by q) plus the slow-type kernel term."""
     xi = info.xi
     j = tail_ratio_limit(xi, n)
-    fast_part = xi * n ** (xi - 2.0) * n ** (-min(1.0, xi)) * j * q
-    slow_part = second_order_kernel(xi, info.rho, float(n)) / n
-    return fast_part + slow_part
+
+    def coefficient():
+        fast_part = xi * n ** (xi - 2.0) * n ** (-min(1.0, xi)) * j * q
+        return fast_part + second_order_kernel(xi, info.rho, float(n)) / n
+
+    return _in_range("boundary coefficient", n, xi, coefficient)
 
 
 def second_order_approx(

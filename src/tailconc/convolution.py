@@ -1,23 +1,21 @@
 """Numerical oracle for the tail of a sum of n iid losses.
 
-For positive-support models the two-fold tail is computed from the exact
-symmetric split
+Every family's two-fold tail is computed from the exact symmetric split
 
-    G2(x) = F(x/2)^2 + 2 * integral_0^{F(x/2)} F(x - Q(u)) du
+    G2(x) = F(x/2)^2 + 2 * integral over the single loss X below x/2 of F(x - X)
 
-(written with survival functions), evaluated in quantile space so density
-singularities never enter the integrand. Higher n adds one loss per level
-with the same split: the integral above with the previous level inside,
-plus the previous level against the single-loss density where the loss
-exceeds x/2. The g-and-h model lives on the whole real line, so its
-two-fold tail is computed in the Gaussian z-coordinate,
-
-    G2(x) = Phi(z*)^2 + 2 * integral_{-12}^{z*} Phi(k^{-1}((x-2a)/b - k(z))) phi(z) dz
-
-with z* = k^{-1}((x/2 - a)/b), and its pairwise step is one body for both
-sides of the single-loss median. A head grid (z from -10 upward) stores
-values below the main grid so that the recursion sees the left tail; the
-truncation error is bounded by n*Phi(-10).
+(written with survival functions). The integral is :func:`_single_loss`,
+which runs in the loss's own coordinate: in quantile space, X = Q(u) with
+u up to F(x/2), for positive-support models, so density singularities
+never enter the integrand; in the Gaussian score z, X = a + b k(z) with
+weight phi(z) and z from -12 up to z(x/2), for g-and-h, whose support is
+the whole real line. Higher n adds one loss per level with the same split:
+the same single-loss piece with the previous level inside, plus the
+previous level against the single-loss density where the loss exceeds
+x/2. The g-and-h pairwise step is one body for both sides of the
+single-loss median. A head grid (z from -10 upward) stores values below
+the main grid so that the recursion sees the left tail; the truncation
+error is bounded by n*Phi(-10).
 
 Every integral is one call of :func:`_integrate`: fixed panels clustered
 geometrically toward both endpoints (the upper boundary layer has width
@@ -37,11 +35,11 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.special import ndtr, ndtri
+from scipy.special import ndtri
 
 from . import approx
 from .errors import DomainError, GridRangeError, PrecisionError, check_int, check_levels, check_real
-from .models import GandH, LossModel, gh_inverse, gh_transform, gh_transform_deriv, normal_pdf, panel_rule
+from .models import GandH, LossModel, gh_transform_deriv, normal_pdf, panel_rule
 
 __all__ = [
     "GridSpec",
@@ -104,29 +102,38 @@ def _integrate(integrand: Callable[[np.ndarray], np.ndarray], lo, hi, order: int
     return span * np.sum(integrand(nodes) * w, axis=1)
 
 
-def _below_split(model: LossModel, level, floor: float, x, split_tail, order: int) -> np.ndarray:
-    """The single loss below the split point, whose tail is ``split_tail``:
-    the integral of level(max(x - Q(u), floor)) over u up to 1 - split_tail."""
+def _single_loss(model: LossModel, level, floor: float, x: np.ndarray, lo, hi, order: int) -> np.ndarray:
+    """The single loss against a level: per row, the integral of
+    level(max(x - loss, floor)) over the loss's own coordinate on [lo, hi].
+    That is u, with the loss Q(u), for positive-support models, and the
+    normal score z, with the loss x_of_z(z) and the weight phi(z), for
+    g-and-h. A row whose range is empty adds 0 and evaluates nothing."""
+    gandh = isinstance(model, GandH)
+    lo, hi = np.broadcast_arrays(lo, hi, x)[:2]
+    rows = ~(hi <= lo)  # a NaN bound keeps its row, and its NaN
+    xr = x[rows]
 
-    def integrand(u):
-        args = x[:, None] - np.asarray(model.quantile(u))
+    def integrand(c):
+        args = xr[:, None] - (model.x_of_z(c) if gandh else np.asarray(model.quantile(c)))
         np.maximum(args, floor, out=args)
-        return level(args)
+        return level(args) * normal_pdf(c) if gandh else level(args)
 
-    return _integrate(integrand, 0.0, 1.0 - split_tail, order)
+    out = np.zeros(x.shape)
+    out[rows] = _integrate(integrand, lo[rows], hi[rows], order)
+    return out
 
 
-def _gbar2_positive(model: LossModel, x: np.ndarray, order: int) -> np.ndarray:
-    """Two-fold convolution tail for a positive-support model, vectorized."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+def _two_fold(model: LossModel, x: np.ndarray, order: int) -> np.ndarray:
+    """Two-fold convolution tail from the symmetric split at x/2, for every
+    family: F(x/2)^2 plus twice the single loss below x/2 against the tail
+    (survival functions throughout); 1 at or below twice the support."""
     smin = model.support_min
     out = np.ones(x.shape)
     live = x > 2.0 * smin
-    if not np.any(live):
-        return out
-    xl = x[live]
-    half_tail = np.asarray(model.tail(xl / 2.0))
-    out[live] = half_tail**2 + 2.0 * _below_split(model, model.tail, smin, xl, half_tail, order)
+    half = x[live] / 2.0
+    half_tail = np.asarray(model.tail(half))
+    lo, hi = (_GH_Z_LO, model.z_of_x(half)) if isinstance(model, GandH) else (0.0, 1.0 - half_tail)
+    out[live] = half_tail**2 + 2.0 * _single_loss(model, model.tail, smin, x[live], lo, hi, order)
     return out
 
 
@@ -142,7 +149,6 @@ def _gbar_step_positive(model: LossModel, prev: _LogTail, x: np.ndarray, order: 
     the plain conditioning form, which is harmless there because the tail
     is O(1).
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     smin = model.support_min
     m_prev = prev.support
     out = np.ones(x.shape)
@@ -152,7 +158,7 @@ def _gbar_step_positive(model: LossModel, prev: _LogTail, x: np.ndarray, order: 
     xl = x[live]
     split = np.where(xl >= 2.0 * m_prev, 0.5 * xl, xl - m_prev)
     first = np.asarray(model.tail(np.maximum(xl - m_prev, smin)))
-    small = _below_split(model, prev, m_prev, xl, model.tail(np.maximum(split, smin)), order)
+    small = _single_loss(model, prev, m_prev, xl, 0.0, 1.0 - model.tail(np.maximum(split, smin)), order)
 
     def above(y):  # the previous-level tail against the single-loss density
         dens = np.asarray(model.density(np.maximum(xl[:, None] - y, smin)))
@@ -160,20 +166,6 @@ def _gbar_step_positive(model: LossModel, prev: _LogTail, x: np.ndarray, order: 
 
     out[live] = small + _integrate(above, m_prev, xl - split, order) + first
     return out
-
-
-def _gbar2_gandh(model: GandH, x: np.ndarray, order: int) -> np.ndarray:
-    """Two-fold convolution tail for g-and-h, computed in z-space."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    a, b, g, h = model.a, model.b, model.g, model.h
-    z_star = model.z_of_x(0.5 * x)
-
-    def integrand(z):
-        zz = gh_inverse((x[:, None] - 2.0 * a) / b - gh_transform(z, g, h), g, h, lo=z_star[:, None])
-        # sqrt(2 pi) divides last; ndtr(-zz) * normal_pdf(z) rounds differently
-        return ndtr(-zz) * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
-
-    return ndtr(-z_star) ** 2 + 2.0 * _integrate(integrand, _GH_Z_LO, z_star, order)
 
 
 def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) -> np.ndarray:
@@ -190,7 +182,6 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
     Left of it both run over [z_split, 12]. Each side runs on its own rows,
     so each node array holds one side's rows only.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
     b, g, h = model.b, model.g, model.h
     z_split = model.z_of_x(0.5 * x)
     out = np.empty(x.shape)
@@ -199,9 +190,6 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
         if not np.any(rows):
             continue
         xs, zs = x[rows], z_split[rows]
-
-        def below(z):
-            return prev(xs[:, None] - model.x_of_z(z)) * normal_pdf(z)
 
         # the level is evaluated last: evaluated before the density, it
         # raised the traced peak of a g-and-h build by 13.5 MB
@@ -212,9 +200,10 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
             return prev(y, t) * dens * jac
 
         lo_below, lo_above, hi = (_GH_Z_LO, prev.c_floor, zs) if right else (zs, zs, -_GH_Z_LO)
-        out[rows] = _integrate(below, lo_below, hi, order) + _integrate(above, lo_above, hi, order)
+        below = _single_loss(model, prev, prev.support, xs, lo_below, hi, order)
+        out[rows] = below + _integrate(above, lo_above, hi, order)
         if right:
-            out[rows] += ndtr(-model.z_of_x(xs - prev.w_floor))
+            out[rows] += model.tail(xs - prev.w_floor)
     return out
 
 
@@ -261,6 +250,11 @@ class _LogTail:
     ):
         ones = np.flatnonzero(node_g >= 1.0)
         j = int(ones[-1]) if ones.size else 0
+        if j == node_g.size - 1:
+            raise GridRangeError(
+                f"convolve_tail: the grid ends at {node_x[-1]:g}, where a level's tail is "
+                f"still 1 (its support starts at {support:g})"
+            )
         flat = np.flatnonzero(node_g >= _FLAT)
         f = int(flat[-1]) if flat.size else 0
         self.support = support
@@ -363,8 +357,8 @@ def _finite(vals: np.ndarray, caller: str = "convolve_tail") -> np.ndarray:
 def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     """Tabulate the two-fold tail, then add one loss per level up to n.
 
-    Per family: the grid floor, the two-fold and pairwise-step quadratures,
-    and the interpolation coordinate. g-and-h runs in the single-loss z and
+    One two-fold serves every family. Per family: the grid floor, the
+    pairwise step and the interpolation coordinate. g-and-h runs in the single-loss z and
     carries an auxiliary head (z from -10 up to the grid floor) through the
     recursion so each step sees the left tail of the previous level.
     Positive-support models run in log x, or in x where the level's last
@@ -381,12 +375,12 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     top = float(model.quantile(_MAX_LEVEL))
     x = np.concatenate([head, np.geomspace(head_hi, top, _POINTS - _HEAD_POINTS)])
     if gandh:
-        two_fold, step = _gbar2_gandh, _gbar_step_gandh
+        step = _gbar_step_gandh
         z_head = np.linspace(_GH_HEAD_Z_LO, ndtri(_GH_FLOOR_LEVEL), _GH_HEAD_POINTS, endpoint=False)
         nodes = np.concatenate([model.x_of_z(z_head), x])
         family = (model.z_of_x, np.concatenate([z_head, model.z_of_x(x)]))
     else:
-        two_fold, step = _gbar2_positive, _gbar_step_positive
+        step = _gbar_step_positive
         nodes = x
         with np.errstate(divide="ignore"):
             family = (np.log, np.log(x))
@@ -400,7 +394,7 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     # each level is the quadrature (a functools.partial) over the interpolant
     # of the level below; the last one is fresh_tail, and g_tail is its value
     # on the nodes, so the stored and the fresh tail agree bit for bit there
-    fresh = partial(two_fold, model, order=_ORDER)
+    fresh = partial(_two_fold, model, order=_ORDER)
     for k in range(2, n):
         fresh = partial(step, model, level_tail(_finite(fresh(nodes)), k), order=_ORDER)
     g_tail = _finite(fresh(x))

@@ -501,8 +501,8 @@ class GandH(LossModel):
         if math.isinf(x) and x > 0:
             return self.a + self.b / g * (bias - 1.0) / s
         z = float(self.z_of_x(np.asarray(x, dtype=float)))
-        term = bias * special.normal_cdf(s * z - g / s) - special.normal_cdf(s * z)
-        return self.a * special.normal_cdf(z) + self.b / g * term / s
+        term = bias * ndtr(s * z - g / s) - ndtr(s * z)
+        return self.a * ndtr(z) + self.b / g * term / s
 
     def second_order_info(self) -> SecondOrderInfo:
         return SecondOrderInfo(

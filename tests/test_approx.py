@@ -23,7 +23,7 @@ from tailconc.approx import (
     tail_ratio_limit,
     tail_ratio_scale,
 )
-from tailconc.errors import BoundaryCaseError, DomainError
+from tailconc.errors import BoundaryCaseError, DomainError, PrecisionError
 from tailconc.models import Burr, ExactHall, GandH, Pareto, SecondOrderInfo
 
 GANDH = GandH(a=0.0, b=1.0, g=2.0, h=0.5)
@@ -334,6 +334,44 @@ def test_boundary_q_estimates():
     assert approx._boundary_q_estimate(
         ExactHall(c=1.0, d=0.5, xi=0.5, rho=-0.5)
     ) == pytest.approx(-10.0, rel=1e-10)
+
+
+def test_overflowing_power_of_n_raises_domain_error():
+    """Where a power of n leaves the double range, the first-order limit and
+    the coefficients raise DomainError naming n and xi, not OverflowError."""
+    with pytest.raises(DomainError, match="n = 8, xi = 400"):
+        first_order_limit(400.0, 8)
+    for rho in (-math.inf, 0.0, -0.5):
+        with pytest.raises(DomainError, match="n = 8, xi = 400"):
+            correction_coefficient(400.0, rho, 8)
+    # n^(xi - 1) fits, but the fast coefficient's product does not
+    assert math.isfinite(first_order_limit(340.0, 8))
+    with pytest.raises(DomainError, match="n = 8, xi = 340"):
+        correction_coefficient(340.0, -math.inf, 8)
+    # on the boundary (rho = -1 = -min(1, xi)) with q supplied
+    with pytest.raises(DomainError, match="boundary coefficient.*n = 8, xi = 340"):
+        second_order_approx(Burr(tau=1.0 / 340.0, kappa=1.0), 0.99, 8, q=1.0)
+
+
+def test_boundary_balance_from_an_overflowing_probe_raises():
+    """Burr(0.01, 1) (xi = 100, rho = -1) has Q(1 - 1e-8) = inf, so the probe
+    measures no balance and every user of it raises PrecisionError."""
+    model = Burr(tau=0.01, kappa=1.0)
+    for call in (
+        lambda: approx._boundary_q_estimate(model),
+        lambda: second_order_approx(model, 0.99, 2),
+        lambda: approach_direction(model, 2),
+        lambda: crossover(model, 2),
+    ):
+        with pytest.raises(PrecisionError, match="probe quantile"):
+            call()
+
+
+@pytest.mark.parametrize("b_val", [0.0, math.inf, math.nan])
+def test_boundary_balance_without_a_ratio_raises(monkeypatch, b_val):
+    monkeypatch.setattr(approx, "tail_ratio_scale", lambda model, x: b_val)
+    with pytest.raises(PrecisionError, match="give no ratio"):
+        approx._boundary_q_estimate(Burr(tau=1.0, kappa=2.0))
 
 
 @pytest.mark.parametrize(

@@ -380,6 +380,31 @@ def test_precision_error_exits_three(capsys):
     assert "precision" in err
 
 
+@pytest.mark.parametrize(
+    ("argv", "code", "message"),
+    [
+        (["info", "--model", '{"kind": "pareto", "xi": 400}', "--n", "8"], 2, "n = 8, xi = 400"),
+        (["crossover", "--model", '{"kind": "pareto", "xi": 400}', "--n", "8"], 2, "n = 8, xi = 400"),
+        (["curve", "--model", '{"kind": "pareto", "xi": 400}', "--n", "8", "--samples", "0"],
+         2, "n = 8, xi = 400"),
+        (["info", "--model", '{"kind": "burr", "tau": 0.01, "kappa": 1}', "--n", "2"],
+         3, "probe quantile"),
+        (["curve", "--model", '{"kind": "burr", "tau": 0.01, "kappa": 1}', "--n", "2",
+          "--samples", "0"], 3, "probe quantile"),
+        (["curve", "--model", '{"kind": "pareto", "xi": 0.05}', "--n", "4", "--samples", "0",
+          "--oracle", "--points", "2"], 2, "grid ends at"),
+        (["curve", "--model", '{"kind": "burr", "tau": 8, "kappa": 4}', "--n", "2", "--samples", "0",
+          "--oracle", "--points", "2"], 3, "precision error"),
+    ],
+)
+def test_edge_models_exit_with_a_message(capsys, argv, code, message):
+    """Models beyond what the double range or the oracle's grid can hold
+    exit with an error code and a one-line message, not a traceback."""
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert message in err
+
+
 def test_curve_values_are_seventeen_digit_reals(capsys):
     code, out, _ = run(
         capsys,

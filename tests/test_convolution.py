@@ -4,6 +4,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy.integrate import quad
 
 from tailconc import convolution
 from tailconc.convolution import (
@@ -282,7 +283,7 @@ def test_gandh_step_is_elementwise_on_both_sides_of_the_median(n):
 
 
 @pytest.mark.parametrize(
-    ("name", "n"), [("_gbar2_positive", 2), ("_gbar_step_positive", 3)]
+    ("name", "n"), [("_two_fold", 2), ("_gbar_step_positive", 3)]
 )
 def test_non_finite_level_raises(monkeypatch, name, n):
     """A NaN in any convolution level fails the build with PrecisionError,
@@ -312,6 +313,41 @@ def test_gandh_grid_floor():
     # well inside the covered range everything works
     q = oracle_quantile(grid, 0.99)
     assert grid.tail_at(q) == pytest.approx(0.01, rel=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.7, 0.99, 0.9999, 1.0 - 1e-8])
+def test_gandh_two_fold_against_adaptive_quadrature(alpha):
+    """An independent check of the g-and-h two-fold: scipy's adaptive
+    quadrature of P(X1 + X2 > x) as the integral of F(x - X(z)) phi(z) over
+    z in [-40, 40] (survival function), split at z(x/2), at the sum's
+    alpha-quantile."""
+    grid = convolve_tail(GANDH, 2)
+    x = oracle_quantile(grid, alpha)
+
+    def integrand(z):
+        return GANDH.tail(x - GANDH.x_of_z(z)) * math.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+
+    z_half = float(GANDH.z_of_x(np.array(x / 2.0)))
+    pieces = [quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+              for lo, hi in ((-40.0, z_half), (z_half, 40.0))]
+    assert grid.fresh_tail(x) == pytest.approx(sum(pieces), rel=1e-12, abs=0.0)
+
+
+def test_grid_ending_below_the_support_of_the_sum_raises():
+    """Pareto(0.05): the grid ends at Q(1 - 1e-10) = 3.16, below the
+    4-fold support 4, so the level's tail is 1 at every node."""
+    with pytest.raises(GridRangeError, match="grid ends at 3.16228"):
+        convolve_tail(Pareto(xi=0.05), 4)
+
+
+def test_single_loss_skips_an_empty_range():
+    """A row whose range is empty adds 0 and evaluates no quantile (Q(0)
+    would raise); the other rows are what they are alone."""
+    x, hi = np.array([3.0, 5.0]), np.array([0.0, 0.5])
+    out = convolution._single_loss(PARETO05, PARETO05.tail, 1.0, x, 0.0, hi, 14)
+    alone = convolution._single_loss(PARETO05, PARETO05.tail, 1.0, x[1:], 0.0, hi[1:], 14)
+    assert out[0] == 0.0
+    assert out[1] == alone[0] > 0.0
 
 
 def test_positive_support_below_grid_is_one():
@@ -398,7 +434,7 @@ def test_build_runs_check_order_once(monkeypatch):
     """Only the final level is re-run at the check order, whatever n is: at
     n = 4 the build makes three order-14 passes and one order-10 pass."""
     orders = []
-    for name in ("_gbar2_positive", "_gbar_step_positive"):
+    for name in ("_two_fold", "_gbar_step_positive"):
 
         def counted(*args, _fn=getattr(convolution, name), **kwargs):
             orders.append(kwargs["order"] if "order" in kwargs else args[-1])

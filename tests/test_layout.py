@@ -2,8 +2,8 @@
 across a module boundary: no ``from .x import _name`` and no ``obj._attr``
 read on anything but ``self`` or ``cls`` (tests may; they are not scanned).
 The panel rule has one caller per quadrature family, the g-and-h transform
-is reached through one affine map, and the package's public names are
-declared once, in each module's ``__all__``."""
+is reached through one affine map, the package's public names are
+declared once, in each module's ``__all__``, and every import is used."""
 
 import ast
 from pathlib import Path
@@ -87,7 +87,36 @@ def test_public_api_is_the_union_of_the_module_lists():
 
 
 def test_gh_transform_is_called_by_the_affine_map_and_the_inverse():
-    # every loss a + b k(z) goes through GandH.x_of_z; the two-fold g-and-h
-    # integrand keeps its (x - 2a)/b - k(z) form, which rounds differently
+    # every loss a + b k(z) goes through GandH.x_of_z
     found = [name for path in SOURCES for name in callers(path.read_text(), "gh_transform")]
-    assert sorted(found) == ["gh_inverse", "gh_inverse", "integrand", "x_of_z"]
+    assert sorted(found) == ["gh_inverse", "gh_inverse", "x_of_z"]
+
+
+def unused_imports(source: str) -> list:
+    """(line, name) of every imported name the module neither reads nor
+    lists in ``__all__``; star imports and ``__future__`` features are exempt."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [(node.lineno, a.asname or a.name.split(".")[0]) for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [(node.lineno, a.asname or a.name) for a in node.names if a.name != "*"]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return [(line, name) for line, name in imported if name not in used]
+
+
+def test_unused_import_scan():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from .m import *\nfrom .m import a, b as c, d\n__all__ = ['d', *x]\nnp.f(a)\n"
+    )
+    assert unused_imports(source) == [(2, "os"), (5, "c")]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
