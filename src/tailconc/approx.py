@@ -163,7 +163,7 @@ def second_order_kernel(xi: float, rho: float, s: float) -> float:
     if rho > 0.0:
         raise DomainError(f"second_order_kernel: requires rho <= 0, got {rho!r}")
     ls = math.log(s)
-    return s**xi * ls * float(exprel(rho * ls))
+    return _in_range("second_order_kernel", s, xi, lambda: s**xi * ls * float(exprel(rho * ls)), "s")
 
 
 def classify_regime(info: SecondOrderInfo, q: Optional[float] = None) -> Regime:
@@ -273,15 +273,16 @@ def first_order_limit(xi: float, n: int) -> float:
     return _in_range("first_order_limit", n, xi, lambda: float(n) ** (xi - 1.0))
 
 
-def _in_range(caller: str, n: int, xi: float, value: Callable[[], float]) -> float:
-    """value(), a power of n that grows with xi, or :class:`DomainError`
-    naming n and xi where it leaves the double range."""
+def _in_range(caller: str, n: float, xi: float, value: Callable[[], float], name: str = "n") -> float:
+    """value(), a power of its base n (called ``name``) that grows with xi,
+    or :class:`DomainError` naming the base and xi where it leaves the
+    double range."""
     try:
         out = value()
     except OverflowError:
         out = math.inf
     if not math.isfinite(out):
-        raise DomainError(f"{caller}: the power of n overflows at n = {n}, xi = {xi:g}")
+        raise DomainError(f"{caller}: the power of {name} overflows at {name} = {n:g}, xi = {xi:g}")
     return out
 
 

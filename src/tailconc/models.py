@@ -108,9 +108,19 @@ class LossModel:
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def variates(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Base variates that :meth:`from_variates` maps to losses: uniforms."""
+        return rng.random(size)
+
+    def from_variates(self, v: np.ndarray) -> np.ndarray:
+        """Losses at base variates ``v`` (inverse transform), non-decreasing
+        in ``v``: the k-th smallest loss is the map of the k-th smallest
+        variate."""
+        return self._quantile(v)
+
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Draw variates using the supplied generator (inverse transform)."""
-        return self._quantile(rng.random(size))
+        """Draw losses using the supplied generator."""
+        return self.from_variates(self.variates(rng, size))
 
     # ----- shared surface -----
     @property
@@ -456,6 +466,12 @@ class GandH(LossModel):
         """The loss a + b k(z) at normal score z."""
         return self.a + self.b * gh_transform(z, self.g, self.h)
 
+    from_variates = x_of_z
+
+    def variates(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Standard normal base variates."""
+        return rng.standard_normal(size)
+
     def z_of_x(self, x: np.ndarray) -> np.ndarray:
         """The z with a + b k(z) = x, for an unvalidated array x."""
         return gh_inverse((x - self.a) / self.b, self.g, self.h)
@@ -482,9 +498,6 @@ class GandH(LossModel):
 
     def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
         return self.x_of_z(self._z_of_t(t))
-
-    def draw(self, rng: np.random.Generator, size) -> np.ndarray:
-        return self.x_of_z(rng.standard_normal(size))
 
     def _moments(self, x: float) -> float:
         g, h = self.g, self.h

@@ -116,6 +116,9 @@ def test_second_order_kernel_domain():
         second_order_kernel(0.5, 0.25, 2.0)
     with pytest.raises(DomainError):
         second_order_kernel(math.nan, -1.0, 2.0)
+    # s^xi leaves the double range: a DomainError naming s and xi
+    with pytest.raises(DomainError, match="s = 8, xi = 400"):
+        second_order_kernel(400.0, -0.5, 8.0)
 
 
 def test_nan_and_infinite_arguments_raise():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -108,6 +109,30 @@ def test_curve_byte_identical_across_workers(capsys):
     code2, out2, _ = run(capsys, *argv, "--workers", "3")
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize(
+    ("model", "digest"),
+    [
+        (PARETO, "c2514366633abf0e229d01cf28f7268a821628f8ba2d9123af2d1ea81c65e123"),
+        (BURR, "c8e2d80b0b9327264d56706978227b038ad639127a7bab866f7b0bb9a4f58245"),
+        (GANDH, "1eeabccca73991566a0093b724673738392931d1d379d89c134f2adb56f9c5f7"),
+        ('{"kind": "hall", "c": 1.0, "d": -0.3, "xi": 0.8, "rho": -0.4}',
+         "616fafe7a8aab36af2b4819422b7b73305027b11a77cad56bb9763c90da9a5ad"),
+    ],
+    ids=["pareto", "burr", "gandh", "hall"],
+)
+def test_curve_bytes_pinned(capsys, model, digest):
+    """Monte Carlo curve output at a fixed seed, pinned by sha256. A batch
+    selects its companion order statistics on the base variates and maps
+    only those to losses, which must give the bytes of mapping the whole
+    block first."""
+    code, out, _ = run(
+        capsys, "curve", "--model", model, "--n", "3",
+        "--samples", "200000", "--batches", "20", "--seed", "7",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_curve_oracle_column(capsys):

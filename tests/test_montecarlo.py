@@ -1,5 +1,6 @@
 import math
 
+import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from tailconc.models import Burr, GandH, Pareto
 from tailconc.montecarlo import (
     DenominatorMode,
     SimulationConfig,
+    _order_stat_quantiles,
+    _row_sums,
     empirical_concentration,
     empirical_quantile,
 )
@@ -102,6 +105,42 @@ def test_empirical_quantile_is_element(values, alpha):
 def test_empirical_quantile_monotone_in_alpha(values):
     qs = [empirical_quantile(values, a) for a in (0.1, 0.4, 0.7, 0.95)]
     assert all(a <= b for a, b in zip(qs, qs[1:]))
+
+
+@settings(deadline=None)
+@given(
+    values=hnp.arrays(
+        np.float64,
+        st.integers(min_value=1, max_value=300),
+        elements=st.integers(min_value=-4, max_value=4).map(float)
+        | st.floats(min_value=-1e6, max_value=1e6),
+    ),
+    alphas=st.lists(st.floats(min_value=1e-6, max_value=1.0 - 1e-6), min_size=1, max_size=45),
+)
+def test_order_stat_quantiles_match_one_partition(values, alphas):
+    """The in-place, tail-first selection returns the same order statistics
+    as one multi-rank np.partition, for ties, any level order and size 1."""
+    alphas = np.array(alphas)
+    ks = np.clip(np.ceil(alphas * values.size).astype(np.int64), 1, values.size) - 1
+    expected = np.partition(values, ks)[ks]
+    assert np.array_equal(_order_stat_quantiles(values.copy(), alphas), expected)
+
+
+def test_empirical_quantile_leaves_its_input_unchanged():
+    x = np.random.default_rng(4).random((301, 3))
+    for values in (x, x.T, x[:, 1]):
+        before = values.copy()
+        empirical_quantile(values, 0.3)
+        assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_row_sums_match_sum_bit_for_bit(n):
+    """Adding columns gives numpy's row sums exactly below 8 columns, on
+    mixed-sign data spanning many magnitudes."""
+    rng = np.random.default_rng(n)
+    matrix = rng.standard_normal((100_001, n)) * np.exp(5.0 * rng.standard_normal((100_001, n)))
+    assert np.array_equal(_row_sums(matrix), matrix.sum(axis=1))
 
 
 def test_empirical_quantile_recovers_model_quantile():
