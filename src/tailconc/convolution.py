@@ -23,7 +23,8 @@ F(x/2), far too narrow for generic adaptive rules) with Gauss-Legendre
 nodes per panel. A lower-order re-run of the final level provides an error
 estimate, and :class:`PrecisionError` is raised when it exceeds the grid
 tolerance. Between and beyond its nodes every stored level, the final one
-included, is read by one log-tail interpolant, :class:`_LogTail`.
+included, is read by one log-tail interpolant, :class:`_LogTail`, in the
+closed-form coordinate log x, x, or asinh x (g-and-h).
 """
 
 from __future__ import annotations
@@ -174,16 +175,17 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
 
     Piece 1 conditions on the single loss below x/2, in its z-coordinate,
     where the level (evaluated at x/2 or above) varies by a bounded factor.
-    Piece 2 integrates the level tail against the single-loss density in
-    the level's coordinate t, passed to the level with its argument. Right
-    of the single-loss median, z_split = z(x/2) >= 0, piece 1 runs over
-    [-12, z_split], and piece 2 over [c_floor, z_split] plus, in closed
-    form, the single-loss mass where the level tail is 1 (below its floor).
-    Left of it both run over [z_split, 12]. Each side runs on its own rows,
-    so each node array holds one side's rows only.
+    Piece 2 integrates the level tail against the single-loss density over
+    the partial sum y = x_of_z(t), in the single-loss score t. Right of the
+    single-loss median, z_split = z(x/2) >= 0, piece 1 runs over
+    [-12, z_split], and piece 2 over [z(w_floor), z_split] plus, in closed
+    form, the single-loss mass where the level tail is 1 (below its floor
+    ``w_floor``). Left of it both run over [z_split, 12]. Each side runs on
+    its own rows, so each node array holds one side's rows only.
     """
     b, g, h = model.b, model.g, model.h
     z_split = model.z_of_x(0.5 * x)
+    z_floor = float(model.z_of_x(prev.w_floor))
     out = np.empty(x.shape)
     for right in (True, False):
         rows = (z_split >= 0.0) == right
@@ -197,9 +199,9 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
             y = model.x_of_z(t)
             dens = model.density(xs[:, None] - y)
             jac = b * gh_transform_deriv(t, g, h)
-            return prev(y, t) * dens * jac
+            return prev(y) * dens * jac
 
-        lo_below, lo_above, hi = (_GH_Z_LO, prev.c_floor, zs) if right else (zs, zs, -_GH_Z_LO)
+        lo_below, lo_above, hi = (_GH_Z_LO, z_floor, zs) if right else (zs, zs, -_GH_Z_LO)
         below = _single_loss(model, prev, prev.support, xs, lo_below, hi, order)
         out[rows] = below + _integrate(above, lo_above, hi, order)
         if right:
@@ -210,24 +212,23 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
 class _LogTail:
     """Tail of one convolution level between and beyond its stored nodes.
 
-    Built from the map ``coord`` from an argument to the coordinate the
-    interpolation runs in (log x, x, or the single-loss z of g-and-h), and
-    the nodes as coordinates ``node_c``, as arguments ``node_x`` and as
-    stored tails ``node_g``. The tail is exactly 1 at or below the larger of
-    ``support`` and the last node whose stored tail is 1 (below the first
-    node if none is). Above the last node it follows the power law of index
-    -1/xi; in between it is exp(PCHIP(log g)) in the coordinate, clipped to
-    [0, 1]. ``split = k`` breaks the spline at node k, which must lie above
-    0, and reads the nodes from k on with a second spline in log x.
+    Built from the closed-form map ``coord`` from an argument to the
+    coordinate the interpolation runs in (log x, x, or asinh x), the nodes
+    ``node_x`` and their stored tails ``node_g``. The tail is exactly 1 at
+    or below the larger of ``support`` and the last node whose stored tail
+    is 1 (below the first node if none is). Above the last node it follows
+    the power law of index -1/xi; in between it is exp(PCHIP(log g)) in the
+    coordinate, clipped to [0, 1]. ``split = k`` breaks the spline at node
+    k, which must lie above 0, and reads the nodes from k on with a second
+    spline in log x.
 
-    ``c_floor`` and ``w_floor`` are the coordinate and the argument of the
-    last node whose stored tail is 1 to double precision (the first node if
-    none is): the floor above which the g-and-h step integrates the level.
+    ``w_floor`` is the last node whose stored tail is 1 to double precision
+    (the first node if none is): the floor above which the g-and-h step
+    integrates the level.
     """
 
     __slots__ = (
         "support",
-        "c_floor",
         "w_floor",
         "_coord",
         "_spline",
@@ -241,7 +242,6 @@ class _LogTail:
     def __init__(
         self,
         coord: Callable[[np.ndarray], np.ndarray],
-        node_c: np.ndarray,
         node_x: np.ndarray,
         node_g: np.ndarray,
         xi: float,
@@ -256,10 +256,8 @@ class _LogTail:
                 f"still 1 (its support starts at {support:g})"
             )
         flat = np.flatnonzero(node_g >= _FLAT)
-        f = int(flat[-1]) if flat.size else 0
         self.support = support
-        self.c_floor = float(node_c[f])
-        self.w_floor = float(node_x[f])
+        self.w_floor = float(node_x[flat[-1] if flat.size else 0])
         # with no such node, strictly below the first node
         x_one = float(node_x[j]) if ones.size else float(np.nextafter(node_x[0], -np.inf))
         self._w_one = max(support, x_one)
@@ -267,10 +265,10 @@ class _LogTail:
         k = node_g.size if split is None else split
         if k <= j:  # the flat region reaches the split: one spline in log x
             k, coord = node_g.size, np.log
-            with np.errstate(divide="ignore"):
-                node_c = np.log(node_x)
         self._coord = coord
-        self._spline = PchipInterpolator(node_c[j : k + 1], log_g[j : k + 1], extrapolate=False)
+        with np.errstate(divide="ignore"):
+            node_c = coord(node_x[j : k + 1])
+        self._spline = PchipInterpolator(node_c, log_g[j : k + 1], extrapolate=False)
         self._upper = None
         if k < node_g.size - 1:
             spline = PchipInterpolator(np.log(node_x[k:]), log_g[k:], extrapolate=False)
@@ -279,14 +277,13 @@ class _LogTail:
         self._g_top = float(node_g[-1])
         self._power = -1.0 / xi
 
-    def __call__(self, w, c: Optional[np.ndarray] = None) -> np.ndarray:
-        """Tail at the arguments ``w``; ``c`` gives their coordinates when
-        the caller already has them (for the spline below any split)."""
+    def __call__(self, w) -> np.ndarray:
+        """Tail at the arguments ``w``."""
         w = np.asarray(w, dtype=float)
         # arguments at or below the support (log 0, log of a negative) get
         # a meaningless coordinate; the floor overwrites their value
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self._spline(self._coord(w) if c is None else c)
+            out = self._spline(self._coord(w))
             if self._upper is not None:
                 spline, w_split = self._upper
                 up = w > w_split
@@ -358,11 +355,12 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     """Tabulate the two-fold tail, then add one loss per level up to n.
 
     One two-fold serves every family. Per family: the grid floor, the
-    pairwise step and the interpolation coordinate. g-and-h runs in the single-loss z and
-    carries an auxiliary head (z from -10 up to the grid floor) through the
-    recursion so each step sees the left tail of the previous level.
-    Positive-support models run in log x, or in x where the level's last
-    node whose tail is exactly 1 lies at 0.
+    pairwise step and the closed-form coordinate each level is read in.
+    g-and-h reads in asinh x, which is linear near 0 and logarithmic in
+    both tails, and carries an auxiliary head (z from -10 up to the grid
+    floor) through the recursion so each step sees the left tail of the
+    previous level. Positive-support models read in log x, or in x where
+    the level's last node whose tail is exactly 1 lies at 0.
     """
     smin = model.support_min
     xi = model.second_order_info().xi
@@ -378,18 +376,17 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
         step = _gbar_step_gandh
         z_head = np.linspace(_GH_HEAD_Z_LO, ndtri(_GH_FLOOR_LEVEL), _GH_HEAD_POINTS, endpoint=False)
         nodes = np.concatenate([model.x_of_z(z_head), x])
-        family = (model.z_of_x, np.concatenate([z_head, model.z_of_x(x)]))
     else:
         step = _gbar_step_positive
         nodes = x
-        with np.errstate(divide="ignore"):
-            family = (np.log, np.log(x))
 
     def level_tail(vals, k):
-        coord, node_c = family
-        if not gandh and x[np.flatnonzero(vals >= 1.0)[-1]] == 0:
-            coord, node_c = np.asarray, x  # the identity on float arrays
-        return _LogTail(coord, node_c, nodes, vals, xi, k * smin)
+        coord = np.log
+        if gandh:
+            coord = np.arcsinh
+        elif x[np.flatnonzero(vals >= 1.0)[-1]] == 0:
+            coord = np.asarray  # the identity on float arrays
+        return _LogTail(coord, nodes, vals, xi, k * smin)
 
     # each level is the quadrature (a functools.partial) over the interpolant
     # of the level below; the last one is fresh_tail, and g_tail is its value
@@ -413,7 +410,7 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     # the final level is read on its main nodes in x over the linear head and
     # in log x over the geometric tail, with a break in the spline between
     split = _HEAD_POINTS if head_hi > 0 else None
-    tail = _LogTail(np.asarray, x, x, g_tail, xi, n * smin, split)
+    tail = _LogTail(np.asarray, x, g_tail, xi, n * smin, split)
     return ConvolutionGrid(model, n, spec, x, g_tail, err, tail, fresh)
 
 

@@ -152,7 +152,9 @@ def empirical_concentration(
     workers = check_int("empirical_concentration: workers", workers, 1)
     n = config.n
     m = config.samples // config.batches
-    per_batch = m * n * 8 * (2 if config.denominator is DenominatorMode.EMPIRICAL else 1) + m * 8
+    # the traced peak of the draw, four (m, n) float blocks (variates, losses,
+    # transform temporaries; the companion block comes later), and the sums
+    per_batch = 8 * m * (4 * n + 1)
     concurrent = min(workers, config.batches)
     if per_batch * concurrent > config.max_bytes:
         raise ResourceLimitError(

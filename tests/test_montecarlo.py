@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 
 from tailconc.approx import RegimeTag
 from tailconc.errors import DomainError, ResourceLimitError
-from tailconc.models import Burr, GandH, Pareto
+from tailconc.models import Burr, ExactHall, GandH, Pareto
 from tailconc.montecarlo import (
     DenominatorMode,
     SimulationConfig,
@@ -233,11 +235,32 @@ def test_resource_limit_guard():
 def test_resource_limit_counts_concurrency():
     # one batch fits, four concurrent batches do not
     m = BASE["samples"] // BASE["batches"]
-    per_batch = m * 2 * 8 * 2 + m * 8
+    per_batch = 8 * m * (4 * 2 + 1)
     cfg = make_config(max_bytes=2 * per_batch)
     empirical_concentration(PARETO05, cfg, workers=1)
     with pytest.raises(ResourceLimitError):
         empirical_concentration(PARETO05, cfg, workers=4)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [PARETO05, Burr(tau=0.25, kappa=8.0), GANDH, ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4)],
+    ids=lambda m: m.kind,
+)
+@pytest.mark.parametrize("denominator", list(DenominatorMode), ids=lambda d: d.value)
+def test_resource_estimate_bounds_a_traced_batch(model, denominator):
+    """The guard's estimate is at least one batch's traced peak: a cap one
+    byte below that peak refuses the run."""
+    cfg = make_config(n=3, batches=1, denominator=denominator)
+    empirical_concentration(model, cfg)  # first-call caches are not the batch's
+    tracemalloc.start()
+    try:
+        empirical_concentration(model, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with pytest.raises(ResourceLimitError):
+        empirical_concentration(model, dataclasses.replace(cfg, max_bytes=peak - 1))
 
 
 def test_curve_reports_approximation_columns():
