@@ -82,7 +82,8 @@ def _add_simulation(p: argparse.ArgumentParser, samples: int) -> None:
     p.add_argument("--workers", type=int, default=1, help="worker threads (default 1)")
     p.add_argument(
         "--exact-denominator", action="store_true",
-        help="use the model's exact quantile in the denominator instead of an empirical one",
+        help="use the model's exact quantile in the denominator instead of the "
+        "empirical quantile of the batch's own losses",
     )
 
 

@@ -381,6 +381,9 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
         nodes = x
 
     def level_tail(vals, k):
+        # a tail at or above _FLAT reads as flat; below it must not rise
+        if np.any(np.diff(np.minimum(vals, _FLAT)) > 0):
+            raise PrecisionError(f"convolve_tail: level {k} failed its monotonicity self-check")
         coord = np.log
         if gandh:
             coord = np.arcsinh

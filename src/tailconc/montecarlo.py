@@ -3,17 +3,15 @@
 Batched common-random-number design: each batch draws an (m, n) loss matrix
 from its own deterministic substream, takes row sums, and estimates the
 ratio of the sum's empirical quantile to n times the single-loss quantile
-(either the model's exact quantile or an empirical quantile from an
-independent companion block of n*m single losses drawn from the same
-substream). Order statistics are selected in place, tail first. Every
-model's losses are a non-decreasing map of base variates (uniforms, or
-normals for g-and-h), so the companion block's order statistics are
-selected on its base variates and only those are mapped to losses: the
-bits are those of transforming the whole block first. Batch means give the
-point estimate; batch spread gives the uncertainty band. Results are
-reproducible bit-for-bit for a fixed configuration regardless of worker
-count, because every batch owns an independent substream and results are
-assembled by batch index.
+(either the model's exact quantile or the empirical quantile of the batch's
+own n*m losses). One draw serves both: the single-loss order statistics are
+selected in place on the flattened matrix after its row sums are taken, so
+numerator and denominator are positively correlated and the ratio's batch
+spread falls. Order statistics are selected in place, tail first. Batch
+means give the point estimate; batch spread gives the uncertainty band.
+Results are reproducible bit-for-bit for a fixed configuration regardless
+of worker count, because every batch owns an independent substream and
+results are assembled by batch index.
 """
 
 from __future__ import annotations
@@ -153,7 +151,8 @@ def empirical_concentration(
     n = config.n
     m = config.samples // config.batches
     # the traced peak of the draw, four (m, n) float blocks (variates, losses,
-    # transform temporaries; the companion block comes later), and the sums
+    # transform temporaries), and the sums; the denominator's order
+    # statistics are selected in place on the drawn losses
     per_batch = 8 * m * (4 * n + 1)
     concurrent = min(workers, config.batches)
     if per_batch * concurrent > config.max_bytes:
@@ -171,15 +170,11 @@ def empirical_concentration(
     def run_batch(b: int) -> np.ndarray:
         rng = np.random.Generator(np.random.PCG64(seeds[b]))
         matrix = model.draw(rng, (m, n))
-        sums = _row_sums(matrix)
-        del matrix
-        num = _order_stat_quantiles(sums, alphas)
-        if config.denominator is DenominatorMode.EMPIRICAL:
-            base = model.variates(rng, m * n)
-            den = n * model.from_variates(_order_stat_quantiles(base, alphas))
-        else:
-            den = exact_den
-        return num / den
+        num = _order_stat_quantiles(_row_sums(matrix), alphas)
+        if exact_den is None:
+            # the batch's own n m losses, selected in place on a view
+            return num / (n * _order_stat_quantiles(matrix.reshape(-1), alphas))
+        return num / exact_den
 
     ratios = np.empty((config.batches, alphas.size))
     with ThreadPoolExecutor(max_workers=workers) as pool:

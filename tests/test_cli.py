@@ -10,6 +10,7 @@ PARETO = '{"kind": "pareto", "xi": 0.5}'
 PARETO125 = '{"kind": "pareto", "xi": 1.25}'
 BURR = '{"kind": "burr", "tau": 0.25, "kappa": 8.0}'
 GANDH = '{"kind": "gandh", "a": 0.0, "b": 1.0, "g": 2.0, "h": 0.5}'
+HALL = '{"kind": "hall", "c": 1.0, "d": -0.3, "xi": 0.8, "rho": -0.4}'
 
 CURVE_HEADER = "alpha,c_emp,c_emp_lo,c_emp_hi,c1,c2,c_oracle"
 DIAG_HEADER = "kind,x,value,reference,ratio"
@@ -111,26 +112,43 @@ def test_curve_byte_identical_across_workers(capsys):
     assert out1 == out2
 
 
+PINNED_ARGS = ("--n", "3", "--samples", "200000", "--batches", "20", "--seed", "7")
+
+
 @pytest.mark.parametrize(
     ("model", "digest"),
     [
-        (PARETO, "c2514366633abf0e229d01cf28f7268a821628f8ba2d9123af2d1ea81c65e123"),
-        (BURR, "c8e2d80b0b9327264d56706978227b038ad639127a7bab866f7b0bb9a4f58245"),
-        (GANDH, "1eeabccca73991566a0093b724673738392931d1d379d89c134f2adb56f9c5f7"),
-        ('{"kind": "hall", "c": 1.0, "d": -0.3, "xi": 0.8, "rho": -0.4}',
-         "616fafe7a8aab36af2b4819422b7b73305027b11a77cad56bb9763c90da9a5ad"),
+        (PARETO, "1bf8944770bdd51e56207ba86df32a50b2be2fe8b162dc35c86f4a5c784344f1"),
+        (BURR, "7a722930a2286698920b8a505e7276f2224c91f93dd606620944ea672d923685"),
+        (GANDH, "81f74f2aac3f128f2c0d1a6414234806465f62f261fd39f8a73edf09f2943f83"),
+        (HALL, "1a510fc3943961e95f171b0d4d8853c595034b5dae6dab09e8efc483103564f0"),
     ],
     ids=["pareto", "burr", "gandh", "hall"],
 )
 def test_curve_bytes_pinned(capsys, model, digest):
     """Monte Carlo curve output at a fixed seed, pinned by sha256. A batch
-    selects its companion order statistics on the base variates and maps
-    only those to losses, which must give the bytes of mapping the whole
-    block first."""
-    code, out, _ = run(
-        capsys, "curve", "--model", model, "--n", "3",
-        "--samples", "200000", "--batches", "20", "--seed", "7",
-    )
+    draws one loss matrix and takes the denominator's order statistics from
+    the same losses its row sums add up."""
+    code, out, _ = run(capsys, "curve", "--model", model, *PINNED_ARGS)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    ("model", "digest"),
+    [
+        (PARETO, "cce1cf0d22dfbe4e4f702ec66353a1f16ff717ec755142f02351781a4e958801"),
+        (BURR, "0645c4cdcc08ea7af758ec5430581e866a1b1cd79866d7d260208e4ff50e6521"),
+        (GANDH, "2a0147433a4cae0e2283cb8228e5a74ce0f00e6dd1166ec46c3d6282b0f7df08"),
+        (HALL, "bb36454fafbfb8ccf5d723dc05a5a7401c7f38c6f0916fd9f3aaa3413ef0a19d"),
+    ],
+    ids=["pareto", "burr", "gandh", "hall"],
+)
+def test_curve_exact_denominator_bytes_pinned(capsys, model, digest):
+    """The exact-denominator curve at the same fixed seed, pinned by sha256:
+    only the sums' order statistics are random there, so these bytes pin the
+    numerator's stream."""
+    code, out, _ = run(capsys, "curve", "--model", model, *PINNED_ARGS, "--exact-denominator")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
@@ -450,10 +468,9 @@ def test_curve_values_are_seventeen_digit_reals(capsys):
 def test_hall_closed_form_c2_on_both_curve_paths(capsys):
     """--hall-closed-form reaches c2 alike without and with simulation, and
     moves it off the default on the catalogue Hall model."""
-    hall = '{"kind": "hall", "c": 1.0, "d": -0.3, "xi": 0.8, "rho": -0.4}'
 
     def c2(*extra):
-        code, out, _ = run(capsys, "curve", "--model", hall, "--n", "2", "--points", "5", *extra)
+        code, out, _ = run(capsys, "curve", "--model", HALL, "--n", "2", "--points", "5", *extra)
         assert code == 0
         return [row["c2"] for row in parse_csv(out)[1]]
 

@@ -301,6 +301,26 @@ def test_non_finite_level_raises(monkeypatch, name, n):
         convolve_tail(PARETO05, n)
 
 
+@pytest.mark.parametrize(
+    ("name", "n", "level"), [("_two_fold", 3, 2), ("_gbar_step_positive", 4, 3)]
+)
+def test_rising_intermediate_level_raises(monkeypatch, name, n, level):
+    """A one-ulp rise below _FLAT in an intermediate level fails the build
+    with PrecisionError naming that level."""
+    quadrature = getattr(convolution, name)
+
+    def rising(*args, **kwargs):
+        out = quadrature(*args, **kwargs)
+        i = int(np.argmax(out < 0.5))
+        out[i + 1] = np.nextafter(out[i], 1.0)
+        return out
+
+    monkeypatch.setattr(convolution, name, rising)
+    convolution._build_grid.cache_clear()  # a build that raises is not cached
+    with pytest.raises(PrecisionError, match=f"level {level} failed its monotonicity"):
+        convolve_tail(PARETO05, n)
+
+
 def test_gandh_grid_floor():
     grid = convolve_tail(GANDH, 2)
     # the grid deliberately starts near the sum's bulk, not at -inf

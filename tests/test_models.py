@@ -279,10 +279,9 @@ def test_draw_is_the_inverse_transform(model, inverse):
     "model", [*ALL_MODELS, ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4)], ids=lambda m: m.kind + repr(m)
 )
 def test_from_variates_is_non_decreasing(model):
-    """A Monte Carlo batch selects its companion order statistics on the
-    base variates and maps only those, which gives the same bits as mapping
-    the whole block only if ``from_variates`` never decreases: checked on
-    1e6 sorted variates plus the extremes of their range."""
+    """``from_variates`` never decreases, so the k-th smallest loss is the
+    map of the k-th smallest base variate: checked on 1e6 sorted variates
+    plus the extremes of their range."""
     v = model.variates(np.random.Generator(np.random.PCG64(3)), 1_000_000)
     ends = [-38.0, -8.0, 8.0, 38.0] if model.kind == "gandh" else [0.0, 5e-324, 1.0 - 2.0**-53]
     x = model.from_variates(np.sort(np.concatenate([v, ends])))

@@ -219,6 +219,22 @@ def test_exact_denominator_mode():
     assert exact.c_emp[0] == pytest.approx(0.9632, abs=0.02)
 
 
+@pytest.mark.parametrize("model", [PARETO05, GANDH], ids=lambda m: m.kind)
+def test_empirical_denominator_reads_the_batch_own_losses(model):
+    """One batch rebuilt by hand: the order statistics of the row sums over
+    n times those of the same matrix's n m entries, bit for bit."""
+    cfg = make_config(n=3, samples=30_000, batches=1, alpha_grid=(0.5, 0.9, 0.99, 0.9997))
+    seq = np.random.SeedSequence(cfg.seed).spawn(1)[0]
+    matrix = model.draw(np.random.Generator(np.random.PCG64(seq)), (cfg.samples, cfg.n))
+
+    def order_stats(values):
+        ks = np.ceil(np.asarray(cfg.alpha_grid) * values.size).astype(np.int64) - 1
+        return np.sort(values, axis=None)[ks]
+
+    want = order_stats(matrix.sum(axis=1)) / (cfg.n * order_stats(matrix))
+    assert np.array_equal(empirical_concentration(model, cfg).c_emp, want)
+
+
 def test_estimate_near_oracle_value():
     # two-fold xi = 1/2 concentration: 0.96316 at 0.9, 0.80693 at 0.99
     curve = empirical_concentration(PARETO05, make_config(samples=400_000, batches=20))
