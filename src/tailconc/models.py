@@ -90,13 +90,24 @@ def _like(out: np.ndarray, arg: np.ndarray):
     return float(out) if arg.ndim == 0 else out
 
 
+def _block(like, out: Optional[np.ndarray]) -> np.ndarray:
+    """``out``, or a fresh float array of ``like``'s shape where it is None."""
+    return np.empty(np.shape(like)) if out is None else out
+
+
 class LossModel:
     """Common interface for the model catalogue."""
 
     kind: ClassVar[str] = ""
+    # blocks of the variates' shape that the inverse transform overwrites
+    # besides its output (see ``from_variates``)
+    scratch_blocks: ClassVar[int] = 0
 
     # ----- subclass hooks (array in, array out, no validation) -----
-    def _quantile(self, a: np.ndarray) -> np.ndarray:
+    def _quantile(self, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        """Q(a), one in-place ufunc chain: into ``out`` (which may be ``a``)
+        where given, else into a fresh array; ``scratch`` as in
+        :meth:`from_variates`."""
         raise NotImplementedError
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
@@ -108,19 +119,25 @@ class LossModel:
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def variates(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Base variates that :meth:`from_variates` maps to losses: uniforms."""
-        return rng.random(size)
+    def variates(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        """Base variates that :meth:`from_variates` maps to losses: uniforms,
+        drawn into ``out`` (of shape ``size``) where given."""
+        return rng.random(size, out=out)
 
-    def from_variates(self, v: np.ndarray) -> np.ndarray:
+    def from_variates(self, v: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Losses at base variates ``v`` (inverse transform), non-decreasing
         in ``v``: the k-th smallest loss is the map of the k-th smallest
-        variate."""
-        return self._quantile(v)
+        variate. The losses go into ``out`` (which may be ``v`` itself)
+        where given, else into a fresh array, and ``v`` is left alone unless
+        it is ``out``. Families with ``scratch_blocks`` overwrite
+        ``scratch``, an array of v's shape, or allocate one where it is
+        None."""
+        return self._quantile(v, out, scratch)
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw losses using the supplied generator."""
-        return self.from_variates(self.variates(rng, size))
+        v = self.variates(rng, size)
+        return self.from_variates(v, out=v)
 
     # ----- shared surface -----
     @property
@@ -213,8 +230,12 @@ class Pareto(LossModel):
     def support_min(self) -> float:
         return 1.0
 
-    def _quantile(self, a: np.ndarray) -> np.ndarray:
-        return np.exp(-self.xi * np.log1p(-a))
+    def _quantile(self, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        # exp(-xi log1p(-a))
+        q = np.negative(a, out=_block(a, out))
+        np.log1p(q, out=q)
+        q *= -self.xi
+        return np.exp(q, out=q)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
         return x ** (-1.0 / self.xi)
@@ -261,10 +282,16 @@ class Burr(LossModel):
     def support_min(self) -> float:
         return 0.0
 
-    def _quantile(self, a: np.ndarray) -> np.ndarray:
-        # (1-a)^(-1/kappa) - 1 computed without cancellation near a = 0
-        core = np.expm1(-np.log1p(-a) / self.kappa)
-        return core ** (1.0 / self.tau)
+    def _quantile(self, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        # ((1-a)^(-1/kappa) - 1)^(1/tau), the core computed without
+        # cancellation near a = 0 as expm1(-log1p(-a)/kappa)
+        q = np.negative(a, out=_block(a, out))
+        np.log1p(q, out=q)
+        np.negative(q, out=q)
+        q /= self.kappa
+        np.expm1(q, out=q)
+        q **= 1.0 / self.tau
+        return q
 
     # where x^tau overflows, 1 + x^tau is x^tau to double precision and the
     # tail and density take their power forms x^(-tau kappa) and
@@ -315,10 +342,19 @@ class Burr(LossModel):
         )
 
 
-def gh_transform(z: np.ndarray, g: float, h: float) -> np.ndarray:
-    """The g-and-h transform k(z) = (exp(g z) - 1)/g * exp(h z^2 / 2)."""
+def gh_transform(z: np.ndarray, g: float, h: float, out=None, scratch=None) -> np.ndarray:
+    """The g-and-h transform k(z) = (exp(g z) - 1)/g * exp(h z^2 / 2), into
+    ``out`` (which may be ``z``) where given; ``scratch``, an array of z's
+    shape, holds exp(h z^2 / 2), and is allocated where None."""
     with np.errstate(over="ignore"):
-        return np.expm1(g * z) / g * np.exp(0.5 * h * z * z)
+        e = np.multiply(0.5 * h, z, out=_block(z, scratch))
+        e *= z
+        np.exp(e, out=e)
+        k = np.multiply(g, z, out=_block(z, out))
+        np.expm1(k, out=k)
+        k /= g
+        k *= e
+        return k
 
 
 def gh_transform_deriv(z: np.ndarray, g: float, h: float) -> np.ndarray:
@@ -450,6 +486,7 @@ class GandH(LossModel):
     g: float
     h: float
     kind: ClassVar[str] = "gandh"
+    scratch_blocks: ClassVar[int] = 1
 
     def __post_init__(self):
         for name, lo in (("a", None), ("b", 0.0), ("g", 0.0), ("h", 0.0)):
@@ -459,18 +496,23 @@ class GandH(LossModel):
     def support_min(self) -> float:
         return -math.inf
 
-    def _quantile(self, a: np.ndarray) -> np.ndarray:
-        return self.x_of_z(ndtri(a))
+    def _quantile(self, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        z = ndtri(a, out=_block(a, out))
+        return self.x_of_z(z, z, scratch)
 
-    def x_of_z(self, z: np.ndarray) -> np.ndarray:
-        """The loss a + b k(z) at normal score z."""
-        return self.a + self.b * gh_transform(z, self.g, self.h)
+    def x_of_z(self, z: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        """The loss a + b k(z) at normal score z; ``out`` and ``scratch`` as
+        in :func:`gh_transform`."""
+        x = gh_transform(z, self.g, self.h, out, scratch)
+        x *= self.b
+        x += self.a
+        return x
 
     from_variates = x_of_z
 
-    def variates(self, rng: np.random.Generator, size) -> np.ndarray:
-        """Standard normal base variates."""
-        return rng.standard_normal(size)
+    def variates(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
+        """Standard normal base variates, drawn into ``out`` where given."""
+        return rng.standard_normal(size, out=out)
 
     def z_of_x(self, x: np.ndarray) -> np.ndarray:
         """The z with a + b k(z) = x, for an unvalidated array x."""
@@ -538,6 +580,7 @@ class ExactHall(LossModel):
     xi: float
     rho: float
     kind: ClassVar[str] = "hall"
+    scratch_blocks: ClassVar[int] = 1
 
     def __post_init__(self):
         bounds = {"c": (0.0, None), "d": (None, None), "xi": (0.0, None), "rho": (None, 0.0)}
@@ -568,8 +611,10 @@ class ExactHall(LossModel):
     def support_min(self) -> float:
         return self.c * (1.0 + self.d)
 
-    def _quantile(self, a: np.ndarray) -> np.ndarray:
-        return self._tail_quantile(1.0 / (1.0 - a))
+    def _quantile(self, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        t = np.subtract(1.0, a, out=_block(a, out))
+        np.divide(1.0, t, out=t)
+        return self._tail_quantile(t, t, scratch)
 
     def _t_of_x(self, x: np.ndarray) -> np.ndarray:
         """Invert U(t) = x for t >= 1.
@@ -623,8 +668,16 @@ class ExactHall(LossModel):
         tr = t**self.rho
         return self.d * self.rho * tr / (1.0 + self.d * tr)
 
-    def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
-        return self.c * t**self.xi * (1.0 + self.d * t**self.rho)
+    def _tail_quantile(self, t: np.ndarray, out=None, scratch=None) -> np.ndarray:
+        # (c t^xi) (1 + d t^rho), into ``out`` (which may be ``t``) where
+        # given; ``scratch``, allocated where None, holds 1 + d t^rho
+        tr = np.power(t, self.rho, out=_block(t, scratch))
+        tr *= self.d
+        tr += 1.0
+        u = np.power(t, self.xi, out=_block(t, out))
+        u *= self.c
+        u *= tr
+        return u
 
     def _moments(self, x: float) -> float:
         c, d, xi, rho = self.c, self.d, self.xi, self.rho

@@ -9,9 +9,15 @@ selected in place on the flattened matrix after its row sums are taken, so
 numerator and denominator are positively correlated and the ratio's batch
 spread falls. Order statistics are selected in place, tail first. Batch
 means give the point estimate; batch spread gives the uncertainty band.
-Results are reproducible bit-for-bit for a fixed configuration regardless
-of worker count, because every batch owns an independent substream and
-results are assembled by batch index.
+
+W = min(workers, batches) threads run; worker w takes batches w, w + W,
+w + 2W, ... and allocates its buffers once: the (m, n) block that each
+batch's variates are drawn into and mapped to losses in place, a second
+(m, n) scratch block where the family's inverse transform needs one, and
+the m row sums. Results are reproducible bit-for-bit for a fixed
+configuration regardless of worker count, because every batch owns an
+independent substream and writes its ratios into the row of its batch
+index.
 """
 
 from __future__ import annotations
@@ -36,6 +42,9 @@ __all__ = [
 ]
 
 
+_BATCH_OVERHEAD = 1 << 16  # bytes of a batch's small arrays and generator state
+
+
 class DenominatorMode(str, enum.Enum):
     """How the single-loss quantile in the denominator is obtained."""
 
@@ -49,8 +58,11 @@ class SimulationConfig:
 
     ``samples`` is the total number of sum observations, split evenly over
     ``batches`` (must divide). ``alpha_grid`` is a strictly increasing tuple
-    of levels in (0, 1). ``max_bytes`` caps the estimated peak allocation;
-    exceeding it raises :class:`ResourceLimitError` rather than thrashing.
+    of levels in (0, 1). ``max_bytes`` caps the estimated peak allocation,
+    the buffers of min(workers, batches) concurrent workers, each about
+    8 m ((1 + s) n + 1) bytes for m = samples / batches and s the model's
+    ``scratch_blocks``; exceeding it raises :class:`ResourceLimitError`
+    rather than thrashing.
     """
 
     n: int
@@ -127,17 +139,17 @@ def _order_stat_quantiles(values: np.ndarray, alphas: np.ndarray) -> np.ndarray:
     return values[ks]
 
 
-def _row_sums(matrix: np.ndarray) -> np.ndarray:
-    """``matrix.sum(axis=1)``, bit for bit. numpy adds a row of fewer than 8
-    entries in order, so adding whole columns into a copy of the first gives
-    the same bits at a fraction of the cost; longer rows are summed in 8-way
-    partial sums, so those keep ``sum``."""
+def _row_sums(matrix: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``matrix.sum(axis=1)`` into ``out``, bit for bit. numpy adds a row of
+    fewer than 8 entries in order, so adding whole columns onto the first
+    gives the same bits at a fraction of the cost; longer rows are summed in
+    8-way partial sums, so those keep ``sum``."""
     if matrix.shape[1] >= 8:
-        return matrix.sum(axis=1)
-    sums = matrix[:, 0].copy()
+        return matrix.sum(axis=1, out=out)
+    np.copyto(out, matrix[:, 0])
     for j in range(1, matrix.shape[1]):
-        sums += matrix[:, j]
-    return sums
+        out += matrix[:, j]
+    return out
 
 
 def empirical_concentration(
@@ -150,14 +162,13 @@ def empirical_concentration(
     workers = check_int("empirical_concentration: workers", workers, 1)
     n = config.n
     m = config.samples // config.batches
-    # the traced peak of the draw, four (m, n) float blocks (variates, losses,
-    # transform temporaries), and the sums; the denominator's order
-    # statistics are selected in place on the drawn losses
-    per_batch = 8 * m * (4 * n + 1)
     concurrent = min(workers, config.batches)
-    if per_batch * concurrent > config.max_bytes:
+    # one worker's buffers: the (m, n) losses, the transform's scratch
+    # blocks, and the m sums, plus the small per-batch arrays
+    per_worker = 8 * m * ((1 + model.scratch_blocks) * n + 1) + _BATCH_OVERHEAD
+    if per_worker * concurrent > config.max_bytes:
         raise ResourceLimitError(
-            f"a batch of {m} sums of {n} losses needs ~{per_batch} bytes "
+            f"a worker drawing {m} sums of {n} losses needs ~{per_worker} bytes "
             f"({concurrent} concurrently); raise batches, lower workers, or "
             f"raise SimulationConfig.max_bytes (currently {config.max_bytes})"
         )
@@ -166,20 +177,26 @@ def empirical_concentration(
     if config.denominator is DenominatorMode.EXACT:
         exact_den = n * np.atleast_1d(np.asarray(model.quantile(alphas)))
     seeds = np.random.SeedSequence(config.seed).spawn(config.batches)
-
-    def run_batch(b: int) -> np.ndarray:
-        rng = np.random.Generator(np.random.PCG64(seeds[b]))
-        matrix = model.draw(rng, (m, n))
-        num = _order_stat_quantiles(_row_sums(matrix), alphas)
-        if exact_den is None:
-            # the batch's own n m losses, selected in place on a view
-            return num / (n * _order_stat_quantiles(matrix.reshape(-1), alphas))
-        return num / exact_den
-
     ratios = np.empty((config.batches, alphas.size))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for b, row in enumerate(pool.map(run_batch, range(config.batches))):
-            ratios[b] = row
+
+    def run_worker(w: int) -> None:
+        losses = np.empty((m, n))
+        scratch = np.empty((m, n)) if model.scratch_blocks else None
+        sums = np.empty(m)
+        for b in range(w, config.batches, concurrent):
+            rng = np.random.Generator(np.random.PCG64(seeds[b]))
+            model.variates(rng, (m, n), out=losses)
+            model.from_variates(losses, out=losses, scratch=scratch)
+            num = _order_stat_quantiles(_row_sums(losses, sums), alphas)
+            if exact_den is None:
+                # the batch's own n m losses, selected in place on a view
+                ratios[b] = num / (n * _order_stat_quantiles(losses.reshape(-1), alphas))
+            else:
+                ratios[b] = num / exact_den
+
+    with ThreadPoolExecutor(max_workers=concurrent) as pool:
+        for done in [pool.submit(run_worker, w) for w in range(concurrent)]:
+            done.result()
     c_emp = ratios.mean(axis=0)
     if config.batches >= 40:
         lo = np.percentile(ratios, 2.5, axis=0)

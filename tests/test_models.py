@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from scipy.integrate import quad
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from tailconc import models
 from tailconc.errors import DomainError, PoleError, PrecisionError
@@ -286,6 +286,55 @@ def test_from_variates_is_non_decreasing(model):
     ends = [-38.0, -8.0, 8.0, 38.0] if model.kind == "gandh" else [0.0, 5e-324, 1.0 - 2.0**-53]
     x = model.from_variates(np.sort(np.concatenate([v, ends])))
     assert np.all(x[1:] >= x[:-1])
+
+
+def allocating_map(model: LossModel, v: np.ndarray) -> np.ndarray:
+    """Each family's inverse transform as one allocating expression."""
+    if model.kind == "pareto":
+        return np.exp(-model.xi * np.log1p(-v))
+    if model.kind == "burr":
+        return np.expm1(-np.log1p(-v) / model.kappa) ** (1.0 / model.tau)
+    if model.kind == "hall":
+        t = 1.0 / (1.0 - v)
+        return model.c * t**model.xi * (1.0 + model.d * t**model.rho)
+    with np.errstate(over="ignore"):
+        return model.a + model.b * (np.expm1(model.g * v) / model.g * np.exp(0.5 * model.h * v * v))
+
+
+@pytest.mark.parametrize(
+    "model", [*ALL_MODELS, ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4)], ids=lambda m: m.kind + repr(m)
+)
+def test_in_place_map_is_the_allocating_map(model):
+    """The inverse transform run in place on its variates, with or without
+    a scratch block, gives the allocating ``from_variates`` and
+    ``quantile`` bit for bit, and those give the one-expression formula,
+    on 1e6 variates plus the extremes of their range; the caller's arrays
+    are left alone."""
+    rng = np.random.Generator(np.random.PCG64(9))
+    u = np.concatenate([rng.random(1_000_000), [np.nextafter(1.0, 0.0), 1e-300, 0.0]])
+    levels = u[:-1]  # quantile takes levels inside (0, 1)
+    gandh = model.kind == "gandh"
+    v = np.concatenate([model.variates(rng, 1_000_000), [-38.0, 38.0]]) if gandh else u
+    for values, fresh, hook, formula_at in (
+        (v, model.from_variates, model.from_variates, v),
+        (levels, model.quantile, model._quantile, ndtri(levels) if gandh else levels),
+    ):
+        before = values.copy()
+        want = fresh(values)
+        assert np.array_equal(values, before)
+        assert np.array_equal(want, allocating_map(model, formula_at))
+        for scratch in (None, np.full(values.shape, np.nan)):
+            buf = values.copy()
+            assert hook(buf, buf, scratch) is buf
+            assert np.array_equal(buf, want)
+
+
+@pytest.mark.parametrize("model", [Pareto(xi=0.5), GandH(a=0.0, b=1.0, g=2.0, h=0.5)], ids=lambda m: m.kind)
+def test_variates_into_a_buffer_keep_the_stream(model):
+    want = model.variates(np.random.Generator(np.random.PCG64(4)), (1000, 3))
+    buf = np.full((1000, 3), np.nan)
+    assert model.variates(np.random.Generator(np.random.PCG64(4)), (1000, 3), out=buf) is buf
+    assert np.array_equal(buf, want)
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.kind + repr(m))

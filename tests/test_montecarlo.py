@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import tracemalloc
 
 import hypothesis.extra.numpy as hnp
@@ -22,6 +23,8 @@ from tailconc.montecarlo import (
 
 PARETO05 = Pareto(xi=0.5)
 GANDH = GandH(a=0.0, b=1.0, g=2.0, h=0.5)
+BURR = Burr(tau=0.25, kappa=8.0)
+HALL = ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4)
 
 BASE = dict(n=2, samples=100_000, alpha_grid=(0.9, 0.99), batches=10, seed=7)
 
@@ -136,13 +139,16 @@ def test_empirical_quantile_leaves_its_input_unchanged():
         assert np.array_equal(values, before)
 
 
-@pytest.mark.parametrize("n", range(2, 8))
+@pytest.mark.parametrize("n", range(2, 10))
 def test_row_sums_match_sum_bit_for_bit(n):
     """Adding columns gives numpy's row sums exactly below 8 columns, on
-    mixed-sign data spanning many magnitudes."""
+    mixed-sign data spanning many magnitudes; from 8 on ``sum`` writes
+    into the buffer. Every entry of the buffer is overwritten."""
     rng = np.random.default_rng(n)
     matrix = rng.standard_normal((100_001, n)) * np.exp(5.0 * rng.standard_normal((100_001, n)))
-    assert np.array_equal(_row_sums(matrix), matrix.sum(axis=1))
+    out = np.full(len(matrix), np.nan)
+    assert _row_sums(matrix, out) is out
+    assert np.array_equal(out, matrix.sum(axis=1))
 
 
 def test_empirical_quantile_recovers_model_quantile():
@@ -249,34 +255,71 @@ def test_resource_limit_guard():
 
 
 def test_resource_limit_counts_concurrency():
-    # one batch fits, four concurrent batches do not
+    # one worker fits, four concurrent workers do not: a Pareto worker holds
+    # one (m, 2) block of losses, the m sums and 64 KiB of small arrays
     m = BASE["samples"] // BASE["batches"]
-    per_batch = 8 * m * (4 * 2 + 1)
-    cfg = make_config(max_bytes=2 * per_batch)
+    per_worker = 8 * m * (2 + 1) + (1 << 16)
+    cfg = make_config(max_bytes=2 * per_worker)
     empirical_concentration(PARETO05, cfg, workers=1)
     with pytest.raises(ResourceLimitError):
         empirical_concentration(PARETO05, cfg, workers=4)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [PARETO05, Burr(tau=0.25, kappa=8.0), GANDH, ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4)],
-    ids=lambda m: m.kind,
-)
+def traced_peak(model, cfg):
+    """Peak traced allocation of one run, after a first run has filled
+    first-call caches, which are not the batch's."""
+    empirical_concentration(model, cfg)
+    tracemalloc.start()
+    try:
+        empirical_concentration(model, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("model", [PARETO05, BURR, GANDH, HALL], ids=lambda m: m.kind)
 @pytest.mark.parametrize("denominator", list(DenominatorMode), ids=lambda d: d.value)
 def test_resource_estimate_bounds_a_traced_batch(model, denominator):
     """The guard's estimate is at least one batch's traced peak: a cap one
     byte below that peak refuses the run."""
     cfg = make_config(n=3, batches=1, denominator=denominator)
-    empirical_concentration(model, cfg)  # first-call caches are not the batch's
-    tracemalloc.start()
-    try:
-        empirical_concentration(model, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(model, cfg)
     with pytest.raises(ResourceLimitError):
         empirical_concentration(model, dataclasses.replace(cfg, max_bytes=peak - 1))
+
+
+@pytest.mark.parametrize(
+    "model, blocks",
+    [(PARETO05, 1), (BURR, 1), (GANDH, 2), (HALL, 2)],
+    ids=["pareto", "burr", "gandh", "hall"],
+)
+@pytest.mark.parametrize("denominator", list(DenominatorMode), ids=lambda d: d.value)
+def test_batch_allocates_only_its_worker_buffers(model, blocks, denominator):
+    """A batch draws, maps and sums into its worker's buffers: one (m, n)
+    block of losses (two where the family's map needs a scratch block),
+    the m sums and at most 64 KiB else. Fresh variates, losses and ufunc
+    temporaries would add one (m, n) block each."""
+    cfg = make_config(n=3, batches=1, denominator=denominator)
+    m = cfg.samples
+    assert traced_peak(model, cfg) <= 8 * m * (blocks * cfg.n + 1) + (1 << 16)
+
+
+@pytest.mark.parametrize("model", [PARETO05, GANDH], ids=lambda m: m.kind)
+@pytest.mark.parametrize("denominator", list(DenominatorMode), ids=lambda d: d.value)
+def test_strided_workers_match_one_worker(model, denominator):
+    """Worker w runs batches w, w + W, ...; 7 batches over 3 workers leave
+    uneven strides, and 8 workers run only 7. Every count gives the bits of
+    one worker, also with a thread switch every microsecond."""
+    cfg = make_config(samples=70_000, batches=7, denominator=denominator)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        curves = [empirical_concentration(model, cfg, workers=w) for w in (1, 3, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    for curve in curves[1:]:
+        for field in ("c_emp", "band_lo", "band_hi"):
+            assert np.array_equal(getattr(curve, field), getattr(curves[0], field))
 
 
 def test_curve_reports_approximation_columns():
