@@ -24,7 +24,11 @@ nodes per panel. A lower-order re-run of the final level provides an error
 estimate, and :class:`PrecisionError` is raised when it exceeds the grid
 tolerance. Between and beyond its nodes every stored level, the final one
 included, is read by one log-tail interpolant, :class:`_LogTail`, in the
-closed-form coordinate log x, x, or asinh x (g-and-h).
+closed-form coordinate log x, x, or asinh x (g-and-h), in blocks of
+``_BLOCK`` elements so that a read's temporaries stay in cache. Its
+monotone cubic, :class:`_Pchip`, is an in-package port of scipy's
+``PchipInterpolator`` that reproduces its values bit for bit, so the
+package never imports ``scipy.interpolate``.
 """
 
 from __future__ import annotations
@@ -35,7 +39,6 @@ from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 from scipy.special import ndtri
 
 from . import approx
@@ -60,6 +63,7 @@ _GH_FLOOR_LEVEL = 0.6  # g-and-h grids start at this quantile
 _FLAT = 1.0 - 1e-15  # a stored tail at or above this is 1 to double precision
 _ROOT_RTOL = 1e-12  # quantile bracket width at convergence, relative to max(|x|, 1)
 _ROOT_MAX_ITER = 100
+_BLOCK = 1 << 14  # elements per block of a level read, so its temporaries stay in cache
 
 
 # The oracle grid: _POINTS nodes, of which _HEAD_POINTS are linearly spaced
@@ -209,6 +213,79 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
     return out
 
 
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant of (x, y), x strictly
+    increasing (Fritsch & Carlson 1980, SIAM J. Numer. Anal. 17(2)).
+
+    A port of scipy 1.17.1's ``PchipInterpolator(x, y, extrapolate=False)``
+    that reproduces its values bit for bit: the same node slopes (the
+    weighted harmonic mean of the neighbouring secants, 0 where they differ
+    in sign or one is 0; Moler's one-sided end rule; the secant itself for
+    two nodes), the same cubic coefficients, and the same evaluation order,
+    ``c3 + c2 s + c1 (s s) + c0 ((s s) s)`` with ``s = u - x_i`` on the
+    interval ``x_i <= u < x_{i+1}`` (the last one for ``u == x_N``). The
+    value is NaN outside [x_0, x_N] and at NaN.
+    """
+
+    __slots__ = ("_x", "_ramp", "_left", "_c")
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        h = np.diff(x)
+        m = np.diff(y) / h
+        if x.size == 2:
+            d = np.array([m[0], m[0]])
+        else:
+            w1 = 2.0 * h[1:] + h[:-1]
+            w2 = h[1:] + 2.0 * h[:-1]
+            flat = (np.sign(m[1:]) != np.sign(m[:-1])) | (m[1:] == 0.0) | (m[:-1] == 0.0)
+            d = np.empty(x.size)
+            with np.errstate(divide="ignore", invalid="ignore"):  # flat entries are discarded
+                d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d[0] = self._end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = self._end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        # + 0.0 turns a -0.0 node value into the +0.0 scipy's sum starts from
+        c = (t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1] + 0.0)
+        # interval N (one past the last) holds NaN: queries outside
+        # [x_0, x_N] and NaN queries read it
+        self._c = tuple(np.append(ck, np.nan) for ck in c)
+        self._left = np.append(x[:-1], np.nan)
+        self._x = x
+        # node k sits at position k, except x_N, which starts no interval
+        self._ramp = np.minimum(np.arange(x.size, dtype=float), x.size - 2)
+
+    @staticmethod
+    def _end_slope(h0, h1, m0, m1):
+        """Moler's one-sided three-point end slope, kept shape-preserving."""
+        d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(d) != np.sign(m0):
+            return 0.0
+        if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+            return 3.0 * m0
+        return d
+
+    def __call__(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """The interpolant at the 1-d ``u``, written into ``out`` if given."""
+        if out is None:
+            out = np.empty(u.shape)
+        nan_interval = self._x.size - 1
+        # np.interp's position on the ramp rounds at most one interval high;
+        # outside the nodes it is the NaN interval, and fmin sends NaN there
+        pos = np.interp(u, self._x, self._ramp, nan_interval, nan_interval)
+        i = np.fmin(pos, nan_interval, out=pos).astype(np.intp)
+        left = self._left
+        i -= left.take(i) > u
+        s = u - left.take(i)
+        c0, c1, c2, c3 = self._c
+        np.multiply(c2.take(i), s, out=out)
+        out += c3.take(i)
+        ss = s * s
+        out += c1.take(i) * ss
+        ss *= s
+        out += c0.take(i) * ss
+        return out
+
+
 class _LogTail:
     """Tail of one convolution level between and beyond its stored nodes.
 
@@ -268,31 +345,38 @@ class _LogTail:
         self._coord = coord
         with np.errstate(divide="ignore"):
             node_c = coord(node_x[j : k + 1])
-        self._spline = PchipInterpolator(node_c, log_g[j : k + 1], extrapolate=False)
+        self._spline = _Pchip(node_c, log_g[j : k + 1])
         self._upper = None
         if k < node_g.size - 1:
-            spline = PchipInterpolator(np.log(node_x[k:]), log_g[k:], extrapolate=False)
-            self._upper = (spline, float(node_x[k]))
+            self._upper = (_Pchip(np.log(node_x[k:]), log_g[k:]), float(node_x[k]))
         self._x_top = float(node_x[-1])
         self._g_top = float(node_g[-1])
         self._power = -1.0 / xi
 
     def __call__(self, w) -> np.ndarray:
-        """Tail at the arguments ``w``."""
+        """Tail at the arguments ``w``, read in blocks of ``_BLOCK`` elements."""
         w = np.asarray(w, dtype=float)
+        out = np.empty(w.shape)
+        flat_w, flat_out = w.reshape(-1), out.reshape(-1)
+        for lo in range(0, w.size, _BLOCK):
+            self._read(flat_w[lo : lo + _BLOCK], flat_out[lo : lo + _BLOCK])
+        return out
+
+    def _read(self, w: np.ndarray, out: np.ndarray) -> None:
         # arguments at or below the support (log 0, log of a negative) get
         # a meaningless coordinate; the floor overwrites their value
         with np.errstate(divide="ignore", invalid="ignore"):
-            out = self._spline(self._coord(w))
-            if self._upper is not None:
-                spline, w_split = self._upper
-                up = w > w_split
-                out[up] = spline(np.log(w[up]))
+            c = self._coord(w)
+        self._spline(c, out)
+        if self._upper is not None:
+            spline, w_split = self._upper
+            up = w > w_split
+            out[up] = spline(np.log(w[up]))
         np.exp(out, out=out)
         out[w <= self._w_one] = 1.0
         top = w > self._x_top
         out[top] = self._g_top * (w[top] / self._x_top) ** self._power
-        return np.clip(out, 0.0, 1.0, out=out)
+        np.clip(out, 0.0, 1.0, out=out)
 
 
 @dataclass(slots=True, eq=False)

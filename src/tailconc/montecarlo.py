@@ -43,6 +43,7 @@ __all__ = [
 
 
 _BATCH_OVERHEAD = 1 << 16  # bytes of a batch's small arrays and generator state
+_RATIO_COPIES = 3  # the (batches, levels) ratios and two temporaries of their statistics
 
 
 class DenominatorMode(str, enum.Enum):
@@ -58,11 +59,12 @@ class SimulationConfig:
 
     ``samples`` is the total number of sum observations, split evenly over
     ``batches`` (must divide). ``alpha_grid`` is a strictly increasing tuple
-    of levels in (0, 1). ``max_bytes`` caps the estimated peak allocation,
+    of levels in (0, 1). ``max_bytes`` caps the estimated peak allocation:
     the buffers of min(workers, batches) concurrent workers, each about
     8 m ((1 + s) n + 1) bytes for m = samples / batches and s the model's
-    ``scratch_blocks``; exceeding it raises :class:`ResourceLimitError`
-    rather than thrashing.
+    ``scratch_blocks``, plus what grows with the batch count, the
+    (batches, levels) ratios and the copies their summary statistics make;
+    exceeding it raises :class:`ResourceLimitError` rather than thrashing.
     """
 
     n: int
@@ -163,20 +165,21 @@ def empirical_concentration(
     n = config.n
     m = config.samples // config.batches
     concurrent = min(workers, config.batches)
+    alphas = np.asarray(config.alpha_grid, dtype=float)
     # one worker's buffers: the (m, n) losses, the transform's scratch
     # blocks, and the m sums, plus the small per-batch arrays
     per_worker = 8 * m * ((1 + model.scratch_blocks) * n + 1) + _BATCH_OVERHEAD
-    if per_worker * concurrent > config.max_bytes:
+    per_run = _RATIO_COPIES * 8 * config.batches * alphas.size
+    if per_worker * concurrent + per_run > config.max_bytes:
         raise ResourceLimitError(
             f"a worker drawing {m} sums of {n} losses needs ~{per_worker} bytes "
-            f"({concurrent} concurrently); raise batches, lower workers, or "
-            f"raise SimulationConfig.max_bytes (currently {config.max_bytes})"
+            f"({concurrent} concurrently), and {config.batches} batches' ratios "
+            f"~{per_run}; raise or lower batches, lower workers, or raise "
+            f"SimulationConfig.max_bytes (currently {config.max_bytes})"
         )
-    alphas = np.asarray(config.alpha_grid, dtype=float)
     exact_den = None
     if config.denominator is DenominatorMode.EXACT:
         exact_den = n * np.atleast_1d(np.asarray(model.quantile(alphas)))
-    seeds = np.random.SeedSequence(config.seed).spawn(config.batches)
     ratios = np.empty((config.batches, alphas.size))
 
     def run_worker(w: int) -> None:
@@ -184,7 +187,9 @@ def empirical_concentration(
         scratch = np.empty((m, n)) if model.scratch_blocks else None
         sums = np.empty(m)
         for b in range(w, config.batches, concurrent):
-            rng = np.random.Generator(np.random.PCG64(seeds[b]))
+            # the b-th child of SeedSequence(seed), made when its batch runs
+            seq = np.random.SeedSequence(config.seed, spawn_key=(b,))
+            rng = np.random.Generator(np.random.PCG64(seq))
             model.variates(rng, (m, n), out=losses)
             model.from_variates(losses, out=losses, scratch=scratch)
             num = _order_stat_quantiles(_row_sums(losses, sums), alphas)

@@ -3,8 +3,9 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
 from tailconc import convolution, models
 from tailconc.convolution import (
@@ -581,3 +582,109 @@ def test_power_law_extension_beyond_grid():
     g_top = float(grid.g_tail[-1])
     got = grid.tail_at(4.0 * top)
     assert got == pytest.approx(g_top * 4.0 ** -2.0, rel=1e-2)
+
+
+def same_bits(got, want):
+    """Bit for bit, NaN where NaN (a NaN's payload aside)."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    nan = np.isnan(want)
+    return (
+        got.shape == want.shape
+        and np.array_equal(np.isnan(got), nan)
+        and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64))
+    )
+
+
+class ScipyPchip:
+    """scipy's PCHIP behind the in-package interpolant's call signature."""
+
+    def __init__(self, x, y):
+        self.spline = PchipInterpolator(x, y, extrapolate=False)
+
+    def __call__(self, u, out=None):
+        if out is None:
+            return self.spline(u)
+        out[...] = self.spline(u)
+        return out
+
+
+@st.composite
+def pchip_cases(draw):
+    """Nodes, values and queries: 2, 3 or many nodes; values from a small
+    pool as often as not, so flat runs, zero slopes and sign changes are
+    common; queries at the nodes and ends, outside the range, at NaN and
+    +-inf, and, in some cases, a query array longer than one block."""
+    size = draw(st.sampled_from([2, 3, draw(st.integers(4, 40))]))
+    gaps = draw(st.lists(st.floats(1e-3, 1e3), min_size=size - 1, max_size=size - 1))
+    x = draw(st.floats(-1e3, 1e3)) + np.concatenate([[0.0], np.cumsum(gaps)])
+    # a nonzero value below 1e-20 in size would overflow scipy's slopes too
+    finite = st.floats(-50.0, 50.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-20)
+    level = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 1.0, -20.0]), finite)
+    y = np.array(draw(st.lists(level, min_size=size, max_size=size)))
+    if draw(st.booleans()):
+        y = -np.sort(-y)  # non-increasing, like a log tail
+    inside = draw(st.lists(st.floats(x[0], x[-1]), max_size=30))
+    outside = [x[0] - 1.0, x[-1] + 1.0, -1e300, 1e300, math.inf, -math.inf, math.nan]
+    u = np.concatenate([x, inside, outside, np.nextafter(x, -math.inf), np.nextafter(x, math.inf)])
+    if draw(st.booleans()):
+        u = np.resize(draw(st.permutations(u)), convolution._BLOCK + 17)
+    return x, y, u
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=pchip_cases())
+# at a node whose value is -0.0, scipy's sum, which starts from +0.0, reads +0.0
+@example(case=(np.array([0.0, 1.0, 5.0, 9.0, 9.5]), np.array([-0.0, -0.5, -4.5, -6.5, -7.0]), np.zeros(1)))
+def test_pchip_matches_scipy_bit_for_bit(case):
+    x, y, u = case
+    want = PchipInterpolator(x, y, extrapolate=False)(u)
+    got = convolution._Pchip(x, y)(u)
+    assert same_bits(got, want)
+
+
+@pytest.mark.parametrize("model", [PARETO05, BURR2508, GANDH], ids=lambda m: m.kind)
+def test_build_matches_a_scipy_pchip_build_bit_for_bit(monkeypatch, model):
+    """n = 3 built with scipy's PCHIP, every level read in one piece, gives
+    the same stored tails, certificate, level-2 reads, final reads and
+    quantiles as the in-package PCHIP read in blocks, bit for bit. The
+    reads cover more than one block, the ends and the out-of-range points."""
+    grid = convolution._build_grid.__wrapped__(model, 3, GridSpec())
+    span = np.arcsinh([grid.x[0], 2.0 * grid.x[-1]])
+    w = np.concatenate([
+        np.sinh(np.linspace(*span, 3 * convolution._BLOCK)),
+        grid.x,
+        [0.0, -1.0, 1e300, -1e300, math.nan],
+    ])
+    with monkeypatch.context() as patch:
+        patch.setattr(convolution, "_Pchip", ScipyPchip)
+        patch.setattr(convolution, "_BLOCK", w.size)
+        ref = convolution._build_grid.__wrapped__(model, 3, GridSpec())
+        want_level, want_tail = ref._fresh.args[1](w), ref._tail(w)
+    assert same_bits(grid.g_tail, ref.g_tail)
+    assert grid.certified_error == ref.certified_error
+    assert same_bits(grid._fresh.args[1](w), want_level)
+    assert same_bits(grid._tail(w), want_tail)
+    assert same_bits(oracle_quantiles(grid, CLI_LEVELS), oracle_quantiles(ref, CLI_LEVELS))
+
+
+@pytest.mark.parametrize("model", [PARETO05, BURR2508, GANDH], ids=lambda m: m.kind)
+def test_reads_out_of_range_emit_no_warning(model):
+    """-1e300, -1, 0 and 1e300 are read without an overflow or invalid-value
+    warning (which the test configuration makes an error), and NaN reads as
+    NaN; tail_at reports NaN as out of range."""
+    grid = convolve_tail(model, 3)
+    vals = grid._fresh.args[1](np.array([-1e300, -1.0, 0.0, 1e300, math.nan]))
+    if model is GANDH:
+        assert vals[0] == 1.0 >= vals[1] >= vals[2] > 0.0
+    else:
+        assert vals[0] == vals[1] == vals[2] == 1.0
+    assert 0.0 <= vals[3] < 1e-200 and math.isnan(vals[4])
+    assert 0.0 <= grid.tail_at(1e300) < 1e-200
+    if model is GANDH:
+        for w in (0.0, -1.0):
+            with pytest.raises(GridRangeError):
+                grid.tail_at(w)
+    else:
+        assert grid.tail_at(0.0) == grid.tail_at(-1.0) == 1.0
+    with pytest.raises(GridRangeError):
+        grid.tail_at(math.nan)

@@ -3,9 +3,13 @@ across a module boundary: no ``from .x import _name`` and no ``obj._attr``
 read on anything but ``self`` or ``cls`` (tests may; they are not scanned).
 The panel rule has one caller per quadrature family, the g-and-h transform
 is reached through one affine map, the package's public names are
-declared once, in each module's ``__all__``, and every import is used."""
+declared once, in each module's ``__all__``, every import is used, and
+no module imports ``scipy.interpolate``, so start-up does not load it."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +124,37 @@ def test_unused_import_scan():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set:
+    """Every module an ``import`` names, with ``from a import b`` as both
+    ``a`` and ``a.b``; relative imports are left out."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            found |= {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+    return found
+
+
+def test_import_scan():
+    source = "import numpy as np\nfrom scipy import interpolate\nfrom . import models\n"
+    assert imported_modules(source) == {"numpy", "scipy", "scipy.interpolate"}
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "tailconc").glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_imports_scipy_interpolate(path):
+    names = imported_modules(path.read_text())
+    assert not [n for n in names if n == "scipy.interpolate" or n.startswith("scipy.interpolate.")]
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = "import sys, tailconc.cli; print('scipy.interpolate' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -265,6 +265,27 @@ def test_resource_limit_counts_concurrency():
         empirical_concentration(PARETO05, cfg, workers=4)
 
 
+def test_resource_limit_counts_the_batch_count(monkeypatch):
+    """200 000 one-row batches: each worker's buffers fit in 70 kB, but the
+    ratios of that many batches do not, so the run is refused before any
+    batch draws."""
+    monkeypatch.setattr(Pareto, "variates", lambda *args, **kwargs: pytest.fail("drew"))
+    cfg = SimulationConfig(n=2, samples=200_000, batches=200_000, alpha_grid=(0.9,), max_bytes=70_000)
+    with pytest.raises(ResourceLimitError):
+        empirical_concentration(PARETO05, cfg)
+
+
+def test_batch_seeds_are_the_spawned_children():
+    """Batch b's generator is seeded by the b-th child of the root seed."""
+    cfg = make_config(samples=30_000, batches=3, alpha_grid=(0.5, 0.99))
+    ratios = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.batches):
+        losses = PARETO05.draw(np.random.Generator(np.random.PCG64(child)), (10_000, cfg.n))
+        num = _order_stat_quantiles(losses.sum(axis=1), np.asarray(cfg.alpha_grid))
+        ratios.append(num / (cfg.n * _order_stat_quantiles(losses.reshape(-1), np.asarray(cfg.alpha_grid))))
+    assert np.array_equal(empirical_concentration(PARETO05, cfg).c_emp, np.mean(ratios, axis=0))
+
+
 def traced_peak(model, cfg):
     """Peak traced allocation of one run, after a first run has filled
     first-call caches, which are not the batch's."""
