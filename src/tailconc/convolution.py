@@ -33,7 +33,6 @@ package never imports ``scipy.interpolate``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Callable, Optional
@@ -291,16 +290,15 @@ class _LogTail:
 
     Built from the closed-form map ``coord`` from an argument to the
     coordinate the interpolation runs in (log x, x, or asinh x), the nodes
-    ``node_x`` and their stored tails ``node_g``. The tail is exactly 1 at
-    or below the larger of ``support`` and the last node whose stored tail
-    is 1 (below the first node if none is). Above the last node it follows
-    the power law of index -1/xi; in between it is exp(PCHIP(log g)) in the
-    coordinate, clipped to [0, 1]. ``split = k`` breaks the spline at node
-    k, which must lie above 0, and reads the nodes from k on with a second
-    spline in log x.
-
-    ``w_floor`` is the last node whose stored tail is 1 to double precision
-    (the first node if none is): the floor above which the g-and-h step
+    ``node_x`` and their stored tails ``node_g``. A stored tail at or above
+    ``_FLAT`` is 1 to double precision. The tail is exactly 1 at or below
+    ``w_floor``, the larger of ``support`` and the last such node; with no
+    such node ``w_floor`` is ``support``, and reads between it and the
+    first node are NaN. Above the last node the tail follows the power law
+    of index -1/xi; in between it is exp(PCHIP(log g)) in the coordinate,
+    clipped to [0, 1]. ``split = k`` breaks the spline at node k, which
+    must lie above 0, and reads the nodes from k on with a second spline in
+    log x. ``w_floor`` is also the floor above which the g-and-h step
     integrates the level.
     """
 
@@ -310,7 +308,6 @@ class _LogTail:
         "_coord",
         "_spline",
         "_upper",
-        "_w_one",
         "_x_top",
         "_g_top",
         "_power",
@@ -325,27 +322,21 @@ class _LogTail:
         support: float,
         split: Optional[int] = None,
     ):
-        ones = np.flatnonzero(node_g >= 1.0)
-        j = int(ones[-1]) if ones.size else 0
+        flat = np.flatnonzero(node_g >= _FLAT)
+        j = int(flat[-1]) if flat.size else 0
         if j == node_g.size - 1:
             raise GridRangeError(
                 f"convolve_tail: the grid ends at {node_x[-1]:g}, where a level's tail is "
                 f"still 1 (its support starts at {support:g})"
             )
-        flat = np.flatnonzero(node_g >= _FLAT)
         self.support = support
-        self.w_floor = float(node_x[flat[-1] if flat.size else 0])
-        # with no such node, strictly below the first node
-        x_one = float(node_x[j]) if ones.size else float(np.nextafter(node_x[0], -np.inf))
-        self._w_one = max(support, x_one)
+        self.w_floor = max(support, float(node_x[j])) if flat.size else support
         log_g = np.log(np.minimum(node_g, 1.0))
         k = node_g.size if split is None else split
         if k <= j:  # the flat region reaches the split: one spline in log x
             k, coord = node_g.size, np.log
         self._coord = coord
-        with np.errstate(divide="ignore"):
-            node_c = coord(node_x[j : k + 1])
-        self._spline = _Pchip(node_c, log_g[j : k + 1])
+        self._spline = _Pchip(coord(node_x[j : k + 1]), log_g[j : k + 1])
         self._upper = None
         if k < node_g.size - 1:
             self._upper = (_Pchip(np.log(node_x[k:]), log_g[k:]), float(node_x[k]))
@@ -373,7 +364,7 @@ class _LogTail:
             up = w > w_split
             out[up] = spline(np.log(w[up]))
         np.exp(out, out=out)
-        out[w <= self._w_one] = 1.0
+        out[w <= self.w_floor] = 1.0
         top = w > self._x_top
         out[top] = self._g_top * (w[top] / self._x_top) ** self._power
         np.clip(out, 0.0, 1.0, out=out)
@@ -392,9 +383,10 @@ class ConvolutionGrid:
     over the linearly spaced head and in log x over the geometric tail,
     with the spline broken between the two; beyond the last node the tail
     extends by the power law of index -1/xi. ``tail_at`` returns 1 at or
-    below the sum's support for positive-support models and raises
-    :class:`GridRangeError` below the grid floor for g-and-h (whose grid
-    deliberately starts at the 0.6 quantile).
+    below the sum's support for positive-support models. The g-and-h grid
+    deliberately starts at the 0.6 quantile, where the sum's tail is not
+    1, so a read below its first node is NaN and ``tail_at`` raises
+    :class:`GridRangeError`, as it does for NaN.
     """
 
     model: LossModel
@@ -408,15 +400,12 @@ class ConvolutionGrid:
 
     def tail_at(self, w):
         """Interpolated tail of the n-fold sum at w (scalar or array)."""
-        arr = np.atleast_1d(np.asarray(w, dtype=float))
-        if self.model.support_min == -math.inf and np.any(arr < self.x[0]):
-            raise GridRangeError(
-                f"tail_at: argument below the grid floor {self.x[0]:g} "
-                "(the g-and-h grid does not cover the left tail)"
-            )
-        out = self._tail(arr)
+        out = self._tail(np.atleast_1d(np.asarray(w, dtype=float)))
         if np.any(np.isnan(out)):
-            raise GridRangeError("tail_at: argument outside the interpolable range")
+            raise GridRangeError(
+                f"tail_at: argument NaN or below the grid floor {self.x[0]:g}, "
+                "outside the interpolable range"
+            )
         return float(out[0]) if np.asarray(w).ndim == 0 else out
 
     def fresh_tail(self, w):
@@ -443,8 +432,10 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     g-and-h reads in asinh x, which is linear near 0 and logarithmic in
     both tails, and carries an auxiliary head (z from -10 up to the grid
     floor) through the recursion so each step sees the left tail of the
-    previous level. Positive-support models read in log x, or in x where
-    the level's last node whose tail is exactly 1 lies at 0.
+    previous level. Positive-support models read in x where the support
+    starts at 0 and in log x otherwise. Every level, the final one
+    included, passes one self-check: its stored tails are finite and do
+    not rise below ``_FLAT``.
     """
     smin = model.support_min
     xi = model.second_order_info().xi
@@ -464,24 +455,24 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
         step = _gbar_step_positive
         nodes = x
 
-    def level_tail(vals, k):
-        # a tail at or above _FLAT reads as flat; below it must not rise
-        if np.any(np.diff(np.minimum(vals, _FLAT)) > 0):
+    # the level coordinate: asinh x for g-and-h, else x (np.asarray, the
+    # identity on float arrays) from a support at 0 and log x above one
+    coord = np.arcsinh if gandh else np.asarray if smin == 0 else np.log
+
+    def checked(vals, k):
+        # a stored tail at or above _FLAT is 1; below it no level may rise
+        if np.any(np.diff(np.minimum(_finite(vals), _FLAT)) > 0):
             raise PrecisionError(f"convolve_tail: level {k} failed its monotonicity self-check")
-        coord = np.log
-        if gandh:
-            coord = np.arcsinh
-        elif x[np.flatnonzero(vals >= 1.0)[-1]] == 0:
-            coord = np.asarray  # the identity on float arrays
-        return _LogTail(coord, nodes, vals, xi, k * smin)
+        return vals
 
     # each level is the quadrature (a functools.partial) over the interpolant
     # of the level below; the last one is fresh_tail, and g_tail is its value
     # on the nodes, so the stored and the fresh tail agree bit for bit there
     fresh = partial(_two_fold, model, order=_ORDER)
     for k in range(2, n):
-        fresh = partial(step, model, level_tail(_finite(fresh(nodes)), k), order=_ORDER)
-    g_tail = _finite(fresh(x))
+        level = _LogTail(coord, nodes, checked(fresh(nodes), k), xi, k * smin)
+        fresh = partial(step, model, level, order=_ORDER)
+    g_tail = checked(fresh(x), n)
     # the certificate: the final level re-run at the check order (a call's
     # keyword overrides the one the partial holds); NaN fails it
     g_lo = fresh(x, order=_CHECK_ORDER)
@@ -492,8 +483,6 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
             f"convolve_tail: certified relative quadrature error {err:.3e} "
             f"exceeds tol {threshold:g}"
         )
-    if np.any(np.diff(g_tail[g_tail < 1.0]) >= 0):
-        raise PrecisionError("convolve_tail: the tail failed its monotonicity self-check")
     # the final level is read on its main nodes in x over the linear head and
     # in log x over the geometric tail, with a break in the spline between
     split = _HEAD_POINTS if head_hi > 0 else None

@@ -99,9 +99,9 @@ class SimulationConfig:
 class ConcentrationCurve:
     """Result of a Monte Carlo run over a level grid.
 
-    ``c_emp`` is the batch-mean estimate with band [band_lo, band_hi]
-    (2.5/97.5 batch percentiles when batches >= 40, else a normal-theory
-    band from the batch standard error, clamped to contain the estimate).
+    ``c_emp`` is the batch-mean estimate with the normal-theory band
+    [band_lo, band_hi] = c_emp +- 1.96 s / sqrt(B), s the standard deviation
+    of the B batch ratios; the band has zero width when B = 1.
     ``c1`` is the limiting ratio, ``c2`` the second-order approximation per
     level (NaN where undefined).
     """
@@ -203,24 +203,15 @@ def empirical_concentration(
         for done in [pool.submit(run_worker, w) for w in range(concurrent)]:
             done.result()
     c_emp = ratios.mean(axis=0)
-    if config.batches >= 40:
-        lo = np.percentile(ratios, 2.5, axis=0)
-        hi = np.percentile(ratios, 97.5, axis=0)
-    elif config.batches > 1:
+    half = 0.0
+    if config.batches > 1:
         half = 1.96 * ratios.std(axis=0, ddof=1) / math.sqrt(config.batches)
-        lo = c_emp - half
-        hi = c_emp + half
-    else:
-        lo = c_emp.copy()
-        hi = c_emp.copy()
-    np.minimum(lo, c_emp, out=lo)
-    np.maximum(hi, c_emp, out=hi)
     c1, c2, regime, degenerate = approx.second_order_column(model, alphas, n, closed_form)
     return ConcentrationCurve(
         alphas=alphas,
         c_emp=c_emp,
-        band_lo=lo,
-        band_hi=hi,
+        band_lo=c_emp - half,
+        band_hi=c_emp + half,
         c1=c1,
         c2=c2,
         regime=regime,

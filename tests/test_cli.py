@@ -437,7 +437,7 @@ def test_precision_error_exits_three(capsys):
         (["curve", "--model", '{"kind": "pareto", "xi": 0.05}', "--n", "4", "--samples", "0",
           "--oracle", "--points", "2"], 2, "grid ends at"),
         (["curve", "--model", '{"kind": "burr", "tau": 8, "kappa": 4}', "--n", "2", "--samples", "0",
-          "--oracle", "--points", "2"], 3, "precision error"),
+          "--oracle", "--points", "2"], 2, "deeper than the grid covers"),
     ],
 )
 def test_edge_models_exit_with_a_message(capsys, argv, code, message):

@@ -303,11 +303,12 @@ def test_non_finite_level_raises(monkeypatch, name, n):
 
 
 @pytest.mark.parametrize(
-    ("name", "n", "level"), [("_two_fold", 3, 2), ("_gbar_step_positive", 4, 3)]
+    ("name", "n", "level"),
+    [("_two_fold", 3, 2), ("_gbar_step_positive", 4, 3), ("_two_fold", 2, 2), ("_gbar_step_positive", 3, 3)],
 )
 def test_rising_intermediate_level_raises(monkeypatch, name, n, level):
-    """A one-ulp rise below _FLAT in an intermediate level fails the build
-    with PrecisionError naming that level."""
+    """A one-ulp rise below _FLAT in any level, an intermediate one or the
+    final one, fails the build with PrecisionError naming that level."""
     quadrature = getattr(convolution, name)
 
     def rising(*args, **kwargs):
@@ -320,6 +321,16 @@ def test_rising_intermediate_level_raises(monkeypatch, name, n, level):
     convolution._build_grid.cache_clear()  # a build that raises is not cached
     with pytest.raises(PrecisionError, match=f"level {level} failed its monotonicity"):
         convolve_tail(PARETO05, n)
+
+
+def test_level_flat_to_double_precision_builds():
+    """Burr(8, 4) at n = 2: near 0 the two-fold tail is 1 - O(x^16), so its
+    first stored tails below 1 lie within an ulp or two of 1, where they
+    repeat and rise by an ulp. The one _FLAT rule reads them as 1, and the
+    grid builds."""
+    grid = convolve_tail(Burr(tau=8.0, kappa=4.0), 2)
+    q = oracle_quantile(grid, 0.99)
+    assert grid.tail_at(q) == pytest.approx(0.01, rel=1e-6)
 
 
 def test_gandh_grid_floor():

@@ -4,7 +4,9 @@ read on anything but ``self`` or ``cls`` (tests may; they are not scanned).
 The panel rule has one caller per quadrature family, the g-and-h transform
 is reached through one affine map, the package's public names are
 declared once, in each module's ``__all__``, every import is used, and
-no module imports ``scipy.interpolate``, so start-up does not load it."""
+no module imports ``scipy.interpolate``, so start-up does not load it.
+The oracle tests "this stored tail is 1" by one rule, against ``_FLAT``,
+so no comparison in ``convolution.py`` has the literal 1.0 as an operand."""
 
 import ast
 import os
@@ -158,3 +160,25 @@ def test_cli_import_leaves_scipy_interpolate_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def one_comparisons(source: str) -> list:
+    """Line of every comparison with the literal 1.0 as an operand."""
+
+    def is_one(node):
+        return isinstance(node, ast.Constant) and type(node.value) is float and node.value == 1.0
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Compare) and any(map(is_one, [node.left, *node.comparators]))
+    ]
+
+
+def test_one_comparison_scan():
+    source = "a >= 1.0\nb < 1.0 - c\n1.0 == d\ne > 1\nf(1.0)\ng <= x <= 1.0\n"
+    assert one_comparisons(source) == [1, 3, 6]
+
+
+def test_oracle_tests_is_one_only_against_flat():
+    assert one_comparisons((ROOT / "src" / "tailconc" / "convolution.py").read_text()) == []
