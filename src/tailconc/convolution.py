@@ -410,10 +410,14 @@ class ConvolutionGrid:
 
     def fresh_tail(self, w):
         """Tail recomputed by direct quadrature (no grid interpolation in the
-        outermost integral); used for quantile refinement and diagnostics.
-        At a node it is the stored tail, bit for bit."""
+        outermost integral), bit for bit the stored tail at a node; 0 at +inf
+        and 1 at -inf with no quadrature. NaN raises :class:`GridRangeError`."""
         arr = np.atleast_1d(np.asarray(w, dtype=float))
-        out = self._fresh(arr)
+        if np.any(np.isnan(arr)):
+            raise GridRangeError("fresh_tail: argument NaN")
+        out = np.where(arr > 0, 0.0, 1.0)  # the tail at +-inf
+        finite = np.isfinite(arr)
+        out[finite] = self._fresh(arr[finite])
         return float(out[0]) if np.asarray(w).ndim == 0 else out
 
 

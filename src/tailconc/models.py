@@ -99,14 +99,10 @@ class LossModel:
     """Common interface for the model catalogue."""
 
     kind: ClassVar[str] = ""
-    # blocks of the variates' shape that the inverse transform overwrites
-    # besides its output (see ``from_variates``)
-    scratch_blocks: ClassVar[int] = 0
 
     # ----- subclass hooks (array in, array out, no validation) -----
-    def _quantile(self, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        """Q(a), one in-place ufunc chain: into ``out`` (which may be ``a``)
-        where given, else into a fresh array; ``scratch`` as in
+    def _quantile(self, a: np.ndarray, out=None) -> np.ndarray:
+        """Q(a), one in-place ufunc chain, into ``out`` as in
         :meth:`from_variates`."""
         raise NotImplementedError
 
@@ -124,15 +120,14 @@ class LossModel:
         drawn into ``out`` (of shape ``size``) where given."""
         return rng.random(size, out=out)
 
-    def from_variates(self, v: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    def from_variates(self, v: np.ndarray, out=None) -> np.ndarray:
         """Losses at base variates ``v`` (inverse transform), non-decreasing
         in ``v``: the k-th smallest loss is the map of the k-th smallest
         variate. The losses go into ``out`` (which may be ``v`` itself)
         where given, else into a fresh array, and ``v`` is left alone unless
-        it is ``out``. Families with ``scratch_blocks`` overwrite
-        ``scratch``, an array of v's shape, or allocate one where it is
-        None."""
-        return self._quantile(v, out, scratch)
+        it is ``out``. Besides ``out``, a map allocates at most one
+        temporary of v's size."""
+        return self._quantile(v, out)
 
     def draw(self, rng: np.random.Generator, size) -> np.ndarray:
         """Draw losses using the supplied generator."""
@@ -230,7 +225,7 @@ class Pareto(LossModel):
     def support_min(self) -> float:
         return 1.0
 
-    def _quantile(self, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    def _quantile(self, a: np.ndarray, out=None) -> np.ndarray:
         # exp(-xi log1p(-a))
         q = np.negative(a, out=_block(a, out))
         np.log1p(q, out=q)
@@ -282,7 +277,7 @@ class Burr(LossModel):
     def support_min(self) -> float:
         return 0.0
 
-    def _quantile(self, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    def _quantile(self, a: np.ndarray, out=None) -> np.ndarray:
         # ((1-a)^(-1/kappa) - 1)^(1/tau), the core computed without
         # cancellation near a = 0 as expm1(-log1p(-a)/kappa)
         q = np.negative(a, out=_block(a, out))
@@ -342,12 +337,12 @@ class Burr(LossModel):
         )
 
 
-def gh_transform(z: np.ndarray, g: float, h: float, out=None, scratch=None) -> np.ndarray:
+def gh_transform(z: np.ndarray, g: float, h: float, out=None) -> np.ndarray:
     """The g-and-h transform k(z) = (exp(g z) - 1)/g * exp(h z^2 / 2), into
-    ``out`` (which may be ``z``) where given; ``scratch``, an array of z's
-    shape, holds exp(h z^2 / 2), and is allocated where None."""
+    ``out`` (which may be ``z``) where given; one temporary of z's shape
+    holds exp(h z^2 / 2)."""
     with np.errstate(over="ignore"):
-        e = np.multiply(0.5 * h, z, out=_block(z, scratch))
+        e = np.multiply(0.5 * h, z, out=_block(z, None))
         e *= z
         np.exp(e, out=e)
         k = np.multiply(g, z, out=_block(z, out))
@@ -486,7 +481,6 @@ class GandH(LossModel):
     g: float
     h: float
     kind: ClassVar[str] = "gandh"
-    scratch_blocks: ClassVar[int] = 1
 
     def __post_init__(self):
         for name, lo in (("a", None), ("b", 0.0), ("g", 0.0), ("h", 0.0)):
@@ -496,14 +490,13 @@ class GandH(LossModel):
     def support_min(self) -> float:
         return -math.inf
 
-    def _quantile(self, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    def _quantile(self, a: np.ndarray, out=None) -> np.ndarray:
         z = ndtri(a, out=_block(a, out))
-        return self.x_of_z(z, z, scratch)
+        return self.x_of_z(z, z)
 
-    def x_of_z(self, z: np.ndarray, out=None, scratch=None) -> np.ndarray:
-        """The loss a + b k(z) at normal score z; ``out`` and ``scratch`` as
-        in :func:`gh_transform`."""
-        x = gh_transform(z, self.g, self.h, out, scratch)
+    def x_of_z(self, z: np.ndarray, out=None) -> np.ndarray:
+        """The loss a + b k(z) at normal score z; ``out`` as in :func:`gh_transform`."""
+        x = gh_transform(z, self.g, self.h, out)
         x *= self.b
         x += self.a
         return x
@@ -580,7 +573,6 @@ class ExactHall(LossModel):
     xi: float
     rho: float
     kind: ClassVar[str] = "hall"
-    scratch_blocks: ClassVar[int] = 1
 
     def __post_init__(self):
         bounds = {"c": (0.0, None), "d": (None, None), "xi": (0.0, None), "rho": (None, 0.0)}
@@ -611,10 +603,10 @@ class ExactHall(LossModel):
     def support_min(self) -> float:
         return self.c * (1.0 + self.d)
 
-    def _quantile(self, a: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    def _quantile(self, a: np.ndarray, out=None) -> np.ndarray:
         t = np.subtract(1.0, a, out=_block(a, out))
         np.divide(1.0, t, out=t)
-        return self._tail_quantile(t, t, scratch)
+        return self._tail_quantile(t, t)
 
     def _t_of_x(self, x: np.ndarray) -> np.ndarray:
         """Invert U(t) = x for t >= 1.
@@ -668,10 +660,10 @@ class ExactHall(LossModel):
         tr = t**self.rho
         return self.d * self.rho * tr / (1.0 + self.d * tr)
 
-    def _tail_quantile(self, t: np.ndarray, out=None, scratch=None) -> np.ndarray:
+    def _tail_quantile(self, t: np.ndarray, out=None) -> np.ndarray:
         # (c t^xi) (1 + d t^rho), into ``out`` (which may be ``t``) where
-        # given; ``scratch``, allocated where None, holds 1 + d t^rho
-        tr = np.power(t, self.rho, out=_block(t, scratch))
+        # given; one temporary of t's shape holds 1 + d t^rho
+        tr = np.power(t, self.rho, out=_block(t, None))
         tr *= self.d
         tr += 1.0
         u = np.power(t, self.xi, out=_block(t, out))

@@ -12,9 +12,9 @@ means give the point estimate; batch spread gives the uncertainty band.
 
 W = min(workers, batches) threads run; worker w takes batches w, w + W,
 w + 2W, ... and allocates its buffers once: the (m, n) block that each
-batch's variates are drawn into and mapped to losses in place, a second
-(m, n) scratch block where the family's inverse transform needs one, and
-the m row sums. Results are reproducible bit-for-bit for a fixed
+batch's variates are drawn into and mapped to losses in place, in flat
+blocks of ``_MAP_BLOCK`` so a map's temporaries stay in cache, and the m
+row sums. Results are reproducible bit-for-bit for a fixed
 configuration regardless of worker count, because every batch owns an
 independent substream and writes its ratios into the row of its batch
 index.
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import approx
-from .errors import DomainError, ResourceLimitError, check_int, check_levels, check_real
+from .errors import DomainError, ResourceLimitError, check_array, check_int, check_levels, check_real
 from .models import LossModel
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
 
 
 _BATCH_OVERHEAD = 1 << 16  # bytes of a batch's small arrays and generator state
+_MAP_BLOCK = 1 << 15  # variates mapped to losses per step, so a map's temporaries stay in cache
 _RATIO_COPIES = 3  # the (batches, levels) ratios and two temporaries of their statistics
 
 
@@ -61,10 +62,10 @@ class SimulationConfig:
     ``batches`` (must divide). ``alpha_grid`` is a strictly increasing tuple
     of levels in (0, 1). ``max_bytes`` caps the estimated peak allocation:
     the buffers of min(workers, batches) concurrent workers, each about
-    8 m ((1 + s) n + 1) bytes for m = samples / batches and s the model's
-    ``scratch_blocks``, plus what grows with the batch count, the
-    (batches, levels) ratios and the copies their summary statistics make;
-    exceeding it raises :class:`ResourceLimitError` rather than thrashing.
+    8 (m (n + 1) + min(2^15, m n)) bytes for m = samples / batches, plus
+    what grows with the batch count, the (batches, levels) ratios and the
+    copies their summary statistics make; exceeding it raises
+    :class:`ResourceLimitError` rather than thrashing.
     """
 
     n: int
@@ -118,7 +119,7 @@ class ConcentrationCurve:
 
 def empirical_quantile(values, alpha: float) -> float:
     """Order-statistic quantile: the ceil(alpha*N)-th smallest value."""
-    v = np.asarray(values, dtype=float).flatten()
+    v = check_array("empirical_quantile: values", values, -math.inf).flatten()
     if v.size == 0:
         raise DomainError("empirical_quantile: empty sample")
     alpha = check_real("empirical_quantile: alpha", alpha, 0.0, 1.0)
@@ -166,9 +167,9 @@ def empirical_concentration(
     m = config.samples // config.batches
     concurrent = min(workers, config.batches)
     alphas = np.asarray(config.alpha_grid, dtype=float)
-    # one worker's buffers: the (m, n) losses, the transform's scratch
-    # blocks, and the m sums, plus the small per-batch arrays
-    per_worker = 8 * m * ((1 + model.scratch_blocks) * n + 1) + _BATCH_OVERHEAD
+    # one worker's buffers: the (m, n) losses and the m sums, plus one map
+    # block's temporary and the small per-batch arrays
+    per_worker = 8 * (m * (n + 1) + min(_MAP_BLOCK, m * n)) + _BATCH_OVERHEAD
     per_run = _RATIO_COPIES * 8 * config.batches * alphas.size
     if per_worker * concurrent + per_run > config.max_bytes:
         raise ResourceLimitError(
@@ -184,18 +185,20 @@ def empirical_concentration(
 
     def run_worker(w: int) -> None:
         losses = np.empty((m, n))
-        scratch = np.empty((m, n)) if model.scratch_blocks else None
+        flat = losses.reshape(-1)
         sums = np.empty(m)
         for b in range(w, config.batches, concurrent):
             # the b-th child of SeedSequence(seed), made when its batch runs
             seq = np.random.SeedSequence(config.seed, spawn_key=(b,))
             rng = np.random.Generator(np.random.PCG64(seq))
             model.variates(rng, (m, n), out=losses)
-            model.from_variates(losses, out=losses, scratch=scratch)
+            for lo in range(0, flat.size, _MAP_BLOCK):
+                block = flat[lo : lo + _MAP_BLOCK]
+                model.from_variates(block, out=block)
             num = _order_stat_quantiles(_row_sums(losses, sums), alphas)
             if exact_den is None:
                 # the batch's own n m losses, selected in place on a view
-                ratios[b] = num / (n * _order_stat_quantiles(losses.reshape(-1), alphas))
+                ratios[b] = num / (n * _order_stat_quantiles(flat, alphas))
             else:
                 ratios[b] = num / exact_den
 

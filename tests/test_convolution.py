@@ -273,6 +273,23 @@ def test_stored_tails_are_fresh_tails(model, n):
     assert np.array_equal(grid.fresh_tail(grid.x[idx]), grid.g_tail[idx])
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "model", [PARETO05, BURR2508, GANDH, HALL], ids=["pareto05", "burr2508", "gandh", "hall"]
+)
+def test_fresh_tail_at_non_finite_arguments(model, n):
+    """+inf reads 0 and -inf reads 1 without quadrature (so without a
+    warning), next to finite arguments too; NaN raises, as in ``tail_at``."""
+    grid = convolve_tail(model, n)
+    assert grid.fresh_tail(math.inf) == 0.0
+    assert grid.fresh_tail(-math.inf) == 1.0
+    got = grid.fresh_tail(np.array([grid.x[7], math.inf, -math.inf]))
+    assert np.array_equal(got, [grid.g_tail[7], 0.0, 1.0])
+    for w in (math.nan, np.array([grid.x[7], math.nan])):
+        with pytest.raises(GridRangeError):
+            grid.fresh_tail(w)
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_gandh_step_is_elementwise_on_both_sides_of_the_median(n):
     """The g-and-h step runs the rows left and right of the single-loss

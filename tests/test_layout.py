@@ -6,7 +6,9 @@ is reached through one affine map, the package's public names are
 declared once, in each module's ``__all__``, every import is used, and
 no module imports ``scipy.interpolate``, so start-up does not load it.
 The oracle tests "this stored tail is 1" by one rule, against ``_FLAT``,
-so no comparison in ``convolution.py`` has the literal 1.0 as an operand."""
+so no comparison in ``convolution.py`` has the literal 1.0 as an operand.
+Monte Carlo knows a model only through its draws and its quantile, so no
+fact about a family's inverse transform leaves ``models``."""
 
 import ast
 import os
@@ -182,3 +184,22 @@ def test_one_comparison_scan():
 
 def test_oracle_tests_is_one_only_against_flat():
     assert one_comparisons((ROOT / "src" / "tailconc" / "convolution.py").read_text()) == []
+
+
+def attributes_read(source: str, name: str) -> set:
+    """Every attribute read on the bare name ``name``."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == name
+    }
+
+
+def test_attribute_scan():
+    source = "model.quantile(a)\nf(model).x\nmodel.kind\nother.tail\n"
+    assert attributes_read(source, "model") == {"quantile", "kind"}
+
+
+def test_monte_carlo_reads_only_draws_and_quantiles_of_a_model():
+    source = (ROOT / "src" / "tailconc" / "montecarlo.py").read_text()
+    assert attributes_read(source, "model") <= {"variates", "from_variates", "quantile"}
