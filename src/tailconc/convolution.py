@@ -25,10 +25,10 @@ estimate, and :class:`PrecisionError` is raised when it exceeds the grid
 tolerance. Between and beyond its nodes every stored level, the final one
 included, is read by one log-tail interpolant, :class:`_LogTail`, in the
 closed-form coordinate log x, x, or asinh x (g-and-h), in blocks of
-``_BLOCK`` elements so that a read's temporaries stay in cache. Its
-monotone cubic, :class:`_Pchip`, is an in-package port of scipy's
-``PchipInterpolator`` that reproduces its values bit for bit, so the
-package never imports ``scipy.interpolate``.
+``models.BLOCK`` elements (:func:`models.blockwise`) so that a read's
+temporaries stay in cache. Its monotone cubic, :class:`_Pchip`, is an
+in-package port of scipy's ``PchipInterpolator`` that reproduces its
+values bit for bit, so the package never imports ``scipy.interpolate``.
 """
 
 from __future__ import annotations
@@ -38,11 +38,10 @@ from functools import lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
-from . import approx
+from . import approx, special
 from .errors import DomainError, GridRangeError, PrecisionError, check_int, check_levels, check_real
-from .models import GandH, LossModel, gh_transform_deriv, normal_pdf, panel_rule
+from .models import GandH, LossModel, blockwise, gh_transform_deriv, normal_pdf, panel_rule
 
 __all__ = [
     "GridSpec",
@@ -62,7 +61,6 @@ _GH_FLOOR_LEVEL = 0.6  # g-and-h grids start at this quantile
 _FLAT = 1.0 - 1e-15  # a stored tail at or above this is 1 to double precision
 _ROOT_RTOL = 1e-12  # quantile bracket width at convergence, relative to max(|x|, 1)
 _ROOT_MAX_ITER = 100
-_BLOCK = 1 << 14  # elements per block of a level read, so its temporaries stay in cache
 
 
 # The oracle grid: _POINTS nodes, of which _HEAD_POINTS are linearly spaced
@@ -344,14 +342,9 @@ class _LogTail:
         self._g_top = float(node_g[-1])
         self._power = -1.0 / xi
 
-    def __call__(self, w) -> np.ndarray:
-        """Tail at the arguments ``w``, read in blocks of ``_BLOCK`` elements."""
-        w = np.asarray(w, dtype=float)
-        out = np.empty(w.shape)
-        flat_w, flat_out = w.reshape(-1), out.reshape(-1)
-        for lo in range(0, w.size, _BLOCK):
-            self._read(flat_w[lo : lo + _BLOCK], flat_out[lo : lo + _BLOCK])
-        return out
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        """Tail at the float array ``w``, read block by block."""
+        return blockwise(self._read, w, np.empty(w.shape))
 
     def _read(self, w: np.ndarray, out: np.ndarray) -> None:
         # arguments at or below the support (log 0, log of a negative) get
@@ -453,7 +446,8 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     x = np.concatenate([head, np.geomspace(head_hi, top, _POINTS - _HEAD_POINTS)])
     if gandh:
         step = _gbar_step_gandh
-        z_head = np.linspace(_GH_HEAD_Z_LO, ndtri(_GH_FLOOR_LEVEL), _GH_HEAD_POINTS, endpoint=False)
+        z_top = special.normal_inv_cdf(_GH_FLOOR_LEVEL)
+        z_head = np.linspace(_GH_HEAD_Z_LO, z_top, _GH_HEAD_POINTS, endpoint=False)
         nodes = np.concatenate([model.x_of_z(z_head), x])
     else:
         step = _gbar_step_positive
@@ -589,12 +583,18 @@ def oracle_concentration(model: LossModel, n: int, alpha, spec: Optional[GridSpe
 def tail_ratio_diagnostic(model: LossModel, n: int, x) -> np.ndarray:
     """Diagnostic (G_bar(x)/F_bar(x) - n) / b(x) that converges to the
     tail-ratio limit as x grows; evaluated by fresh quadrature so the
-    cancellation in the numerator is not polluted by interpolation error."""
+    cancellation in the numerator is not polluted by interpolation error.
+    An x where the single-loss tail underflows to 0 raises
+    :class:`PrecisionError`."""
     n = check_int("n", n, 2, _MAX_N)
     arr = np.atleast_1d(np.asarray(x, dtype=float))
-    grid = convolve_tail(model, n)
-    g_vals = grid.fresh_tail(arr)
     f_vals = np.asarray(model.tail(arr))
+    under = arr[f_vals == 0.0]
+    if under.size:
+        raise PrecisionError(
+            f"tail_ratio_diagnostic: the single-loss tail underflows to 0 at x = {under[0]:g}"
+        )
+    g_vals = convolve_tail(model, n).fresh_tail(arr)
     b_vals = np.array([approx.tail_ratio_scale(model, float(w)) for w in arr])
     out = (g_vals / f_vals - n) / b_vals
     return float(out[0]) if np.asarray(x).ndim == 0 else out

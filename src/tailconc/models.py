@@ -366,7 +366,19 @@ def normal_pdf(z: np.ndarray) -> np.ndarray:
 # Newton inverses stop once a step is within a few ulp, or raise after this many steps
 _NEWTON_TOL = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 100
-_NEWTON_BLOCK = 1 << 16  # elements solved at once; bounds the working arrays
+# The g-and-h inverse's bracket: the standard normal tail is 1 at -60 and 0
+# at 50 in double precision, so clamping to it loses nothing
+_GH_INV_LO, _GH_INV_HI = -60.0, 50.0
+BLOCK = 1 << 15  # elements per block of a vectorized kernel, so its temporaries stay in cache
+
+
+def blockwise(fill, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``fill(x_block, out_block)`` over matching flat blocks of ``BLOCK``
+    elements of ``x`` and ``out``, arrays of one size; returns ``out``."""
+    flat_x, flat_out = x.reshape(-1), out.reshape(-1)
+    for lo in range(0, flat_x.size, BLOCK):
+        fill(flat_x[lo : lo + BLOCK], flat_out[lo : lo + BLOCK])
+    return out
 
 
 def _newton(fun, z, lo, hi, scale, *args):
@@ -399,44 +411,25 @@ def _newton(fun, z, lo, hi, scale, *args):
     raise PrecisionError(f"Newton inverse: {idx.size} elements live after {_NEWTON_MAX_STEPS} steps")
 
 
-def _blockwise(solve, shape, *arrays):
-    """``solve``, from 1-d arrays to a 1-d result, on ``arrays`` broadcast to
-    ``shape``, in blocks of whole rows of about 2^16 elements."""
-    out = np.empty(shape)
-    if not out.size:
-        return out
-    by_row = out.reshape(shape[0] if shape else 1, -1)
-    step = max(1, _NEWTON_BLOCK // by_row.shape[1])
-    views = [np.broadcast_to(v, shape).reshape(by_row.shape) for v in arrays]
-    for r0 in range(0, len(by_row), step):
-        block = (v[r0 : r0 + step].ravel() for v in views)
-        by_row[r0 : r0 + step] = solve(*block).reshape(-1, by_row.shape[1])
-    return out
-
-
-def gh_inverse(w, g: float, h: float, lo=-60.0, hi=50.0) -> np.ndarray:
-    """Inverse of :func:`gh_transform` on the bracket [lo, hi].
-
-    ``lo`` and ``hi`` broadcast against ``w`` (an array ``lo`` gives each
-    element its own floor); values of w outside the bracket's image clamp to
-    its endpoints. The result has the shape of ``w``. The default bracket
-    loses nothing by clamping: the standard normal tail is 1 at -60 and 0
-    at 50 in double precision.
+def gh_inverse(w, g: float, h: float) -> np.ndarray:
+    """Inverse of :func:`gh_transform` on the bracket [-60, 50], with the
+    shape of ``w``; values of w outside the bracket's image clamp to its
+    ends.
 
     :func:`_newton` solves log|k(z)| - log|w| = 0, which cannot overflow,
     from the root of g z + h z^2/2 = log1p(g w) for w >= 0 and
     max(log1p(g w)/g, -sqrt(2 log1p(g|w|)/h)) for w < 0, inside the part
-    of [lo, hi] on the side of 0 where w lies.
+    of the bracket on the side of 0 where w lies.
     """
     w = np.asarray(w, dtype=float)
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    k_lo, k_hi = gh_transform(np.array(_GH_INV_LO), g, h), gh_transform(np.array(_GH_INV_HI), g, h)
 
     def log_k(z, g_sgn, log_w):
         em1 = np.expm1(g * z)
         return np.log(em1 / g_sgn) + 0.5 * h * z * z - log_w, g + g / em1 + h * z
 
-    def solve(w, lo, hi, k_lo, k_hi):
-        out = np.where(w >= k_hi, hi, lo)
+    def solve(w, out):
+        out[:] = np.where(w >= k_hi, _GH_INV_HI, _GH_INV_LO)
         out[np.isnan(w)] = np.nan
         inside = (w > k_lo) & (w < k_hi)
         # k(z) = z (1 + g z/2 + ...): where |w| min(g, 1) is below the
@@ -448,8 +441,7 @@ def gh_inverse(w, g: float, h: float, lo=-60.0, hi=50.0) -> np.ndarray:
         w = w[idx]
         pos = w > 0.0
         # |k| increases with |z| and k has the sign of z
-        a = np.where(pos, np.maximum(lo[idx], 0.0), lo[idx])
-        b = np.where(pos, hi[idx], np.minimum(hi[idx], 0.0))
+        a, b = np.where(pos, 0.0, _GH_INV_LO), np.where(pos, _GH_INV_HI, 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
             log_gw = np.log1p(g * np.abs(w))
             z = np.where(
@@ -459,9 +451,8 @@ def gh_inverse(w, g: float, h: float, lo=-60.0, hi=50.0) -> np.ndarray:
             )
             np.clip(z, a, b, out=z)
             out[idx] = _newton(log_k, z, a, b, 0.0, np.where(pos, g, -g), np.log(np.abs(w)))
-        return out
 
-    return _blockwise(solve, w.shape, w, lo, hi, gh_transform(lo, g, h), gh_transform(hi, g, h))
+    return blockwise(solve, w, np.empty(w.shape))
 
 
 @dataclass(frozen=True, slots=True)
@@ -524,7 +515,9 @@ class GandH(LossModel):
         if np.any(u == 0.0):
             raise PoleError("gandh auxiliary: pole at a t where U(t) = a + b*k(z) = 0")
         num = self.b * gh_transform_deriv(z, self.g, self.h)
-        return num / (t * normal_pdf(z) * u) - self.h
+        with np.errstate(invalid="ignore"):  # t phi(z) is inf * 0 at t = inf
+            aux = num / (t * normal_pdf(z) * u) - self.h
+        return np.where(np.isinf(t), 0.0, aux)  # the limit at t = inf
 
     def _z_of_t(self, t: np.ndarray) -> np.ndarray:
         # z = -ndtri(1/t) keeps full precision deep in the tail, where
@@ -629,7 +622,7 @@ class ExactHall(LossModel):
             f = math.log(c) + xi * s + np.log1p(d * tr) - log_x
             return f, xi + d * rho * tr / (1.0 + d * tr)
 
-        def solve(x):
+        def solve(x, out):
             with np.errstate(divide="ignore"):
                 log_x = np.log(x)
             s = np.maximum((log_x - math.log(c)) / xi, 0.0)
@@ -639,9 +632,9 @@ class ExactHall(LossModel):
                 s[todo] = np.maximum(s[todo], np.maximum(s_lo, floor))
             s[todo] = _newton(log_u, s[todo], floor, math.inf, 1.0, log_x[todo])
             with np.errstate(over="ignore"):
-                return np.exp(s)
+                np.exp(s, out=out)
 
-        return _blockwise(solve, np.shape(x), x)
+        return blockwise(solve, x, np.empty(x.shape))
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
         return 1.0 / self._t_of_x(x)

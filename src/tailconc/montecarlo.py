@@ -13,11 +13,11 @@ means give the point estimate; batch spread gives the uncertainty band.
 W = min(workers, batches) threads run; worker w takes batches w, w + W,
 w + 2W, ... and allocates its buffers once: the (m, n) block that each
 batch's variates are drawn into and mapped to losses in place, in flat
-blocks of ``_MAP_BLOCK`` so a map's temporaries stay in cache, and the m
-row sums. Results are reproducible bit-for-bit for a fixed
-configuration regardless of worker count, because every batch owns an
-independent substream and writes its ratios into the row of its batch
-index.
+blocks of ``models.BLOCK`` (:func:`models.blockwise`) so a map's
+temporaries stay in cache, and the m row sums. Results are reproducible
+bit-for-bit for a fixed configuration regardless of worker count, because
+every batch owns an independent substream and writes its ratios into the
+row of its batch index.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 
 from . import approx
 from .errors import DomainError, ResourceLimitError, check_array, check_int, check_levels, check_real
-from .models import LossModel
+from .models import BLOCK, LossModel, blockwise
 
 __all__ = [
     "DenominatorMode",
@@ -43,7 +43,6 @@ __all__ = [
 
 
 _BATCH_OVERHEAD = 1 << 16  # bytes of a batch's small arrays and generator state
-_MAP_BLOCK = 1 << 15  # variates mapped to losses per step, so a map's temporaries stay in cache
 _RATIO_COPIES = 3  # the (batches, levels) ratios and two temporaries of their statistics
 
 
@@ -169,7 +168,7 @@ def empirical_concentration(
     alphas = np.asarray(config.alpha_grid, dtype=float)
     # one worker's buffers: the (m, n) losses and the m sums, plus one map
     # block's temporary and the small per-batch arrays
-    per_worker = 8 * (m * (n + 1) + min(_MAP_BLOCK, m * n)) + _BATCH_OVERHEAD
+    per_worker = 8 * (m * (n + 1) + min(BLOCK, m * n)) + _BATCH_OVERHEAD
     per_run = _RATIO_COPIES * 8 * config.batches * alphas.size
     if per_worker * concurrent + per_run > config.max_bytes:
         raise ResourceLimitError(
@@ -185,20 +184,16 @@ def empirical_concentration(
 
     def run_worker(w: int) -> None:
         losses = np.empty((m, n))
-        flat = losses.reshape(-1)
         sums = np.empty(m)
         for b in range(w, config.batches, concurrent):
             # the b-th child of SeedSequence(seed), made when its batch runs
             seq = np.random.SeedSequence(config.seed, spawn_key=(b,))
             rng = np.random.Generator(np.random.PCG64(seq))
-            model.variates(rng, (m, n), out=losses)
-            for lo in range(0, flat.size, _MAP_BLOCK):
-                block = flat[lo : lo + _MAP_BLOCK]
-                model.from_variates(block, out=block)
+            blockwise(model.from_variates, model.variates(rng, (m, n), out=losses), losses)
             num = _order_stat_quantiles(_row_sums(losses, sums), alphas)
             if exact_den is None:
                 # the batch's own n m losses, selected in place on a view
-                ratios[b] = num / (n * _order_stat_quantiles(flat, alphas))
+                ratios[b] = num / (n * _order_stat_quantiles(losses.reshape(-1), alphas))
             else:
                 ratios[b] = num / exact_den
 

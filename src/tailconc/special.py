@@ -1,7 +1,7 @@
-"""Scalar special functions: gamma, log-gamma, beta, and the normal law.
+"""Scalar special functions: gamma, beta, and the normal law.
 
-Thin wrappers over ``scipy.special`` (``gamma``, ``gammaln``, ``beta``,
-``ndtr``, ``ndtri``) that add the package's error contract: a NaN argument,
+Thin wrappers over ``scipy.special`` (``gamma``, ``beta``, ``ndtr``,
+``ndtri``) that add the package's error contract: a NaN argument,
 or one outside the function's domain, raises :class:`DomainError`; 0 and the
 negative integers raise :class:`PoleError` in :func:`gamma`; overflow returns
 ``inf``. Every function returns a builtin ``float``.
@@ -21,7 +21,6 @@ from .errors import DomainError, PoleError
 
 __all__ = [
     "gamma",
-    "log_gamma",
     "beta",
     "normal_cdf",
     "normal_inv_cdf",
@@ -37,14 +36,6 @@ def gamma(x: float) -> float:
     if x <= 0.0 and x.is_integer():
         raise PoleError(f"gamma: pole at non-positive integer x = {x:g}")
     return float(_sc.gamma(x))
-
-
-def log_gamma(x: float) -> float:
-    """Natural log of gamma(x) for x > 0."""
-    x = float(x)
-    if not x > 0.0:
-        raise DomainError(f"log_gamma: requires x > 0, got {x:g}")
-    return float(_sc.gammaln(x))
 
 
 def beta(x: float, y: float) -> float:

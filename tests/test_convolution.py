@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -565,6 +567,18 @@ def test_diagnostic_heavy_index():
     assert val / j == pytest.approx(0.9822, abs=0.03)
 
 
+@pytest.mark.parametrize("model", [PARETO05, BURR2508, GANDH, HALL], ids=lambda m: m.kind)
+@pytest.mark.parametrize("x", [1e300, math.inf])
+def test_diagnostic_raises_where_the_single_loss_tail_underflows(model, x):
+    # G_bar(x)/F_bar(x) would be 0/0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PrecisionError, match=re.escape(f"x = {x:g}")):
+            tail_ratio_diagnostic(model, 2, x)
+        with pytest.raises(PrecisionError, match=re.escape(f"x = {x:g}")):
+            tail_ratio_diagnostic(model, 2, np.array([10.0, x]))
+
+
 def test_convolve_tail_caches_grids():
     a = convolve_tail(PARETO05, 2)
     b = convolve_tail(PARETO05, 2)
@@ -655,7 +669,7 @@ def pchip_cases(draw):
     outside = [x[0] - 1.0, x[-1] + 1.0, -1e300, 1e300, math.inf, -math.inf, math.nan]
     u = np.concatenate([x, inside, outside, np.nextafter(x, -math.inf), np.nextafter(x, math.inf)])
     if draw(st.booleans()):
-        u = np.resize(draw(st.permutations(u)), convolution._BLOCK + 17)
+        u = np.resize(draw(st.permutations(u)), models.BLOCK + 17)
     return x, y, u
 
 
@@ -679,13 +693,13 @@ def test_build_matches_a_scipy_pchip_build_bit_for_bit(monkeypatch, model):
     grid = convolution._build_grid.__wrapped__(model, 3, GridSpec())
     span = np.arcsinh([grid.x[0], 2.0 * grid.x[-1]])
     w = np.concatenate([
-        np.sinh(np.linspace(*span, 3 * convolution._BLOCK)),
+        np.sinh(np.linspace(*span, 3 * models.BLOCK)),
         grid.x,
         [0.0, -1.0, 1e300, -1e300, math.nan],
     ])
     with monkeypatch.context() as patch:
         patch.setattr(convolution, "_Pchip", ScipyPchip)
-        patch.setattr(convolution, "_BLOCK", w.size)
+        patch.setattr(models, "BLOCK", w.size)
         ref = convolution._build_grid.__wrapped__(model, 3, GridSpec())
         want_level, want_tail = ref._fresh.args[1](w), ref._tail(w)
     assert same_bits(grid.g_tail, ref.g_tail)

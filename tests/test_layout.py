@@ -4,7 +4,10 @@ read on anything but ``self`` or ``cls`` (tests may; they are not scanned).
 The panel rule has one caller per quadrature family, the g-and-h transform
 is reached through one affine map, the package's public names are
 declared once, in each module's ``__all__``, every import is used, and
-no module imports ``scipy.interpolate``, so start-up does not load it.
+no module imports ``scipy.interpolate``, so start-up does not load it;
+the oracle and Monte Carlo import nothing from ``scipy`` at all. One
+helper, ``models.blockwise``, is the package's only block loop, stepped
+by its only block constant, ``models.BLOCK``.
 The oracle tests "this stored tail is 1" by one rule, against ``_FLAT``,
 so no comparison in ``convolution.py`` has the literal 1.0 as an operand.
 Monte Carlo knows a model only through its draws and its quantile, so no
@@ -49,8 +52,8 @@ def test_no_private_cross_module_access(path):
     assert private_uses(path.read_text()) == []
 
 
-def callers(source: str, callee: str) -> list:
-    """The innermost function around each call of ``callee`` (None at module level)."""
+def calls(source: str) -> list:
+    """(innermost function around it, or None at module level, call node) of every call."""
     found = []
 
     def visit(node, owner):
@@ -59,19 +62,63 @@ def callers(source: str, callee: str) -> list:
                 visit(child, child.name)
                 continue
             if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == callee:
-                    found.append(owner)
+                found.append((owner, child))
             visit(child, owner)
 
     visit(ast.parse(source), None)
     return found
 
 
+def _name(node) -> str:
+    """The name of a bare name or of an attribute, else ''."""
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", "")
+
+
+def callers(source: str, callee: str) -> list:
+    """The innermost function around each call of ``callee`` (None at module level)."""
+    return [owner for owner, call in calls(source) if _name(call.func) == callee]
+
+
 def test_callers_scan():
     source = "def f():\n    def g():\n        rule(1)\n    m.rule(2)\nrule(3)\n"
     assert callers(source, "rule") == ["g", "f", None]
+
+
+def block_loops(source: str) -> list:
+    """The function around each ``range`` stepped by a name ending in ``BLOCK``."""
+    return [
+        owner
+        for owner, call in calls(source)
+        if _name(call.func) == "range" and len(call.args) == 3 and _name(call.args[2]).endswith("BLOCK")
+    ]
+
+
+def block_constants(source: str) -> list:
+    """Every module-level name ending in ``BLOCK`` that ``source`` assigns."""
+    return [
+        target.id
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.endswith("BLOCK")
+    ]
+
+
+def test_block_scans():
+    source = (
+        "A_BLOCK = 8\nB = 2\ndef f(x):\n    for i in range(0, x, A_BLOCK): pass\n"
+        "    range(0, x, m.BLOCK)\n    range(0, x, B)\n    range(A_BLOCK)\n"
+    )
+    assert block_loops(source) == ["f", "f"]
+    assert block_constants(source) == ["A_BLOCK"]
+
+
+def test_one_block_loop_and_one_block_constant():
+    paths = sorted((ROOT / "src" / "tailconc").glob("*.py"))
+    loops = [(p.name, f) for p in paths for f in block_loops(p.read_text())]
+    constants = [(p.name, c) for p in paths for c in block_constants(p.read_text())]
+    assert loops == [("models.py", "blockwise")]
+    assert constants == [("models.py", "BLOCK")]
 
 
 def test_panel_rule_has_one_caller_per_quadrature_family():
@@ -153,6 +200,12 @@ def test_import_scan():
 def test_no_module_imports_scipy_interpolate(path):
     names = imported_modules(path.read_text())
     assert not [n for n in names if n == "scipy.interpolate" or n.startswith("scipy.interpolate.")]
+
+
+@pytest.mark.parametrize("name", ["convolution.py", "montecarlo.py"])
+def test_oracle_and_monte_carlo_import_nothing_from_scipy(name):
+    names = imported_modules((ROOT / "src" / "tailconc" / name).read_text())
+    assert not [n for n in names if n == "scipy" or n.startswith("scipy.")]
 
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -10,7 +11,7 @@ from scipy.special import ndtr, ndtri
 from tailconc import models
 from tailconc.errors import DomainError, PoleError, PrecisionError
 from tailconc.models import (
-    _NEWTON_BLOCK,
+    BLOCK,
     Burr,
     ExactHall,
     GandH,
@@ -219,6 +220,28 @@ def test_gandh_auxiliary_pole_raises():
     assert np.all(np.isfinite(model.auxiliary(np.array([1.5, 2.0 + 1e-6, 3.0]))))
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        Pareto(xi=0.5),
+        Burr(tau=0.25, kappa=8.0),
+        GandH(a=0.0, b=1.0, g=2.0, h=0.5),
+        ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4),
+    ],
+    ids=lambda m: m.kind,
+)
+def test_auxiliary_at_infinity_is_its_limit(model):
+    """a(t) tends to 0 as t grows, and a(inf) is that 0, with no warning,
+    also inside an array of finite t."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert model.auxiliary(math.inf) == 0.0
+        t = np.array([3.0, math.inf, 1e300])
+        got = model.auxiliary(t)
+        assert got[1] == 0.0
+        assert got[0] == model.auxiliary(3.0) and got[2] == model.auxiliary(1e300)
+
+
 def test_exact_hall_tail_at_infinity():
     """Far tail of the catalogue Hall model: 0, with no overflow warning."""
     m = ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4)
@@ -370,7 +393,13 @@ def test_gandh_transform_shape():
 def test_gh_inverse_round_trip(g, h):
     mag = np.logspace(-300.0, 300.0, 1201)
     w = np.concatenate([mag, -mag])
-    z = gh_inverse(w, g, h, -1000.0, 1000.0)
+    z = gh_inverse(w, g, h)
+    # the image of the bracket [-60, 50]: about -6.5e8 to 4.0e8 at
+    # (0.1, 0.01), -2.4e38 to 1.0e135 at (5, 0.05), the whole line else
+    k_lo, k_hi = gh_transform(np.array([-60.0, 50.0]), g, h)
+    assert np.all(z[w <= k_lo] == -60.0) and np.all(z[w >= k_hi] == 50.0)
+    inside = (w > k_lo) & (w < k_hi)
+    w, z = w[inside], z[inside]
     k = gh_transform(z, g, h)
     # An ulp of z moves k by |z k'(z)/k(z)| ulp, so that condition number
     # scales the bound: 1 near w = 0, about 1300 at w = 1e300.
@@ -381,32 +410,27 @@ def test_gh_inverse_round_trip(g, h):
 
 
 def test_gh_inverse_clamps_to_bracket():
-    g, h = 2.0, 0.5
-    # k(-1) = -0.555 and k(2) = 72.9
-    w = np.array([-1e6, -1.0, -0.3, 0.5, 1e6, np.inf, -np.inf])
-    z = gh_inverse(w, g, h, -1.0, 2.0)
-    assert list(z[[0, 1, 4, 5, 6]]) == [-1.0, -1.0, 2.0, 2.0, -1.0]
-    assert gh_transform(z[2:4], g, h) == pytest.approx([-0.3, 0.5], rel=1e-15)
-    # an array floor gives each row its own lower edge
-    lo = np.array([-1.0, 0.0, 1.0])[:, None]
-    w2 = np.tile([-5.0, 0.3, 1e3], (3, 1))
-    z2 = gh_inverse(w2, g, h, lo, 2.0)
-    free = gh_inverse(w2[0], g, h, -60.0, 60.0)
-    assert np.all(z2[:, 2] == 2.0)
-    assert np.all(z2[:, 0] == lo[:, 0])
-    assert z2[0, 1] == pytest.approx(free[1], rel=1e-15)
-    assert z2[1, 1] == pytest.approx(free[1], rel=1e-15)
-    assert z2[2, 1] == 1.0
+    # k(-60) = -inf and k(50) = inf at (2, 0.5): only +-inf clamp
+    w = np.array([-np.inf, -1e300, -0.3, 0.5, 1e300, np.inf])
+    z = gh_inverse(w, 2.0, 0.5)
+    assert z[0] == -60.0 and z[-1] == 50.0
+    assert gh_transform(z[1:-1], 2.0, 0.5) == pytest.approx(w[1:-1], rel=1e-13)
+    # k(-60) = -6.5e8 and k(50) = 4.0e8 at (0.1, 0.01)
+    w = np.array([-np.inf, -1e9, -6e8, 3.9e8, 1e9, np.inf])
+    z = gh_inverse(w, 0.1, 0.01)
+    assert list(z[[0, 1, 4, 5]]) == [-60.0, -60.0, 50.0, 50.0]
+    assert -60.0 < z[2] < z[3] < 50.0
+    assert gh_transform(z[2:4], 0.1, 0.01) == pytest.approx(w[2:4], rel=1e-14)
 
 
 def test_gh_inverse_shapes():
     g, h = 2.0, 0.5
     w = np.linspace(-3.0, 40.0, 12)
-    z = gh_inverse(w, g, h, -60.0, 50.0)
-    z0 = gh_inverse(w[5], g, h, -60.0, 50.0)
+    z = gh_inverse(w, g, h)
+    z0 = gh_inverse(w[5], g, h)
     assert z0.shape == () and z0 == z[5]
-    assert np.array_equal(gh_inverse(w.reshape(3, 4), g, h, -60.0, 50.0), z.reshape(3, 4))
-    assert gh_inverse(np.empty((2, 0)), g, h, -60.0, 50.0).shape == (2, 0)
+    assert np.array_equal(gh_inverse(w.reshape(3, 4), g, h), z.reshape(3, 4))
+    assert gh_inverse(np.empty((2, 0)), g, h).shape == (2, 0)
 
 
 @pytest.mark.parametrize("w", [-0.011368396993758172, -0.007294367106037894])
@@ -441,15 +465,16 @@ def test_exact_hall_keeps_empty_shapes():
     assert m.density(empty).shape == (2, 0)
 
 
-@pytest.mark.parametrize("size", [_NEWTON_BLOCK - 1, _NEWTON_BLOCK, _NEWTON_BLOCK + 1])
+# sizes about the edge between the second and the third block
+@pytest.mark.parametrize("size", [2 * BLOCK - 1, 2 * BLOCK, 2 * BLOCK + 1])
 def test_gh_inverse_across_block_edges(size):
     g, h = 2.0, 0.5
     w = np.geomspace(1e-3, 1e12, size) * np.where(np.arange(size) % 2, 1.0, -1.0)
-    z = gh_inverse(w, g, h, -60.0, 50.0)
+    z = gh_inverse(w, g, h)
     assert z.shape == w.shape
     assert np.allclose(gh_transform(z, g, h), w, rtol=1e-12, atol=0.0)
-    # rows longer than a block are solved one row at a time
-    z2 = gh_inverse(np.stack([w, -w]), g, h, -60.0, 50.0)
+    # a 2-d array is solved in flat blocks, which cut across its rows
+    z2 = gh_inverse(np.stack([w, -w]), g, h)
     assert np.array_equal(z2[0], z)
     assert np.allclose(gh_transform(z2[1], g, h), -w, rtol=1e-12, atol=0.0)
 

@@ -11,9 +11,8 @@ from hypothesis import given, settings
 
 from tailconc.approx import RegimeTag
 from tailconc.errors import DomainError, ResourceLimitError
-from tailconc.models import Burr, ExactHall, GandH, Pareto
+from tailconc.models import BLOCK, Burr, ExactHall, GandH, Pareto
 from tailconc.montecarlo import (
-    _MAP_BLOCK,
     DenominatorMode,
     SimulationConfig,
     _order_stat_quantiles,
@@ -346,7 +345,7 @@ def test_batch_allocates_only_its_worker_buffers(model, temporaries, denominator
     and whole-array ufunc temporaries would add one (m, n) block each."""
     cfg = make_config(n=3, batches=1, denominator=denominator)
     m = cfg.samples
-    bound = 8 * (m * (cfg.n + 1) + temporaries * _MAP_BLOCK) + (1 << 16)
+    bound = 8 * (m * (cfg.n + 1) + temporaries * BLOCK) + (1 << 16)
     assert traced_peak(model, cfg) <= bound
 
 

@@ -77,26 +77,6 @@ def test_gamma_reflection(x):
     assert lhs == pytest.approx(math.pi / math.sin(math.pi * x), rel=1e-11)
 
 
-def test_log_gamma_consistent_with_gamma():
-    for x in (0.1, 0.5, 3.7, 12.0, 40.0):
-        assert math.exp(special.log_gamma(x)) == pytest.approx(
-            special.gamma(x), rel=1e-12
-        )
-
-
-def test_log_gamma_large_argument_no_overflow():
-    # gamma(200) overflows a float only in direct form
-    assert special.log_gamma(200.0) == pytest.approx(
-        scipy.special.gammaln(200.0), rel=1e-14
-    )
-
-
-@pytest.mark.parametrize("x", [0.0, -1.5])
-def test_log_gamma_domain(x):
-    with pytest.raises((DomainError, PoleError)):
-        special.log_gamma(x)
-
-
 def test_beta_reference_value():
     assert special.beta(7.5, 5.0) == pytest.approx(BETA_75_5, rel=1e-13)
 
@@ -174,7 +154,7 @@ def test_gamma_at_minus_inf_raises_domain_error():
 
 
 def test_nan_raises_domain_error():
-    for f in (special.gamma, special.log_gamma, special.normal_cdf, special.normal_inv_cdf):
+    for f in (special.gamma, special.normal_cdf, special.normal_inv_cdf):
         with pytest.raises(DomainError):
             f(math.nan)
     with pytest.raises(DomainError):
@@ -182,7 +162,6 @@ def test_nan_raises_domain_error():
 
 
 def test_log_gamma_and_beta_at_inf():
-    assert special.log_gamma(math.inf) == math.inf
     assert special.beta(math.inf, 1.0) == 0.0
     assert special.beta(math.inf, math.inf) == 0.0
 
@@ -201,7 +180,6 @@ def test_results_are_builtin_floats(arg):
     p = arg if 0 < arg < 1 else 0.25  # no int lies in (0, 1)
     results = [
         special.gamma(arg),
-        special.log_gamma(arg),
         special.beta(arg, arg),
         special.normal_cdf(arg),
         special.normal_inv_cdf(p),
