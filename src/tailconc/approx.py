@@ -305,13 +305,13 @@ def _boundary_q_estimate(model: LossModel) -> float:
     return b_val / a_val
 
 
-def _model_regime(model: LossModel) -> Regime:
-    """The model's regime, with q estimated once on the boundary."""
+def _model_regime(model: LossModel, q: Optional[float] = None) -> Regime:
+    """The model's regime; on the boundary it carries ``q``, estimated from
+    the model when not supplied. The one place a regime and q are resolved."""
     info = model.second_order_info()
-    regime = classify_regime(info)
-    if regime.tag is RegimeTag.BOUNDARY:
-        return classify_regime(info, _boundary_q_estimate(model))
-    return regime
+    if q is None and classify_regime(info).tag is RegimeTag.BOUNDARY:
+        q = _boundary_q_estimate(model)
+    return classify_regime(info, q)
 
 
 def _boundary_coefficient(info: SecondOrderInfo, n: int, q: float) -> float:
@@ -336,8 +336,9 @@ def second_order_approx(
 ) -> ApproxResult:
     """First-order limit plus the regime-appropriate correction at a level.
 
-    On the boundary the correction is coefficient(n, q) * a(1/(1-alpha)),
-    with q estimated numerically from the model when not supplied. In the
+    The regime and q come from ``_model_regime``. On the boundary the
+    correction is coefficient(n, q) * a(1/(1-alpha)), with q estimated
+    numerically from the model when not supplied. In the
     degenerate case (xi = 2 in the fast regime) the correction is zero and
     the degenerate flag is set.
     """
@@ -345,19 +346,15 @@ def second_order_approx(
     n = check_int("n", n, 2)
     info = model.second_order_info()
     c1 = first_order_limit(info.xi, n)
-    regime = classify_regime(info, q)
-    if regime.tag is RegimeTag.DEGENERATE:
-        return ApproxResult(c1=c1, c2=c1, correction=0.0, regime=regime, degenerate=True)
-    if regime.tag is RegimeTag.BOUNDARY:
-        q_eff = q if q is not None else _boundary_q_estimate(model)
-        regime = Regime(RegimeTag.BOUNDARY, q=q_eff, reason=regime.reason)
-        coeff = _boundary_coefficient(info, n, q_eff)
-        corr = coeff * model.auxiliary(1.0 / (1.0 - alpha))
-        return ApproxResult(c1=c1, c2=c1 + corr, correction=corr, regime=regime, degenerate=False)
-    k = correction_coefficient(info.xi, info.rho, n)
-    a = correction_amplitude(model, alpha, closed_form=closed_form)
-    corr = k * a
-    return ApproxResult(c1=c1, c2=c1 + corr, correction=corr, regime=regime, degenerate=False)
+    regime = _model_regime(model, q)
+    degenerate = regime.tag is RegimeTag.DEGENERATE
+    if degenerate:
+        corr = 0.0
+    elif regime.tag is RegimeTag.BOUNDARY:
+        corr = _boundary_coefficient(info, n, regime.q) * model.auxiliary(1.0 / (1.0 - alpha))
+    else:
+        corr = correction_coefficient(info.xi, info.rho, n) * correction_amplitude(model, alpha, closed_form)
+    return ApproxResult(c1=c1, c2=c1 + corr, correction=corr, regime=regime, degenerate=degenerate)
 
 
 def second_order_column(

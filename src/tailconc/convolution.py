@@ -23,10 +23,12 @@ F(x/2), far too narrow for generic adaptive rules) with Gauss-Legendre
 nodes per panel. A lower-order re-run of the final level provides an error
 estimate, and :class:`PrecisionError` is raised when it exceeds the grid
 tolerance. Between and beyond its nodes every stored level, the final one
-included, is read by one log-tail interpolant, :class:`_LogTail`, in the
-closed-form coordinate log x, x, or asinh x (g-and-h), in blocks of
-``models.BLOCK`` elements (:func:`models.blockwise`) so that a read's
-temporaries stay in cache. Its monotone cubic, :class:`_Pchip`, is an
+included, is read by one log-tail interpolant, :class:`_LogTail`, in blocks
+of ``models.BLOCK`` elements (:func:`models.blockwise`) so that a read's
+temporaries stay in cache: an intermediate level in the closed-form
+coordinate log x, x, or asinh x (g-and-h), the final level in x over the
+linear head and log x over the geometric tail, with the spline broken
+between them. Its monotone cubic, :class:`_Pchip`, is an
 in-package port of scipy's ``PchipInterpolator`` that reproduces its
 values bit for bit, so the package never imports ``scipy.interpolate``.
 """
@@ -40,7 +42,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import approx, special
-from .errors import DomainError, GridRangeError, PrecisionError, check_int, check_levels, check_real
+from .errors import DomainError, GridRangeError, PrecisionError, check_int, check_levels, check_real, check_reals
 from .models import GandH, LossModel, blockwise, gh_transform_deriv, normal_pdf, panel_rule
 
 __all__ = [
@@ -146,27 +148,25 @@ def _gbar_step_positive(model: LossModel, prev: _LogTail, x: np.ndarray, order: 
     layer: condition on the single loss where it is below s and on the
     partial sum where the loss exceeds s. With s = x/2 each integrand then
     varies by a bounded factor (~2^(1/xi)) instead of collapsing many
-    decades into the last quadrature panels. Near the support onset
-    (x < 2 * m_prev) the split degenerates to s = x - m_prev, recovering
-    the plain conditioning form, which is harmless there because the tail
-    is O(1).
+    decades into the last quadrature panels. Near the level's floor m
+    (x < 2m) the split degenerates to s = x - m, recovering the plain
+    conditioning form, which is harmless there because the tail is O(1).
+    The partial sum's piece runs from m, and the single-loss mass F(x - m),
+    where the level is 1, is added in closed form, as in the g-and-h step.
     """
-    smin = model.support_min
-    m_prev = prev.support
+    m = prev.w_floor
     out = np.ones(x.shape)
-    live = x > m_prev + smin
-    if not np.any(live):
-        return out
+    live = x > m + model.support_min
     xl = x[live]
-    split = np.where(xl >= 2.0 * m_prev, 0.5 * xl, xl - m_prev)
-    first = np.asarray(model.tail(np.maximum(xl - m_prev, smin)))
-    small = _single_loss(model, prev, m_prev, xl, 0.0, 1.0 - model.tail(np.maximum(split, smin)), order)
+    split = np.where(xl >= 2.0 * m, 0.5 * xl, xl - m)
+    small = _single_loss(model, prev, m, xl, 0.0, 1.0 - model.tail(split), order)
 
     def above(y):  # the previous-level tail against the single-loss density
-        dens = np.asarray(model.density(np.maximum(xl[:, None] - y, smin)))
+        # the floor guards rounding at the top node of the range
+        dens = np.asarray(model.density(np.maximum(xl[:, None] - y, model.support_min)))
         return prev(y) * dens
 
-    out[live] = small + _integrate(above, m_prev, xl - split, order) + first
+    out[live] = small + _integrate(above, m, xl - split, order) + model.tail(xl - m)
     return out
 
 
@@ -203,7 +203,7 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
             return prev(y) * dens * jac
 
         lo_below, lo_above, hi = (_GH_Z_LO, z_floor, zs) if right else (zs, zs, -_GH_Z_LO)
-        below = _single_loss(model, prev, prev.support, xs, lo_below, hi, order)
+        below = _single_loss(model, prev, prev.w_floor, xs, lo_below, hi, order)
         out[rows] = below + _integrate(above, lo_above, hi, order)
         if right:
             out[rows] += model.tail(xs - prev.w_floor)
@@ -292,24 +292,16 @@ class _LogTail:
     ``_FLAT`` is 1 to double precision. The tail is exactly 1 at or below
     ``w_floor``, the larger of ``support`` and the last such node; with no
     such node ``w_floor`` is ``support``, and reads between it and the
-    first node are NaN. Above the last node the tail follows the power law
+    first node are NaN. ``w_floor`` is the level's only floor; the support
+    serves only to compute it. Above the last node the tail follows the power law
     of index -1/xi; in between it is exp(PCHIP(log g)) in the coordinate,
     clipped to [0, 1]. ``split = k`` breaks the spline at node k, which
     must lie above 0, and reads the nodes from k on with a second spline in
-    log x. ``w_floor`` is also the floor above which the g-and-h step
-    integrates the level.
+    log x. Both pairwise steps integrate the level above ``w_floor`` and
+    add the single-loss mass below it in closed form.
     """
 
-    __slots__ = (
-        "support",
-        "w_floor",
-        "_coord",
-        "_spline",
-        "_upper",
-        "_x_top",
-        "_g_top",
-        "_power",
-    )
+    __slots__ = ("w_floor", "_coord", "_spline", "_upper", "_x_top", "_g_top", "_power")
 
     def __init__(
         self,
@@ -327,7 +319,6 @@ class _LogTail:
                 f"convolve_tail: the grid ends at {node_x[-1]:g}, where a level's tail is "
                 f"still 1 (its support starts at {support:g})"
             )
-        self.support = support
         self.w_floor = max(support, float(node_x[j])) if flat.size else support
         log_g = np.log(np.minimum(node_g, 1.0))
         k = node_g.size if split is None else split
@@ -376,7 +367,8 @@ class ConvolutionGrid:
     over the linearly spaced head and in log x over the geometric tail,
     with the spline broken between the two; beyond the last node the tail
     extends by the power law of index -1/xi. ``tail_at`` returns 1 at or
-    below the sum's support for positive-support models. The g-and-h grid
+    below the final level's one floor, ``w_floor`` (at or above the sum's
+    support), for positive-support models. The g-and-h grid
     deliberately starts at the 0.6 quantile, where the sum's tail is not
     1, so a read below its first node is NaN and ``tail_at`` raises
     :class:`GridRangeError`, as it does for NaN.
@@ -393,7 +385,7 @@ class ConvolutionGrid:
 
     def tail_at(self, w):
         """Interpolated tail of the n-fold sum at w (scalar or array)."""
-        out = self._tail(np.atleast_1d(np.asarray(w, dtype=float)))
+        out = self._tail(np.atleast_1d(check_reals("tail_at: w", w)))
         if np.any(np.isnan(out)):
             raise GridRangeError(
                 f"tail_at: argument NaN or below the grid floor {self.x[0]:g}, "
@@ -405,7 +397,7 @@ class ConvolutionGrid:
         """Tail recomputed by direct quadrature (no grid interpolation in the
         outermost integral), bit for bit the stored tail at a node; 0 at +inf
         and 1 at -inf with no quadrature. NaN raises :class:`GridRangeError`."""
-        arr = np.atleast_1d(np.asarray(w, dtype=float))
+        arr = np.atleast_1d(check_reals("fresh_tail: w", w))
         if np.any(np.isnan(arr)):
             raise GridRangeError("fresh_tail: argument NaN")
         out = np.where(arr > 0, 0.0, 1.0)  # the tail at +-inf
@@ -585,16 +577,23 @@ def tail_ratio_diagnostic(model: LossModel, n: int, x) -> np.ndarray:
     tail-ratio limit as x grows; evaluated by fresh quadrature so the
     cancellation in the numerator is not polluted by interpolation error.
     An x where the single-loss tail underflows to 0 raises
-    :class:`PrecisionError`."""
+    :class:`PrecisionError`, and so does an x where the rounding of
+    G_bar/F_bar alone, about n eps / |b(x)|, exceeds 1e-3: there the
+    cancellation leaves the result no reliable digit."""
     n = check_int("n", n, 2, _MAX_N)
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
+    arr = np.atleast_1d(check_reals("tail_ratio_diagnostic: x", x))
     f_vals = np.asarray(model.tail(arr))
     under = arr[f_vals == 0.0]
     if under.size:
         raise PrecisionError(
             f"tail_ratio_diagnostic: the single-loss tail underflows to 0 at x = {under[0]:g}"
         )
-    g_vals = convolve_tail(model, n).fresh_tail(arr)
     b_vals = np.array([approx.tail_ratio_scale(model, float(w)) for w in arr])
+    noisy = arr[n * np.finfo(float).eps > 1e-3 * np.abs(b_vals)]
+    if noisy.size:
+        raise PrecisionError(
+            f"tail_ratio_diagnostic: G_bar/F_bar - n cancels to rounding noise at x = {noisy[0]:g}"
+        )
+    g_vals = convolve_tail(model, n).fresh_tail(arr)
     out = (g_vals / f_vals - n) / b_vals
     return float(out[0]) if np.asarray(x).ndim == 0 else out

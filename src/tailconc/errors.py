@@ -6,9 +6,10 @@ violations additionally derive from :class:`ValueError` to cooperate with
 generic validation code.
 
 The argument checks every public entry point runs live here too, so the
-package has one input policy: NaN is never accepted, ``bool`` is not a
-number, numpy integers and floats count as integers and reals, and every
-rejection is a :class:`DomainError`.
+package has one input policy: NaN is never accepted (a grid read reports
+it as :class:`GridRangeError`), ``bool`` and strings are not numbers, an
+array is not one number, numpy integers and floats count as integers and
+reals, and every rejection is a :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -85,18 +86,32 @@ def check_real(name: str, v, lo: Optional[float] = None, hi: Optional[float] = N
     return v
 
 
-def check_array(name: str, v, lo: float, strict: bool = False) -> np.ndarray:
-    """``v`` (a real scalar or array, not ``bool``) as a float array whose
-    entries are all >= ``lo``, or > ``lo`` when ``strict``; +inf passes and
-    NaN does not."""
+def check_reals(name: str, v) -> np.ndarray:
+    """``v`` (a real scalar or array, not ``bool`` or a string) as a float
+    array; NaN passes, for callers that report it themselves."""
     arr = np.asarray(v)
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{name} must be a real number or array, got dtype {arr.dtype}")
-    arr = arr.astype(float, copy=False)
+    return arr.astype(float, copy=False)
+
+
+def check_array(name: str, v, lo: float, strict: bool = False) -> np.ndarray:
+    """:func:`check_reals` with every entry >= ``lo``, or > ``lo`` when
+    ``strict``; +inf passes and NaN does not."""
+    arr = check_reals(name, v)
     low = arr.min(initial=math.inf)  # NaN if any entry is NaN
     if not (low > lo if strict else low >= lo):
         raise DomainError(f"{name} must be {'>' if strict else '>='} {lo:g} and not NaN")
     return arr
+
+
+def check_scalar(name: str, v, lo: float, strict: bool) -> float:
+    """:func:`check_array` on one real number, returned as a ``float``; an
+    array of any shape but 0-d is refused."""
+    arr = check_array(name, v, lo, strict)
+    if arr.ndim:
+        raise DomainError(f"{name} must be a real number, got an array of shape {arr.shape}")
+    return float(arr)
 
 
 def check_levels(name: str, v) -> np.ndarray:

@@ -1,8 +1,9 @@
 """Scalar special functions: gamma, beta, and the normal law.
 
 Thin wrappers over ``scipy.special`` (``gamma``, ``beta``, ``ndtr``,
-``ndtri``) that add the package's error contract: a NaN argument,
-or one outside the function's domain, raises :class:`DomainError`; 0 and the
+``ndtri``) that add the package's error contract: an argument that is
+not one real number (``bool``, a string, an array), NaN, or one outside the
+function's domain raises :class:`DomainError`; 0 and the
 negative integers raise :class:`PoleError` in :func:`gamma`; overflow returns
 ``inf``. Every function returns a builtin ``float``.
 
@@ -17,7 +18,7 @@ import math
 
 from scipy import special as _sc
 
-from .errors import DomainError, PoleError
+from .errors import PoleError, check_real, check_scalar
 
 __all__ = [
     "gamma",
@@ -30,9 +31,7 @@ __all__ = [
 def gamma(x: float) -> float:
     """Gamma function on the real line. Raises :class:`PoleError` at 0 and the
     negative integers, and :class:`DomainError` at NaN and -inf."""
-    x = float(x)
-    if math.isnan(x) or x == -math.inf:
-        raise DomainError(f"gamma: argument must be a number above -inf, got {x:g}")
+    x = check_scalar("gamma: x", x, -math.inf, strict=True)
     if x <= 0.0 and x.is_integer():
         raise PoleError(f"gamma: pole at non-positive integer x = {x:g}")
     return float(_sc.gamma(x))
@@ -40,10 +39,8 @@ def gamma(x: float) -> float:
 
 def beta(x: float, y: float) -> float:
     """Beta function B(x, y) = gamma(x) gamma(y) / gamma(x + y), x, y > 0."""
-    x = float(x)
-    y = float(y)
-    if not (x > 0.0 and y > 0.0):
-        raise DomainError(f"beta: requires x > 0 and y > 0, got ({x:g}, {y:g})")
+    x = check_scalar("beta: x", x, 0.0, strict=True)
+    y = check_scalar("beta: y", y, 0.0, strict=True)
     # scipy gives NaN where B underflows (both arguments above ~1e77, or one inf)
     b = float(_sc.beta(x, y))
     return 0.0 if math.isnan(b) else b
@@ -51,15 +48,9 @@ def beta(x: float, y: float) -> float:
 
 def normal_cdf(x: float) -> float:
     """Standard normal CDF, accurate in both tails."""
-    x = float(x)
-    if math.isnan(x):
-        raise DomainError("normal_cdf: argument is NaN")
-    return float(_sc.ndtr(x))
+    return float(_sc.ndtr(check_scalar("normal_cdf: x", x, -math.inf, strict=False)))
 
 
 def normal_inv_cdf(p: float) -> float:
     """Standard normal quantile for p in (0, 1)."""
-    p = float(p)
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"normal_inv_cdf: requires 0 < p < 1, got {p:g}")
-    return float(_sc.ndtri(p))
+    return float(_sc.ndtri(check_real("normal_inv_cdf: p", p, 0.0, 1.0)))

@@ -579,6 +579,35 @@ def test_diagnostic_raises_where_the_single_loss_tail_underflows(model, x):
             tail_ratio_diagnostic(model, 2, np.array([10.0, x]))
 
 
+@pytest.mark.parametrize(
+    "model", [PARETO05, Pareto(xi=1.25), BURR2508, BURR12, GANDH, HALL], ids=lambda m: repr(m)
+)
+def test_diagnostic_raises_where_the_cancellation_leaves_no_digit(model, monkeypatch):
+    """At x = 1e20 every catalogue model has n eps / |b(x)| > 1e-3 at n = 2
+    (b(x) = 4e-16 for Pareto(1.25), at most 4e-19 for the others), so the
+    result would be rounding noise; it raises, naming x, before any grid
+    is built."""
+
+    def no_grid(*args):
+        raise AssertionError("the diagnostic built a grid")
+
+    monkeypatch.setattr(convolution, "convolve_tail", no_grid)
+    for x in (1e20, np.array([10.0, 1e20])):
+        with pytest.raises(PrecisionError, match=re.escape("x = 1e+20")):
+            tail_ratio_diagnostic(model, 2, x)
+
+
+def test_grid_reads_and_the_diagnostic_refuse_non_numbers():
+    """``bool`` and strings are not numbers: a plain DomainError, where NaN
+    is a GridRangeError (test_fresh_tail_at_non_finite_arguments)."""
+    grid = convolve_tail(PARETO05, 2)
+    for read in (grid.tail_at, grid.fresh_tail, lambda w: tail_ratio_diagnostic(PARETO05, 2, w)):
+        for w in (True, "30", np.array(["30", "40"])):
+            with pytest.raises(DomainError) as caught:
+                read(w)
+            assert caught.type is DomainError
+
+
 def test_convolve_tail_caches_grids():
     a = convolve_tail(PARETO05, 2)
     b = convolve_tail(PARETO05, 2)

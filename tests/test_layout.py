@@ -9,7 +9,9 @@ the oracle and Monte Carlo import nothing from ``scipy`` at all. One
 helper, ``models.blockwise``, is the package's only block loop, stepped
 by its only block constant, ``models.BLOCK``.
 The oracle tests "this stored tail is 1" by one rule, against ``_FLAT``,
-so no comparison in ``convolution.py`` has the literal 1.0 as an operand.
+so no comparison in ``convolution.py`` has the literal 1.0 as an operand,
+and each level has one floor, ``w_floor``, with no ``support`` beside it.
+One function, ``approx._model_regime``, estimates the boundary balance q.
 Monte Carlo knows a model only through its draws and its quantile, so no
 fact about a family's inverse transform leaves ``models``."""
 
@@ -119,6 +121,12 @@ def test_one_block_loop_and_one_block_constant():
     constants = [(p.name, c) for p in paths for c in block_constants(p.read_text())]
     assert loops == [("models.py", "blockwise")]
     assert constants == [("models.py", "BLOCK")]
+
+
+def test_one_caller_estimates_the_boundary_balance():
+    # approx._model_regime is the one place a regime and its q are resolved
+    found = [name for path in SOURCES for name in callers(path.read_text(), "_boundary_q_estimate")]
+    assert found == ["_model_regime"]
 
 
 def test_panel_rule_has_one_caller_per_quadrature_family():
@@ -237,6 +245,12 @@ def test_one_comparison_scan():
 
 def test_oracle_tests_is_one_only_against_flat():
     assert one_comparisons((ROOT / "src" / "tailconc" / "convolution.py").read_text()) == []
+
+
+def test_each_level_has_one_floor():
+    # every pairwise step reads a level's floor as w_floor; no level keeps its support
+    tree = ast.parse((ROOT / "src" / "tailconc" / "convolution.py").read_text())
+    assert "support" not in {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
 
 
 def attributes_read(source: str, name: str) -> set:

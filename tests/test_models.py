@@ -592,6 +592,25 @@ def test_exact_hall_rejects_nonmonotone_parameters():
 
 
 @pytest.mark.parametrize(
+    ("d", "xi", "rho"), [(0.5, 1e-15, -1e-15), (-0.5, 1e-15, -1e-15), (0.5, 50.0, -0.5)]
+)
+def test_exact_hall_constructs_wherever_psi_1_is_positive(d, xi, rho):
+    """xi + d (xi + rho) > 0 decides monotonicity exactly: psi(1) = 1e-15
+    is accepted, and xi = 50 constructs without a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = ExactHall(c=1.0, d=d, xi=xi, rho=rho)
+    assert m.support_min == 1.0 + d
+
+
+@pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
+def test_burr_tau_one_density_at_zero_is_kappa(kappa):
+    # 0.0 ** 0.0 == 1.0 in kappa tau x^(tau - 1) (1 + x^tau)^(-kappa - 1)
+    assert Burr(tau=1.0, kappa=kappa).density(0.0) == kappa
+    assert Burr(tau=1.0, kappa=kappa).density(np.array([0.0, 1.0]))[0] == kappa
+
+
+@pytest.mark.parametrize(
     "bad",
     [
         dict(kind="pareto", xi=0.0),

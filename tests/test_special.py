@@ -185,3 +185,26 @@ def test_results_are_builtin_floats(arg):
         special.normal_inv_cdf(p),
     ]
     assert all(type(r) is float for r in results)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: special.gamma(True),
+        lambda: special.gamma("2"),
+        lambda: special.gamma(np.array([1.0, 2.0])),
+        lambda: special.beta(True, "2"),
+        lambda: special.beta(2.0, "2"),
+        lambda: special.beta(np.array([1.0, 2.0]), 1.0),
+        lambda: special.normal_cdf("0"),
+        lambda: special.normal_cdf(np.array([0.0, 1.0])),
+        lambda: special.normal_inv_cdf("0.5"),
+        lambda: special.normal_inv_cdf(np.array([0.5])),
+    ],
+    ids=["gamma-bool", "gamma-str", "gamma-array", "beta-bool", "beta-str", "beta-array",
+         "cdf-str", "cdf-array", "inv-str", "inv-array"],
+)
+def test_non_numbers_raise_domain_error(call):
+    # the package's one input policy: bool, strings and arrays are refused
+    with pytest.raises(DomainError):
+        call()
