@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import exprel
 
 from . import special
 from .errors import BoundaryCaseError, DomainError, PrecisionError, check_array, check_int, check_real
@@ -163,7 +162,12 @@ def second_order_kernel(xi: float, rho: float, s: float) -> float:
     if rho > 0.0:
         raise DomainError(f"second_order_kernel: requires rho <= 0, got {rho!r}")
     ls = math.log(s)
-    return _in_range("second_order_kernel", s, xi, lambda: s**xi * ls * float(exprel(rho * ls)), "s")
+    return _in_range("second_order_kernel", s, xi, lambda: s**xi * ls * _exprel(rho * ls), "s")
+
+
+def _exprel(x: float) -> float:
+    """(exp(x) - 1)/x, 1 at x = 0; OverflowError above x ~ 709.78."""
+    return math.expm1(x) / x if x else 1.0
 
 
 def classify_regime(info: SecondOrderInfo, q: Optional[float] = None) -> Regime:

@@ -109,6 +109,28 @@ def test_second_order_kernel_values():
     assert second_order_kernel(0.5, -1e-9, s) == pytest.approx(exact, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    ("rho", "s"),
+    [(-0.5, 1.0), (0.0, 3.7), (-1e-300, 2.0), (-1e-17, 2.0), (-1e-9, 0.5), (-2.0, math.exp(350.0)),
+     (-2.0, math.exp(-350.0)), (-1.0, math.exp(-709.0)), (-1.0, math.exp(700.0))],
+    ids=["x-0-at-s-1", "x-0-at-rho-0", "x-7e-301", "x-7e-18", "x-7e-10", "x-minus-700", "x-700", "x-709",
+         "x-minus-700-rho-1"],
+)
+def test_second_order_kernel_matches_scipy_exprel(rho, s):
+    # exprel(x) = expm1(x)/x, 1 at x = 0, for x = rho log s: 0, tiny, or near +-700
+    from scipy.special import exprel
+
+    xi = 0.5
+    ls = math.log(s)
+    assert second_order_kernel(xi, rho, s) == s**xi * ls * float(exprel(rho * ls))
+
+
+def test_second_order_kernel_raises_where_exprel_overflows():
+    # rho log s = 720 > 709.78: exp overflows, as scipy's exprel does (inf)
+    with pytest.raises(DomainError, match="xi = 0.5"):
+        second_order_kernel(0.5, -2.0, math.exp(-360.0))
+
+
 def test_second_order_kernel_domain():
     with pytest.raises(DomainError):
         second_order_kernel(0.5, -0.5, 0.0)

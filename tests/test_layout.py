@@ -4,8 +4,10 @@ read on anything but ``self`` or ``cls`` (tests may; they are not scanned).
 The panel rule has one caller per quadrature family, the g-and-h transform
 is reached through one affine map, the package's public names are
 declared once, in each module's ``__all__``, every import is used, and
-no module imports ``scipy.interpolate``, so start-up does not load it;
-the oracle and Monte Carlo import nothing from ``scipy`` at all. One
+no module imports ``scipy.interpolate``. No module imports ``scipy`` at
+module level, and only ``special`` imports it at all, behind one lazy
+loader, so start-up and every Pareto, Burr and Hall run leave scipy
+unloaded; a g-and-h model loads it when it is built. One
 helper, ``models.blockwise``, is the package's only block loop, stepped
 by its only block constant, ``models.BLOCK``.
 The oracle tests "this stored tail is 1" by one rule, against ``_FLAT``,
@@ -216,13 +218,89 @@ def test_oracle_and_monte_carlo_import_nothing_from_scipy(name):
     assert not [n for n in names if n == "scipy" or n.startswith("scipy.")]
 
 
-def test_cli_import_leaves_scipy_interpolate_unloaded():
+def module_level_imports(source: str) -> set:
+    """``imported_modules`` of the imports that run when the module is
+    imported: every import outside a function body."""
+    found = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.update(imported_modules(ast.unparse(child)))
+            elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_import_scan():
+    source = (
+        "import numpy\ntry:\n    from scipy import special\nexcept ImportError:\n    pass\n"
+        "class A:\n    import os\ndef f():\n    import scipy\n"
+    )
+    assert module_level_imports(source) == {"numpy", "scipy", "scipy.special", "os"}
+
+
+def _scipy(names: set) -> list:
+    return sorted(n for n in names if n == "scipy" or n.startswith("scipy."))
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "tailconc").glob("*.py")), ids=lambda p: p.name
+)
+def test_no_module_imports_scipy_at_module_level(path):
+    assert _scipy(module_level_imports(path.read_text())) == []
+
+
+def test_only_special_imports_scipy_special():
+    # special.scipy_special is the one route to scipy; the CLI reads its version from metadata
+    found = {p.name: _scipy(imported_modules(p.read_text())) for p in (ROOT / "src" / "tailconc").glob("*.py")}
+    assert {name: names for name, names in found.items() if names} == {"special.py": ["scipy", "scipy.special"]}
+
+
+def _printed_by(code: str) -> list:
+    """The words ``code`` prints, run in a fresh interpreter with ``src`` on the path."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    code = "import sys, tailconc.cli; print('scipy.interpolate' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout.split()
+
+
+def test_cli_import_leaves_scipy_interpolate_unloaded():
+    assert _printed_by("import sys, tailconc.cli; print('scipy.interpolate' in sys.modules)") == ["False"]
+
+
+def test_pareto_burr_and_hall_runs_leave_scipy_unloaded():
+    # one process: scipy absent after every run means no run loaded it
+    runs = [
+        ["curve", "--model", '{"kind": "pareto", "xi": 0.5}', "--n", "3", "--oracle", "--samples", "0"],
+        ["curve", "--model", '{"kind": "burr", "tau": 1.0, "kappa": 2.0}', "--n", "2", "--oracle", "--samples", "0"],
+        ["curve", "--model", '{"kind": "hall", "c": 1.0, "d": -0.3, "xi": 0.8, "rho": -0.4}', "--n", "2",
+         "--oracle", "--samples", "20000"],
+        ["curve", "--model", '{"kind": "pareto", "xi": 1.25}', "--n", "2", "--samples", "2000", "--format", "json"],
+        ["info", "--model", '{"kind": "burr", "tau": 0.25, "kappa": 8.0}', "--n", "2", "--format", "json"],
+    ]
+    code = (
+        "import contextlib, io, sys, tailconc.cli\n"
+        "print('scipy' in sys.modules)\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = tailconc.cli.main(argv)\n"
+        "    print(code, 'scipy' in sys.modules)\n"
+    )
+    assert _printed_by(code) == ["False"] + ["0", "False"] * len(runs)
+
+
+def test_building_a_gandh_model_loads_scipy_special():
+    code = (
+        "import sys, tailconc\n"
+        "print('scipy.special' in sys.modules)\n"
+        "tailconc.GandH(0.0, 1.0, 2.0, 0.5)\n"
+        "print('scipy.special' in sys.modules)\n"
+    )
+    assert _printed_by(code) == ["False", "True"]
 
 
 def one_comparisons(source: str) -> list:

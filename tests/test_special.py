@@ -170,6 +170,36 @@ def test_beta_at_huge_arguments_underflows_to_zero():
     assert special.beta(1e250, 1e300) == 0.0
 
 
+def _agree(got: float, want: float, rel: float) -> bool:
+    return got == want or abs(got - want) <= rel * abs(want)
+
+
+def test_beta_matches_scipy_on_a_log_grid():
+    # math's gamma product below x + y = 171, scipy's beta above it
+    grid = np.logspace(-300, 3, 61)
+    far = [(x, y) for x in grid for y in grid if not _agree(special.beta(x, y), scipy.special.beta(x, y), 1e-13)]
+    assert far == []
+
+
+@pytest.mark.parametrize(
+    ("x", "y"),
+    [
+        (85.4, 85.5), (85.6, 85.5), (170.0, 0.99), (170.0, 1.01), (1.46, 169.5), (1.46, 169.6),
+        (1e-300, 170.99), (1e-300, 171.01), (1e-308, 1.0), (6e-309, 1.46), (5e-309, 2.0), (5e-324, 0.5),
+        (1e-310, 1e-310),
+    ],
+)
+def test_beta_matches_scipy_across_the_gamma_range_and_at_subnormals(x, y):
+    # either side of x + y = 171, and subnormal arguments, whose gamma overflows
+    assert _agree(special.beta(x, y), float(scipy.special.beta(x, y)), 1e-13)
+
+
+@pytest.mark.parametrize(("x", "expected"), [(171.7, math.inf), (1e300, math.inf), (5e-324, math.inf),
+                                             (1e-310, math.inf), (-1e-310, -math.inf)])
+def test_gamma_overflow_is_inf_of_scipys_sign(x, expected):
+    assert special.gamma(x) == expected == scipy.special.gamma(x)
+
+
 def test_beta_near_the_origin():
     # B(x, y) ~ 1/x + 1/y as x, y -> 0
     assert special.beta(1e-300, 1e-300) == pytest.approx(2e300, rel=1e-13)
