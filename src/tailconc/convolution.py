@@ -20,17 +20,20 @@ error is bounded by n*Phi(-10).
 Every integral is one call of :func:`_integrate`: fixed panels clustered
 geometrically toward both endpoints (the upper boundary layer has width
 F(x/2), far too narrow for generic adaptive rules) with Gauss-Legendre
-nodes per panel. A lower-order re-run of the final level provides an error
-estimate, and :class:`PrecisionError` is raised when it exceeds the grid
-tolerance. Between and beyond its nodes every stored level, the final one
-included, is read by one log-tail interpolant, :class:`_LogTail`, in blocks
-of ``models.BLOCK`` elements (:func:`models.blockwise`) so that a read's
-temporaries stay in cache: an intermediate level in the closed-form
-coordinate log x, x, or asinh x (g-and-h), the final level in x over the
-linear head and log x over the geometric tail, with the spline broken
-between them. Its monotone cubic, :class:`_Pchip`, is an
-in-package port of scipy's ``PchipInterpolator`` that reproduces its
-values bit for bit, so the package never imports ``scipy.interpolate``.
+nodes per panel. Every intermediate level is stored on the grid's nodes
+and read between and beyond them by one log-tail interpolant,
+:class:`_LogTail`, in the closed-form coordinate log x, x, or asinh x
+(g-and-h), in blocks of ``models.BLOCK`` elements (:func:`models.blockwise`)
+so that a read's temporaries stay in cache. Its monotone cubic,
+:class:`_Pchip`, is an in-package port of scipy's ``PchipInterpolator``
+that reproduces its values bit for bit, so the package never imports
+``scipy.interpolate``. The final level is never interpolated: it is
+scanned on every ``_SCAN_STRIDE``-th node and the top one, where a
+lower-order re-run certifies it, and the quantile solver brackets each
+level in the scan and refines it against fresh quadrature, then certifies
+the quantiles it returns by one more lower-order re-run there.
+:class:`PrecisionError` is raised where a re-run disagrees by more than
+the grid tolerance.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ _MAX_LEVEL = 1.0 - 1e-10
 # direct-quadrature tier.
 _PAIRWISE_TOL = 1e-6
 _ORDER = 14  # Gauss-Legendre nodes per panel
-_CHECK_ORDER = 10  # the lower-order re-run of the final level that certifies it
+_CHECK_ORDER = 10  # the lower-order re-run that certifies the final level and the quantiles
+_SCAN_STRIDE = 64  # the final level is scanned on every 64th node, and the top one
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,24 +288,24 @@ class _Pchip:
 
 
 class _LogTail:
-    """Tail of one convolution level between and beyond its stored nodes.
+    """Tail of one intermediate convolution level between and beyond its
+    stored nodes.
 
     Built from the closed-form map ``coord`` from an argument to the
     coordinate the interpolation runs in (log x, x, or asinh x), the nodes
-    ``node_x`` and their stored tails ``node_g``. A stored tail at or above
-    ``_FLAT`` is 1 to double precision. The tail is exactly 1 at or below
-    ``w_floor``, the larger of ``support`` and the last such node; with no
-    such node ``w_floor`` is ``support``, and reads between it and the
-    first node are NaN. ``w_floor`` is the level's only floor; the support
-    serves only to compute it. Above the last node the tail follows the power law
-    of index -1/xi; in between it is exp(PCHIP(log g)) in the coordinate,
-    clipped to [0, 1]. ``split = k`` breaks the spline at node k, which
-    must lie above 0, and reads the nodes from k on with a second spline in
-    log x. Both pairwise steps integrate the level above ``w_floor`` and
+    ``node_x`` and their stored tails ``node_g``, the last of which lies
+    below ``_FLAT``. A stored tail at or above ``_FLAT`` is 1 to double
+    precision. The tail is exactly 1 at or below ``w_floor``, the larger
+    of ``support`` and the last such node; with no such node ``w_floor`` is
+    ``support``, and reads between it and the first node are NaN.
+    ``w_floor`` is the level's only floor; the support serves only to
+    compute it. Above the last node the tail follows the power law of index
+    -1/xi; in between it is exp(PCHIP(log g)) in the coordinate, clipped to
+    [0, 1]. Both pairwise steps integrate the level above ``w_floor`` and
     add the single-loss mass below it in closed form.
     """
 
-    __slots__ = ("w_floor", "_coord", "_spline", "_upper", "_x_top", "_g_top", "_power")
+    __slots__ = ("w_floor", "_coord", "_spline", "_x_top", "_g_top", "_power")
 
     def __init__(
         self,
@@ -310,25 +314,12 @@ class _LogTail:
         node_g: np.ndarray,
         xi: float,
         support: float,
-        split: Optional[int] = None,
     ):
         flat = np.flatnonzero(node_g >= _FLAT)
         j = int(flat[-1]) if flat.size else 0
-        if j == node_g.size - 1:
-            raise GridRangeError(
-                f"convolve_tail: the grid ends at {node_x[-1]:g}, where a level's tail is "
-                f"still 1 (its support starts at {support:g})"
-            )
         self.w_floor = max(support, float(node_x[j])) if flat.size else support
-        log_g = np.log(np.minimum(node_g, 1.0))
-        k = node_g.size if split is None else split
-        if k <= j:  # the flat region reaches the split: one spline in log x
-            k, coord = node_g.size, np.log
         self._coord = coord
-        self._spline = _Pchip(coord(node_x[j : k + 1]), log_g[j : k + 1])
-        self._upper = None
-        if k < node_g.size - 1:
-            self._upper = (_Pchip(np.log(node_x[k:]), log_g[k:]), float(node_x[k]))
+        self._spline = _Pchip(coord(node_x[j:]), np.log(np.minimum(node_g[j:], 1.0)))
         self._x_top = float(node_x[-1])
         self._g_top = float(node_g[-1])
         self._power = -1.0 / xi
@@ -343,10 +334,6 @@ class _LogTail:
         with np.errstate(divide="ignore", invalid="ignore"):
             c = self._coord(w)
         self._spline(c, out)
-        if self._upper is not None:
-            spline, w_split = self._upper
-            up = w > w_split
-            out[up] = spline(np.log(w[up]))
         np.exp(out, out=out)
         out[w <= self.w_floor] = 1.0
         top = w > self._x_top
@@ -356,22 +343,16 @@ class _LogTail:
 
 @dataclass(slots=True, eq=False)
 class ConvolutionGrid:
-    """Precomputed tail of the n-fold convolution on a log-tailed grid.
+    """The n-fold convolution tail: intermediate levels stored on a
+    log-tailed grid, and the final level scanned for the quantile solver.
 
-    Fields ``model``, ``n``, ``spec``, ``x`` (nodes), ``g_tail`` (survival
-    values) and ``certified_error``: the largest relative disagreement, over
-    the nodes, between the final level at the working quadrature order and
-    its re-run at the lower check order. ``tail_at`` reads the stored tail
-    with the interpolant class the recursion uses between levels, on the
-    main nodes: monotone piecewise-cubic interpolation of log survival in x
-    over the linearly spaced head and in log x over the geometric tail,
-    with the spline broken between the two; beyond the last node the tail
-    extends by the power law of index -1/xi. ``tail_at`` returns 1 at or
-    below the final level's one floor, ``w_floor`` (at or above the sum's
-    support), for positive-support models. The g-and-h grid
-    deliberately starts at the 0.6 quantile, where the sum's tail is not
-    1, so a read below its first node is NaN and ``tail_at`` raises
-    :class:`GridRangeError`, as it does for NaN.
+    Fields ``model``, ``n``, ``spec``, ``x`` (the final level's scan nodes:
+    every ``_SCAN_STRIDE``-th grid node and the top one), ``g_tail`` (its
+    survival values there) and ``certified_error``: the largest relative
+    disagreement, over those nodes, between the final level at the working
+    quadrature order and its re-run at the lower check order. The final
+    level is not interpolated; :meth:`fresh_tail` is the one read of the
+    sum's tail, and its value at a scan node is the stored one, bit for bit.
     """
 
     model: LossModel
@@ -380,29 +361,22 @@ class ConvolutionGrid:
     x: np.ndarray
     g_tail: np.ndarray
     certified_error: float
-    _tail: _LogTail
     _fresh: Callable[[np.ndarray], np.ndarray]
 
-    def tail_at(self, w):
-        """Interpolated tail of the n-fold sum at w (scalar or array)."""
-        out = self._tail(np.atleast_1d(check_reals("tail_at: w", w)))
-        if np.any(np.isnan(out)):
-            raise GridRangeError(
-                f"tail_at: argument NaN or below the grid floor {self.x[0]:g}, "
-                "outside the interpolable range"
-            )
-        return float(out[0]) if np.asarray(w).ndim == 0 else out
-
-    def fresh_tail(self, w):
+    def fresh_tail(self, w, *, order: int = _ORDER):
         """Tail recomputed by direct quadrature (no grid interpolation in the
         outermost integral), bit for bit the stored tail at a node; 0 at +inf
-        and 1 at -inf with no quadrature. NaN raises :class:`GridRangeError`."""
+        and 1 at -inf with no quadrature. NaN raises :class:`GridRangeError`.
+        ``order`` is the outermost integral's Gauss-Legendre order per
+        panel: by default the working order, and ``_CHECK_ORDER`` for the
+        re-run that certifies a value."""
+        order = check_int("fresh_tail: order", order, 1)
         arr = np.atleast_1d(check_reals("fresh_tail: w", w))
         if np.any(np.isnan(arr)):
             raise GridRangeError("fresh_tail: argument NaN")
         out = np.where(arr > 0, 0.0, 1.0)  # the tail at +-inf
         finite = np.isfinite(arr)
-        out[finite] = self._fresh(arr[finite])
+        out[finite] = self._fresh(arr[finite], order=order)
         return float(out[0]) if np.asarray(w).ndim == 0 else out
 
 
@@ -412,19 +386,32 @@ def _finite(vals: np.ndarray, caller: str = "convolve_tail") -> np.ndarray:
     return vals
 
 
+def _certify(caller: str, g: np.ndarray, g_lo: np.ndarray, threshold: float) -> float:
+    """The largest relative disagreement of the check-order tails ``g_lo``
+    with the working-order tails ``g``; above ``threshold``, or NaN, it
+    raises :class:`PrecisionError`."""
+    err = float(np.max(np.abs(g - g_lo) / np.maximum(np.abs(g), 1e-300)))
+    if not err <= threshold:
+        raise PrecisionError(
+            f"{caller}: certified relative quadrature error {err:.3e} exceeds tol {threshold:g}"
+        )
+    return err
+
+
 @lru_cache(maxsize=8)
 def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
-    """Tabulate the two-fold tail, then add one loss per level up to n.
+    """Tabulate the two-fold tail, add one loss per level up to n - 1, and
+    scan the final level n.
 
     One two-fold serves every family. Per family: the grid floor, the
-    pairwise step and the closed-form coordinate each level is read in.
-    g-and-h reads in asinh x, which is linear near 0 and logarithmic in
-    both tails, and carries an auxiliary head (z from -10 up to the grid
-    floor) through the recursion so each step sees the left tail of the
-    previous level. Positive-support models read in x where the support
-    starts at 0 and in log x otherwise. Every level, the final one
-    included, passes one self-check: its stored tails are finite and do
-    not rise below ``_FLAT``.
+    pairwise step and the closed-form coordinate each intermediate level is
+    read in. g-and-h reads in asinh x, which is linear near 0 and
+    logarithmic in both tails, and carries an auxiliary head (z from -10 up
+    to the grid floor) through the recursion so each step sees the left
+    tail of the previous level. Positive-support models read in x where the
+    support starts at 0 and in log x otherwise. Every level, the final one
+    on its scan included, passes one self-check: its stored tails are
+    finite, do not rise below ``_FLAT``, and fall below it at the top node.
     """
     smin = model.support_min
     xi = model.second_order_info().xi
@@ -453,31 +440,26 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
         # a stored tail at or above _FLAT is 1; below it no level may rise
         if np.any(np.diff(np.minimum(_finite(vals), _FLAT)) > 0):
             raise PrecisionError(f"convolve_tail: level {k} failed its monotonicity self-check")
+        if vals[-1] >= _FLAT:
+            raise GridRangeError(
+                f"convolve_tail: the grid ends at {top:g}, where level {k}'s tail is "
+                f"still 1 (its support starts at {k * smin:g})"
+            )
         return vals
 
     # each level is the quadrature (a functools.partial) over the interpolant
     # of the level below; the last one is fresh_tail, and g_tail is its value
-    # on the nodes, so the stored and the fresh tail agree bit for bit there
+    # on the scan, so the stored and the fresh tail agree bit for bit there
     fresh = partial(_two_fold, model, order=_ORDER)
     for k in range(2, n):
         level = _LogTail(coord, nodes, checked(fresh(nodes), k), xi, k * smin)
         fresh = partial(step, model, level, order=_ORDER)
+    x = np.append(x[:-1:_SCAN_STRIDE], top)
     g_tail = checked(fresh(x), n)
     # the certificate: the final level re-run at the check order (a call's
-    # keyword overrides the one the partial holds); NaN fails it
-    g_lo = fresh(x, order=_CHECK_ORDER)
-    err = float(np.max(np.abs(g_tail - g_lo) / np.maximum(np.abs(g_tail), 1e-300)))
-    threshold = spec.certify_threshold(n)
-    if not err <= threshold:
-        raise PrecisionError(
-            f"convolve_tail: certified relative quadrature error {err:.3e} "
-            f"exceeds tol {threshold:g}"
-        )
-    # the final level is read on its main nodes in x over the linear head and
-    # in log x over the geometric tail, with a break in the spline between
-    split = _HEAD_POINTS if head_hi > 0 else None
-    tail = _LogTail(np.asarray, x, g_tail, xi, n * smin, split)
-    return ConvolutionGrid(model, n, spec, x, g_tail, err, tail, fresh)
+    # keyword overrides the one the partial holds)
+    err = _certify("convolve_tail", g_tail, fresh(x, order=_CHECK_ORDER), spec.certify_threshold(n))
+    return ConvolutionGrid(model, n, spec, x, g_tail, err, fresh)
 
 
 def convolve_tail(model: LossModel, n: int, spec: Optional[GridSpec] = None) -> ConvolutionGrid:
@@ -492,14 +474,18 @@ def oracle_quantile(grid: ConvolutionGrid, alpha: float) -> float:
     """Quantile of the n-fold sum at level alpha; :func:`oracle_quantiles` on one level.
 
     An exact hit on a stored tail value returns that node's abscissa.
-    Otherwise the level's grid cell brackets the root, since every stored
-    tail is bit for bit the fresh quadrature at its node, and Chandrupatla's
-    hybrid of inverse quadratic interpolation and bisection (Adv. Eng.
-    Software 28(3), 1997) refines it against fresh quadrature. It stops when
-    the residual is 0 or the bracket is no wider than 1e-12 max(|lo|, |hi|,
-    1), and returns the bracket end with the smaller residual. A non-finite
-    fresh value or no convergence in ``_ROOT_MAX_ITER`` steps raises
-    :class:`PrecisionError`.
+    Otherwise the level's cell of the final level's scan brackets the root,
+    since every stored tail is bit for bit the fresh quadrature at its node,
+    and Chandrupatla's hybrid of inverse quadratic interpolation and
+    bisection (Adv. Eng. Software 28(3), 1997) refines it against fresh
+    quadrature. It stops when the residual is 0 or the bracket is no wider
+    than 1e-12 max(|lo|, |hi|, 1), and returns the bracket end with the
+    smaller residual. The returned quantile is then certified: the fresh
+    tail there, re-run at the lower check order, may differ from the
+    working-order tail (the level plus that residual) by at most
+    ``grid.spec.certify_threshold(n)`` relative. A larger difference, a
+    non-finite fresh value or no convergence in ``_ROOT_MAX_ITER`` steps
+    raises :class:`PrecisionError`.
     """
     return float(oracle_quantiles(grid, alpha))
 
@@ -508,7 +494,8 @@ def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
     """Quantiles of the n-fold sum at every level in ``alphas``, solved by
     the rules of :func:`oracle_quantile` jointly: every level is checked
     before any quadrature runs, the brackets' residuals are stored tails,
-    and each fresh call takes one Chandrupatla step on every live level."""
+    each fresh call takes one Chandrupatla step on every live level, and
+    one check-order call certifies every returned quantile."""
     alphas = check_levels("oracle_quantile: alpha", alphas)
     p = 1.0 - alphas.ravel()
     g, x = grid.g_tail, grid.x
@@ -527,8 +514,8 @@ def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
         )
     # g is non-increasing: the first node whose tail is at or below p
     idx = np.searchsorted(-g, -p, side="left")
-    out = x[idx]
-    live = np.flatnonzero(g[idx] != p)
+    out, g_out = x[idx], g[idx]  # g_out: the working-order tail at out
+    live = np.flatnonzero(g_out != p)
     p, i = p[live], idx[live]
 
     # the cell brackets the level, g[i - 1] > p > g[i]; x1 is the newest
@@ -538,7 +525,9 @@ def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
         dx = np.abs(x2 - x1)
         tol = _ROOT_RTOL * np.maximum(np.maximum(np.abs(x1), np.abs(x2)), 1.0)
         done = (f1 == 0.0) | (f2 == 0.0) | (dx <= tol)
-        out[live[done]] = np.where(np.abs(f1) < np.abs(f2), x1, x2)[done]
+        closer = np.abs(f1) < np.abs(f2)
+        out[live[done]] = np.where(closer, x1, x2)[done]
+        g_out[live[done]] = (p + np.where(closer, f1, f2))[done]
         if np.all(done):
             break
         if step == _ROOT_MAX_ITER:
@@ -561,6 +550,9 @@ def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
             r = (x3 - x1) / (x2 - x1)
             t_iqi = f1 / (f1 - f2) * f3 / (f3 - f2) - r * f1 / (f3 - f1) * f2 / (f2 - f3)
         t = np.where(iqi, t_iqi, 0.5)
+    if out.size:
+        g_lo = grid.fresh_tail(out, order=_CHECK_ORDER)
+        _certify("oracle_quantile", g_out, g_lo, grid.spec.certify_threshold(grid.n))
     return out.reshape(alphas.shape)
 
 

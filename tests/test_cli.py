@@ -438,6 +438,10 @@ def test_precision_error_exits_three(capsys):
           "--oracle", "--points", "2"], 2, "grid ends at"),
         (["curve", "--model", '{"kind": "burr", "tau": 8, "kappa": 4}', "--n", "2", "--samples", "0",
           "--oracle", "--points", "2"], 2, "deeper than the grid covers"),
+        # the final level's self-check passes on its scan; the grid ends
+        # where the three-fold tail is 0.94
+        (["curve", "--model", '{"kind": "burr", "tau": 8, "kappa": 4}', "--n", "3", "--samples", "0",
+          "--oracle", "--points", "2"], 2, "deeper than the grid covers (smallest stored tail 9.428e-01)"),
     ],
 )
 def test_edge_models_exit_with_a_message(capsys, argv, code, message):

@@ -204,20 +204,6 @@ def test_import_scan():
     assert imported_modules(source) == {"numpy", "scipy", "scipy.interpolate"}
 
 
-@pytest.mark.parametrize(
-    "path", sorted((ROOT / "src" / "tailconc").glob("*.py")), ids=lambda p: p.name
-)
-def test_no_module_imports_scipy_interpolate(path):
-    names = imported_modules(path.read_text())
-    assert not [n for n in names if n == "scipy.interpolate" or n.startswith("scipy.interpolate.")]
-
-
-@pytest.mark.parametrize("name", ["convolution.py", "montecarlo.py"])
-def test_oracle_and_monte_carlo_import_nothing_from_scipy(name):
-    names = imported_modules((ROOT / "src" / "tailconc" / name).read_text())
-    assert not [n for n in names if n == "scipy" or n.startswith("scipy.")]
-
-
 def module_level_imports(source: str) -> set:
     """``imported_modules`` of the imports that run when the module is
     imported: every import outside a function body."""
@@ -254,7 +240,8 @@ def test_no_module_imports_scipy_at_module_level(path):
 
 
 def test_only_special_imports_scipy_special():
-    # special.scipy_special is the one route to scipy; the CLI reads its version from metadata
+    # special.scipy_special is the one route to scipy; the CLI reads its version from metadata.
+    # So no module imports scipy.interpolate, and the oracle and Monte Carlo import no scipy
     found = {p.name: _scipy(imported_modules(p.read_text())) for p in (ROOT / "src" / "tailconc").glob("*.py")}
     assert {name: names for name, names in found.items() if names} == {"special.py": ["scipy", "scipy.special"]}
 
