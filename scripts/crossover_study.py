@@ -41,17 +41,18 @@ def burr_with_pinned_index(kappa: float, xi: float = 0.5) -> Burr:
     return Burr(tau=1.0 / (xi * kappa), kappa=kappa)
 
 
+CASES = [(f"burr_k{k:g}", burr_with_pinned_index(k)) for k in (1.0, 2.0, 4.0, 8.0)] + [
+    ("pareto05", Pareto(xi=0.5)),
+    ("pareto125", Pareto(xi=1.25)),
+    ("burr2508", Burr(tau=0.25, kappa=8.0)),
+    ("gandh", GandH(a=0.0, b=1.0, g=2.0, h=0.5)),
+    ("hall_d_neg", ExactHall(c=1.0, d=-0.25, xi=0.5, rho=-0.25)),
+    ("hall_d_pos", ExactHall(c=1.0, d=0.25, xi=0.5, rho=-0.25)),
+]
+
+
 def sweep(n: int):
-    cases = [(f"burr_k{k:g}", burr_with_pinned_index(k)) for k in (1.0, 2.0, 4.0, 8.0)]
-    cases += [
-        ("pareto05", Pareto(xi=0.5)),
-        ("pareto125", Pareto(xi=1.25)),
-        ("burr2508", Burr(tau=0.25, kappa=8.0)),
-        ("gandh", GandH(a=0.0, b=1.0, g=2.0, h=0.5)),
-        ("hall_d_neg", ExactHall(c=1.0, d=-0.25, xi=0.5, rho=-0.25)),
-        ("hall_d_pos", ExactHall(c=1.0, d=0.25, xi=0.5, rho=-0.25)),
-    ]
-    for label, model in cases:
+    for label, model in CASES:
         info = model.second_order_info()
         regime = classify_regime(info)
         alpha_star = crossover(model, n)

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import special
-from .errors import BoundaryCaseError, DomainError, PrecisionError, check_array, check_int, check_real
+from .errors import BoundaryCaseError, DomainError, PrecisionError, check_int, check_real, check_scalar
 from .models import LossModel, SecondOrderInfo
 
 __all__ = [
@@ -143,7 +143,7 @@ def tail_ratio_scale(model: LossModel, x: float) -> float:
     """
     info = model.second_order_info()
     xi = info.xi
-    x = float(check_array("tail_ratio_scale: x", x, model.support_min))
+    x = check_scalar("tail_ratio_scale: x", x, model.support_min, strict=False)
     if xi > 1.0:
         return model.tail(x) / (xi - 1.0)
     if x == 0.0:
@@ -204,7 +204,7 @@ def correction_coefficient(xi: float, rho: float, n: int) -> float:
     n = check_int("n", n, 2)
     xi = check_real("correction_coefficient: xi", xi, 0.0)
     # rho = -inf (an eventually constant slowly varying part) is allowed
-    rho = float(check_array("correction_coefficient: rho", rho, -math.inf))
+    rho = check_scalar("correction_coefficient: rho", rho, -math.inf, strict=False)
     if rho > 0.0:
         raise DomainError(f"correction_coefficient: requires rho <= 0, got {rho!r}")
     thr = -min(1.0, xi)
@@ -231,8 +231,10 @@ def correction_amplitude(model: LossModel, alpha: float, closed_form: bool = Fal
     """Amplitude A(alpha) of the second-order correction, vanishing as
     alpha -> 1.
 
-    Fast regime: the tail-ratio scale b evaluated at the quantile (with
-    optional closed forms for models with known Hall constants). Slow
+    Fast regime: the tail-ratio scale b evaluated at the quantile. For
+    xi > 1 that is (1 - alpha)/(xi - 1) for every model, since
+    F_bar(Q(alpha)) = 1 - alpha; for xi <= 1 it is computed numerically, or
+    with ``closed_form`` from the Hall constants where a model has them. Slow
     regime: the auxiliary function at 1/(1-alpha); for g-and-h this has the
     exact closed form g / normal_inv_cdf(alpha), which is always used.
     """
@@ -247,13 +249,12 @@ def correction_amplitude(model: LossModel, alpha: float, closed_form: bool = Fal
     one_minus = 1.0 - alpha
     if regime.tag in (RegimeTag.FAST, RegimeTag.DEGENERATE):
         xi = info.xi
-        if closed_form and info.hall_c is not None:
-            c = info.hall_c
-            if xi < 1.0:
-                return model.moments(math.inf) / c * one_minus**xi
-            if xi == 1.0:
-                return -one_minus * math.log(one_minus)
+        if xi > 1.0:  # b(Q(alpha)) = F_bar(Q(alpha))/(xi - 1), and F_bar(Q(alpha)) = 1 - alpha
             return one_minus / (xi - 1.0)
+        if closed_form and info.hall_c is not None:
+            if xi < 1.0:
+                return model.moments(math.inf) / info.hall_c * one_minus**xi
+            return -one_minus * math.log(one_minus)
         return tail_ratio_scale(model, model.quantile(alpha))
     # slow regime
     if model.kind == "gandh":
@@ -348,6 +349,7 @@ def second_order_approx(
     """
     alpha = check_real("second_order_approx: alpha", alpha, 0.0, 1.0)
     n = check_int("n", n, 2)
+    q = None if q is None else check_real("second_order_approx: q", q)
     info = model.second_order_info()
     c1 = first_order_limit(info.xi, n)
     regime = _model_regime(model, q)
@@ -384,12 +386,12 @@ def approach_direction(model: LossModel, n: int) -> ApproachDirection:
     with the limit of d(correction)/d(alpha).
 
     The direction is the sign of the correction :func:`second_order_approx`
-    gives at alpha = 1 - 1e-8 with closed-form amplitudes (a numeric one is
-    0 where the quantile overflows): positive is from above, negative from
-    below, and the degenerate case is model-dependent. The slope is finite
-    where the amplitude goes as 1 - alpha (the fast regime with xi > 1, and
-    the boundary with rho = -1 and Hall constants); elsewhere it diverges,
-    opposite in sign to the correction.
+    gives at alpha = 1 - 1e-8 with closed-form amplitudes (for xi <= 1 a
+    numeric one is 0 where the quantile overflows): positive is from above,
+    negative from below, and the degenerate case is model-dependent. The
+    slope is finite where the amplitude goes as 1 - alpha (the fast regime
+    with xi > 1, and the boundary with rho = -1 and Hall constants);
+    elsewhere it diverges, opposite in sign to the correction.
     """
     n = check_int("n", n, 2)
     info = model.second_order_info()
@@ -417,8 +419,9 @@ def crossover(
     alpha_hi: float = 1.0 - 1e-7,
 ) -> Optional[float]:
     """Level alpha* where the second-order approximation crosses 1, if one
-    exists in [alpha_lo, alpha_hi]; None when the curve does not change
-    side. Bisection to |delta alpha| <= 1e-7.
+    exists in [alpha_lo, alpha_hi]. c2 is monotone in alpha for every model
+    family, because each amplitude is, so the endpoints decide: None when
+    c2 - 1 has the same sign at both. Bisection to |delta alpha| <= 1e-7.
     """
     n = check_int("n", n, 2)
     alpha_lo = check_real("crossover: alpha_lo", alpha_lo, 0.0, 1.0)
@@ -435,16 +438,7 @@ def crossover(
     if f_hi == 0.0:
         return hi
     if f_lo * f_hi > 0:
-        # scan a log-spaced grid in 1-alpha for the first sign change
-        grid = 1.0 - np.geomspace(1.0 - alpha_lo, 1.0 - alpha_hi, 257)
-        vals = np.array([f(float(a)) for a in grid])
-        hits = np.flatnonzero((vals[:-1] == 0) | (vals[:-1] * vals[1:] < 0))
-        if not hits.size:
-            return None
-        i = hits[0]
-        if vals[i] == 0.0:
-            return float(grid[i])
-        lo, hi, f_lo = float(grid[i]), float(grid[i + 1]), float(vals[i])
+        return None
     while hi - lo > 1e-7:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)

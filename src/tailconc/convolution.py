@@ -185,11 +185,13 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
     single-loss median, z_split = z(x/2) >= 0, piece 1 runs over
     [-12, z_split], and piece 2 over [z(w_floor), z_split] plus, in closed
     form, the single-loss mass where the level tail is 1 (below its floor
-    ``w_floor``). Left of it both run over [z_split, 12]. Each side runs on
-    its own rows, so each node array holds one side's rows only.
+    ``w_floor``). Left of it both run over [z_split, 12], with z_split
+    floored at -12 as in the two-fold form, so far left of the grid the rule
+    does not spread its nodes over scores that carry no mass. Each side runs
+    on its own rows, so each node array holds one side's rows only.
     """
     b, g, h = model.b, model.g, model.h
-    z_split = model.z_of_x(0.5 * x)
+    z_split = np.maximum(model.z_of_x(0.5 * x), _GH_Z_LO)
     z_floor = float(model.z_of_x(prev.w_floor))
     out = np.empty(x.shape)
     for right in (True, False):

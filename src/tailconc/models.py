@@ -21,7 +21,7 @@ from typing import ClassVar, Optional
 import numpy as np
 
 from . import special
-from .errors import DomainError, PoleError, PrecisionError, check_array, check_int, check_levels, check_real
+from .errors import DomainError, PoleError, PrecisionError, check_array, check_int, check_levels, check_real, check_scalar
 
 __all__ = [
     "SecondOrderInfo",
@@ -178,7 +178,7 @@ class LossModel:
     def moments(self, x: float) -> float:
         """Truncated first moment: integral of t dF(t) from the lower end of
         the support up to x (x = inf gives the mean, possibly inf)."""
-        return float(self._moments(float(check_array(f"{self.kind} moments: x", x, self.support_min))))
+        return float(self._moments(check_scalar(f"{self.kind} moments: x", x, self.support_min, strict=False)))
 
     def _moments(self, x: float) -> float:
         raise NotImplementedError

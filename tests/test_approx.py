@@ -1,10 +1,12 @@
 import dataclasses
+import importlib.util
 import math
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from tailconc import approx
 from tailconc.approx import (
@@ -466,8 +468,9 @@ def test_crossover_argument_validation():
 
 
 def test_boundary_q_is_estimated_once_per_call(monkeypatch):
-    # crossover evaluates the second-order curve at some 260 levels, all
-    # with the same boundary balance q, so q is estimated once
+    # crossover evaluates the second-order curve at its two ends and at
+    # each bisection step, all with the same boundary balance q, so q is
+    # estimated once
     calls = []
     estimate = approx._boundary_q_estimate
     monkeypatch.setattr(approx, "_boundary_q_estimate", lambda m: calls.append(m) or estimate(m))
@@ -476,3 +479,116 @@ def test_boundary_q_is_estimated_once_per_call(monkeypatch):
     assert len(calls) == 1
     approach_direction(model, 2)
     assert len(calls) == 2
+
+
+def test_crossover_decides_from_its_endpoints(monkeypatch):
+    """Without a sign change between the ends there is no crossing, so the
+    curve is evaluated at the two ends only."""
+    calls = []
+    evaluate = approx.second_order_approx
+    monkeypatch.setattr(approx, "second_order_approx", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+    assert crossover(Pareto(xi=1.25), 2) is None
+    assert len(calls) <= 2
+
+
+# crossover's default range, 257 levels log-spaced in 1 - alpha
+_CROSSOVER_LEVELS = 1.0 - np.geomspace(0.1, 1e-7, 257)
+
+CATALOGUE = {
+    "pareto05": Pareto(xi=0.5),
+    "pareto125": Pareto(xi=1.25),
+    "burr2508": Burr(tau=0.25, kappa=8.0),
+    "burr12": Burr(tau=1.0, kappa=2.0),
+    "gandh": GANDH,
+    "hall": ExactHall(c=1.0, d=-0.3, xi=0.8, rho=-0.4),
+}
+
+
+def _crossover_study_cases() -> dict:
+    path = Path(__file__).resolve().parents[1] / "scripts" / "crossover_study.py"
+    spec = importlib.util.spec_from_file_location("crossover_study", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return dict(module.CASES)
+
+
+# the study's cases share their labels, and models, with the catalogue's
+MONOTONE_CASES = CATALOGUE | _crossover_study_cases()
+
+
+def assert_c2_monotone(model, n):
+    """c2 - 1 is monotone in alpha over crossover's range, so a crossing,
+    if there is one, shows as a sign change between the ends."""
+    _, c2, _, _ = approx.second_order_column(model, _CROSSOVER_LEVELS, n)
+    step = np.diff(c2 - 1.0)
+    assert np.all(step >= 0.0) or np.all(step <= 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("model", MONOTONE_CASES.values(), ids=MONOTONE_CASES)
+def test_second_order_curve_is_monotone(model, n):
+    assert_c2_monotone(model, n)
+
+
+_NS = st.sampled_from([2, 3, 4, 8])
+
+
+@settings(deadline=None, max_examples=30)
+@given(xi=st.floats(0.1, 3.0), n=_NS)
+def test_pareto_second_order_curve_is_monotone(xi, n):
+    assert_c2_monotone(Pareto(xi=xi), n)
+
+
+@settings(deadline=None, max_examples=30)
+@given(tau=st.floats(0.25, 4.0), kappa=st.floats(0.25, 4.0), n=_NS)
+def test_burr_second_order_curve_is_monotone(tau, kappa, n):
+    assert_c2_monotone(Burr(tau=tau, kappa=kappa), n)
+
+
+@settings(deadline=None, max_examples=30)
+@given(a=st.floats(-1.0, 1.0), b=st.floats(0.5, 2.0), g=st.floats(0.1, 3.0), h=st.floats(0.05, 0.95), n=_NS)
+def test_gandh_second_order_curve_is_monotone(a, b, g, h, n):
+    assert_c2_monotone(GandH(a=a, b=b, g=g, h=h), n)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    c=st.floats(0.5, 2.0), d=st.floats(-0.9, 2.0), xi=st.floats(0.1, 2.0), rho=st.floats(-2.0, -0.01), n=_NS
+)
+def test_hall_second_order_curve_is_monotone(c, d, xi, rho, n):
+    assume(d != 0.0 and xi + d * (xi + rho) > 0.0)
+    assert_c2_monotone(ExactHall(c=c, d=d, xi=xi, rho=rho), n)
+
+
+def test_fast_amplitude_above_unit_index_needs_no_quantile():
+    """For xi > 1 the amplitude b(Q(alpha)) is (1 - alpha)/(xi - 1) whatever
+    Q(alpha) is. Burr(0.1, 0.1) has xi = 100, and its quantile overflows at
+    0.9999, yet the correction is the closed form's, with no overflow
+    warning (which the test configuration makes an error)."""
+    model = Burr(tau=0.1, kappa=0.1)
+    numeric = second_order_approx(model, 0.9999, 2).correction
+    closed = second_order_approx(model, 0.9999, 2, closed_form=True).correction
+    assert numeric < 0.0
+    assert numeric == pytest.approx(closed, rel=1e-12)
+
+
+def test_scalar_entry_points_refuse_arrays():
+    """An array of any shape but 0-d is not one number: a DomainError, not
+    numpy's TypeError."""
+    with pytest.raises(DomainError, match="shape"):
+        tail_ratio_scale(Pareto(xi=0.5), np.array([5.0]))
+    with pytest.raises(DomainError, match="shape"):
+        correction_coefficient(0.5, np.array([-1.0]), 2)
+    assert tail_ratio_scale(Pareto(xi=0.5), np.array(5.0)) == tail_ratio_scale(Pareto(xi=0.5), 5.0)
+    assert correction_coefficient(0.5, -math.inf, 2) == 0.5
+
+
+@pytest.mark.parametrize(
+    "q", [math.nan, math.inf, "1", np.array([1.0]), True], ids=["nan", "inf", "str", "array", "bool"]
+)
+@pytest.mark.parametrize("model", [Burr(tau=1.0, kappa=2.0), Pareto(xi=0.5)], ids=["boundary", "fast"])
+def test_second_order_approx_validates_q(model, q):
+    """A given q must be a finite number, on the boundary (where it is used)
+    and off it (where it is not)."""
+    with pytest.raises(DomainError, match="q must be a finite number"):
+        second_order_approx(model, 0.99, 2, q=q)

@@ -832,9 +832,25 @@ def test_reads_out_of_range_emit_no_warning(model):
     assert 0.0 <= vals[3] < 1e-200 and math.isnan(vals[4])
     fresh = grid.fresh_tail(np.array([-1e300, -1.0, 0.0, 1e300]))
     if model is GANDH:
-        assert 1.0 >= fresh[0] >= fresh[1] >= fresh[2] > 0.0
+        assert fresh[0] == 1.0 >= fresh[1] >= fresh[2] > 0.0
     else:
         assert fresh[0] == fresh[1] == fresh[2] == 1.0
     assert 0.0 <= fresh[3] < 1e-200
     with pytest.raises(GridRangeError):
         grid.fresh_tail(math.nan)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_gandh_fresh_tail_is_one_far_left_of_the_grid(n):
+    """Far left of the grid the g-and-h sum's tail is 1 to double precision
+    (its left tail falls like x^-2); the pairwise step's split score is
+    floored at the Gaussian integration floor, so its quadrature reads it
+    so, neither short of 1 nor above it."""
+    w = np.array([-1e300, -1e100, -1e30, -1e10])
+    assert np.all(convolve_tail(GANDH, n).fresh_tail(w) == 1.0)
+
+
+def test_grid_whose_head_collapses_onto_its_floor_raises():
+    # Q(0.99) = 100^(1e-17) rounds to the support minimum 1.0
+    with pytest.raises(DomainError, match="degenerate grid"):
+        convolve_tail(Pareto(xi=1e-17), 2)

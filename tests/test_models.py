@@ -618,6 +618,9 @@ def test_burr_tau_one_density_at_zero_is_kappa(kappa):
         dict(kind="burr", tau=1.0, kappa=0.0),
         dict(kind="gandh", a=0.0, b=0.0, g=1.0, h=0.5),
         dict(kind="gandh", a=0.0, b=1.0, g=1.0, h=-0.1),
+        dict(kind="hall", c=1.0, d=0.0, xi=0.5, rho=-0.5),
+        # psi(1) = xi + d (xi + rho) = -1.75: U falls near t = 1
+        dict(kind="hall", c=1.0, d=0.9, xi=0.5, rho=-3.0),
     ],
 )
 def test_invalid_parameters_raise(bad):
@@ -660,6 +663,23 @@ def test_model_from_dict_rejects_unknown():
         model_from_dict({"xi": 0.5})
     with pytest.raises(DomainError):
         model_from_dict({"kind": "pareto", "xi": 0.5, "extra": 1.0})
+    with pytest.raises(DomainError, match="must be a mapping"):
+        model_from_dict([("kind", "pareto"), ("xi", 0.5)])
+    with pytest.raises(DomainError, match=r"missing parameters \['kappa'\]"):
+        model_from_dict({"kind": "burr", "tau": 1.0})
+
+
+@pytest.mark.parametrize("xi", [1.0, 1.5])
+def test_exact_hall_mean_is_infinite_from_unit_index(xi):
+    assert ExactHall(c=1.0, d=0.5, xi=xi, rho=-0.5).moments(math.inf) == math.inf
+
+
+def test_moments_refuses_arrays():
+    """An array of any shape but 0-d is not one level: a DomainError, not
+    numpy's TypeError."""
+    with pytest.raises(DomainError, match="shape"):
+        Pareto(xi=0.5).moments(np.array([5.0]))
+    assert Pareto(xi=0.5).moments(np.array(5.0)) == Pareto(xi=0.5).moments(5.0)
 
 
 @pytest.mark.parametrize(
