@@ -5,23 +5,24 @@ Every family's two-fold tail is computed from the exact symmetric split
     G2(x) = F(x/2)^2 + 2 * integral over the single loss X below x/2 of F(x - X)
 
 (written with survival functions). The integral is :func:`_single_loss`,
-which runs in the loss's own coordinate: in quantile space, X = Q(u) with
-u up to F(x/2), for positive-support models, so density singularities
-never enter the integrand; in the Gaussian score z, X = a + b k(z) with
-weight phi(z) and z from -12 up to z(x/2), for g-and-h, whose support is
-the whole real line. Higher n adds one loss per level with the same split:
-the same single-loss piece with the previous level inside, plus the
-previous level against the single-loss density where the loss exceeds
-x/2. The g-and-h pairwise step is one body for both sides of the
-single-loss median. A head grid (z from -10 upward) stores values below
-the main grid so that the recursion sees the left tail; the truncation
-error is bounded by n*Phi(-10).
+which runs in the loss's base variate, mapped by ``model.from_variates``:
+in quantile space, X = Q(u) with u up to F(x/2), for positive-support
+models, so density singularities never enter the integrand; in the
+Gaussian score z, X = a + b k(z) with weight phi(z) and z from -12 up to
+z(x/2), for g-and-h, whose support is the whole real line. Higher n adds
+one loss per level with the same split: the same single-loss piece with
+the previous level inside, plus the previous level against the
+single-loss density where the loss exceeds x/2. The g-and-h pairwise step
+gives each row the bounds of its side of the single-loss median, and
+g-and-h builds at a = 0 and shifts by n a. A head grid (z from -10
+upward) stores values below the main grid so that the recursion sees the
+left tail; the truncation error is bounded by n*Phi(-10).
 
-Every integral is one call of :func:`_integrate`: fixed panels clustered
-geometrically toward both endpoints (the upper boundary layer has width
-F(x/2), far too narrow for generic adaptive rules) with Gauss-Legendre
-nodes per panel. Every intermediate level is stored on the grid's nodes
-and read between and beyond them by one log-tail interpolant,
+Every piece is one call of :func:`_integrate` over all its rows: fixed
+panels clustered geometrically toward both endpoints (the upper boundary
+layer has width F(x/2), far too narrow for generic adaptive rules) with
+Gauss-Legendre nodes per panel. Every intermediate level is stored on the
+grid's nodes and read between and beyond them by one log-tail interpolant,
 :class:`_LogTail`, in the closed-form coordinate log x, x, or asinh x
 (g-and-h), in blocks of ``models.BLOCK`` elements (:func:`models.blockwise`)
 so that a read's temporaries stay in cache. Its monotone cubic,
@@ -38,7 +39,7 @@ the grid tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 from typing import Callable, Optional
 
@@ -46,7 +47,7 @@ import numpy as np
 
 from . import approx, special
 from .errors import DomainError, GridRangeError, PrecisionError, check_int, check_levels, check_real, check_reals
-from .models import GandH, LossModel, blockwise, gh_transform_deriv, normal_pdf, panel_rule
+from .models import GandH, LossModel, blockwise, normal_pdf, panel_rule
 
 __all__ = [
     "GridSpec",
@@ -112,23 +113,18 @@ def _integrate(integrand: Callable[[np.ndarray], np.ndarray], lo, hi, order: int
 
 def _single_loss(model: LossModel, level, floor: float, x: np.ndarray, lo, hi, order: int) -> np.ndarray:
     """The single loss against a level: per row, the integral of
-    level(max(x - loss, floor)) over the loss's own coordinate on [lo, hi].
-    That is u, with the loss Q(u), for positive-support models, and the
-    normal score z, with the loss x_of_z(z) and the weight phi(z), for
-    g-and-h. A row whose range is empty adds 0 and evaluates nothing."""
+    level(max(x - loss, floor)) over the base variate on [lo, hi] that
+    ``model.from_variates`` maps to the loss: u, with the loss Q(u), for
+    positive-support models, and the normal score z, with the loss x_of_z(z)
+    and the weight phi(z), for g-and-h. An empty range adds 0."""
     gandh = isinstance(model, GandH)
-    lo, hi = np.broadcast_arrays(lo, hi, x)[:2]
-    rows = ~(hi <= lo)  # a NaN bound keeps its row, and its NaN
-    xr = x[rows]
 
     def integrand(c):
-        args = xr[:, None] - (model.x_of_z(c) if gandh else np.asarray(model.quantile(c)))
+        args = x[:, None] - model.from_variates(c)
         np.maximum(args, floor, out=args)
         return level(args) * normal_pdf(c) if gandh else level(args)
 
-    out = np.zeros(x.shape)
-    out[rows] = _integrate(integrand, lo[rows], hi[rows], order)
-    return out
+    return _integrate(integrand, lo, hi, order)
 
 
 def _two_fold(model: LossModel, x: np.ndarray, order: int) -> np.ndarray:
@@ -187,32 +183,24 @@ def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) ->
     form, the single-loss mass where the level tail is 1 (below its floor
     ``w_floor``). Left of it both run over [z_split, 12], with z_split
     floored at -12 as in the two-fold form, so far left of the grid the rule
-    does not spread its nodes over scores that carry no mass. Each side runs
-    on its own rows, so each node array holds one side's rows only.
+    does not spread its nodes over scores that carry no mass. Each row gets
+    its side's bounds, and both pieces run once over all rows.
     """
-    b, g, h = model.b, model.g, model.h
     z_split = np.maximum(model.z_of_x(0.5 * x), _GH_Z_LO)
-    z_floor = float(model.z_of_x(prev.w_floor))
-    out = np.empty(x.shape)
-    for right in (True, False):
-        rows = (z_split >= 0.0) == right
-        if not np.any(rows):
-            continue
-        xs, zs = x[rows], z_split[rows]
+    right = z_split >= 0.0
+    hi = np.where(right, z_split, -_GH_Z_LO)
 
-        # the level is evaluated last: evaluated before the density, it
-        # raised the traced peak of a g-and-h build by 13.5 MB
-        def above(t):
-            y = model.x_of_z(t)
-            dens = model.density(xs[:, None] - y)
-            jac = b * gh_transform_deriv(t, g, h)
-            return prev(y) * dens * jac
+    # the level is evaluated last: evaluated before the density, it
+    # raised the traced peak of a g-and-h build by 13.5 MB
+    def above(t):
+        y = model.x_of_z(t)
+        dens = model.density(x[:, None] - y)
+        jac = model.dx_dz(t)
+        return prev(y) * dens * jac
 
-        lo_below, lo_above, hi = (_GH_Z_LO, z_floor, zs) if right else (zs, zs, -_GH_Z_LO)
-        below = _single_loss(model, prev, prev.w_floor, xs, lo_below, hi, order)
-        out[rows] = below + _integrate(above, lo_above, hi, order)
-        if right:
-            out[rows] += model.tail(xs - prev.w_floor)
+    below = _single_loss(model, prev, prev.w_floor, x, np.where(right, _GH_Z_LO, z_split), hi, order)
+    out = below + _integrate(above, np.where(right, model.z_of_x(prev.w_floor), z_split), hi, order)
+    out[right] += model.tail(x[right] - prev.w_floor)
     return out
 
 
@@ -414,22 +402,28 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     support starts at 0 and in log x otherwise. Every level, the final one
     on its scan included, passes one self-check: its stored tails are
     finite, do not rise below ``_FLAT``, and fall below it at the top node.
+
+    A g-and-h sum of n losses a + b k(Z) is n a plus the sum at a = 0, so
+    g-and-h builds at a = 0, where the grid floor lies right of the
+    single-loss median, and shifts the scan and the fresh tail by n a.
     """
-    smin = model.support_min
-    xi = model.second_order_info().xi
     gandh = isinstance(model, GandH)
-    floor = float(model.quantile(_GH_FLOOR_LEVEL)) if gandh else smin
-    head_hi = float(model.quantile(_HEAD_LEVEL))
+    shift = n * model.a if gandh else 0.0
+    base = replace(model, a=0.0) if gandh else model
+    smin = base.support_min
+    xi = base.second_order_info().xi
+    floor = float(base.quantile(_GH_FLOOR_LEVEL)) if gandh else smin
+    head_hi = float(base.quantile(_HEAD_LEVEL))
     if not head_hi > floor:
         raise DomainError("convolve_tail: degenerate grid (the 0.99 quantile is the grid floor)")
     head = np.linspace(floor, head_hi, _HEAD_POINTS, endpoint=False)
-    top = float(model.quantile(_MAX_LEVEL))
+    top = float(base.quantile(_MAX_LEVEL))
     x = np.concatenate([head, np.geomspace(head_hi, top, _POINTS - _HEAD_POINTS)])
     if gandh:
         step = _gbar_step_gandh
         z_top = special.normal_inv_cdf(_GH_FLOOR_LEVEL)
         z_head = np.linspace(_GH_HEAD_Z_LO, z_top, _GH_HEAD_POINTS, endpoint=False)
-        nodes = np.concatenate([model.x_of_z(z_head), x])
+        nodes = np.concatenate([base.x_of_z(z_head), x])
     else:
         step = _gbar_step_positive
         nodes = x
@@ -452,11 +446,17 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     # each level is the quadrature (a functools.partial) over the interpolant
     # of the level below; the last one is fresh_tail, and g_tail is its value
     # on the scan, so the stored and the fresh tail agree bit for bit there
-    fresh = partial(_two_fold, model, order=_ORDER)
+    fresh = partial(_two_fold, base, order=_ORDER)
     for k in range(2, n):
         level = _LogTail(coord, nodes, checked(fresh(nodes), k), xi, k * smin)
-        fresh = partial(step, model, level, order=_ORDER)
+        fresh = partial(step, base, level, order=_ORDER)
     x = np.append(x[:-1:_SCAN_STRIDE], top)
+    if shift:
+        x, unshifted = x + shift, fresh
+
+        def fresh(w, order=_ORDER):
+            return unshifted(w - shift, order=order)
+
     g_tail = checked(fresh(x), n)
     # the certificate: the final level re-run at the check order (a call's
     # keyword overrides the one the partial holds)
@@ -475,14 +475,14 @@ def convolve_tail(model: LossModel, n: int, spec: Optional[GridSpec] = None) -> 
 def oracle_quantile(grid: ConvolutionGrid, alpha: float) -> float:
     """Quantile of the n-fold sum at level alpha; :func:`oracle_quantiles` on one level.
 
-    An exact hit on a stored tail value returns that node's abscissa.
-    Otherwise the level's cell of the final level's scan brackets the root,
-    since every stored tail is bit for bit the fresh quadrature at its node,
-    and Chandrupatla's hybrid of inverse quadratic interpolation and
-    bisection (Adv. Eng. Software 28(3), 1997) refines it against fresh
-    quadrature. It stops when the residual is 0 or the bracket is no wider
-    than 1e-12 max(|lo|, |hi|, 1), and returns the bracket end with the
-    smaller residual. The returned quantile is then certified: the fresh
+    The level's cell of the final level's scan brackets the root, since
+    every stored tail is bit for bit the fresh quadrature at its node, and
+    Chandrupatla's hybrid of inverse quadratic interpolation and bisection
+    (Adv. Eng. Software 28(3), 1997) refines it against fresh quadrature.
+    It stops when the residual is 0 (on an exact hit on a stored tail, at
+    once, with that node) or the bracket is no wider than
+    1e-12 max(|lo|, |hi|, 1), and returns the bracket end with the smaller
+    residual. The returned quantile is then certified: the fresh
     tail there, re-run at the lower check order, may differ from the
     working-order tail (the level plus that residual) by at most
     ``grid.spec.certify_threshold(n)`` relative. A larger difference, a
@@ -514,14 +514,14 @@ def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
             f"oracle_quantile: level {alphas.min():g} lies below the grid floor "
             f"(first stored tail value {g[0]:.6g})"
         )
-    # g is non-increasing: the first node whose tail is at or below p
-    idx = np.searchsorted(-g, -p, side="left")
-    out, g_out = x[idx], g[idx]  # g_out: the working-order tail at out
-    live = np.flatnonzero(g_out != p)
-    p, i = p[live], idx[live]
+    # g is non-increasing: i is the first node whose tail is at or below p
+    i = np.searchsorted(-g, -p, side="left")
+    out, g_out = x[i], g[i]  # g_out: the working-order tail at out
+    live = np.arange(p.size)
 
-    # the cell brackets the level, g[i - 1] > p > g[i]; x1 is the newest
-    # iterate, x2 the other bracket end, x3 the end x1 replaced
+    # the cell brackets the level, g[i - 1] > p >= g[i]; x1 is the newest
+    # iterate, x2 the other bracket end, x3 the end x1 replaced. An exact
+    # hit, g[i] == p, stops at step 0 on node i.
     x1, f1, x2, f2, t = x[i - 1], g[i - 1] - p, x[i], g[i] - p, np.full(p.size, 0.5)
     for step in range(_ROOT_MAX_ITER + 1):
         dx = np.abs(x2 - x1)

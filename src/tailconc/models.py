@@ -114,6 +114,9 @@ class LossModel:
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
     def variates(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         """Base variates that :meth:`from_variates` maps to losses: uniforms,
         drawn into ``out`` (of shape ``size``) where given."""
@@ -159,14 +162,11 @@ class LossModel:
         return _like(self._auxiliary(ts), ts)
 
     def tail_quantile(self, t):
-        """U(t) = quantile(1 - 1/t) for t > 1."""
+        """U(t) = quantile(1 - 1/t) for t > 1, evaluated by each family's
+        direct form: going through the level would round 1 - 1/t, an error
+        that t amplifies."""
         ts = check_array(f"{self.kind} tail_quantile: t", t, 1.0, strict=True)
         return _like(self._tail_quantile(ts), ts)
-
-    def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
-        # Overridden where U(t) has a direct form: evaluating through the
-        # alpha representation rounds 1 - 1/t, an error that t amplifies.
-        return self._quantile(1.0 - 1.0 / t)
 
     def sample(self, seed: int, count: int) -> np.ndarray:
         """Deterministic sample of ``count`` losses for the given seed."""
@@ -505,16 +505,20 @@ class GandH(LossModel):
     def _tail(self, x: np.ndarray) -> np.ndarray:
         return special.scipy_special().ndtr(-self.z_of_x(x))
 
+    def dx_dz(self, z: np.ndarray) -> np.ndarray:
+        """The slope b k'(z) of the loss in its normal score z."""
+        return self.b * gh_transform_deriv(z, self.g, self.h)
+
     def _density(self, x: np.ndarray) -> np.ndarray:
         z = self.z_of_x(x)
-        return normal_pdf(z) / (self.b * gh_transform_deriv(z, self.g, self.h))
+        return normal_pdf(z) / self.dx_dz(z)
 
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
         z = self._z_of_t(t)
         u = self.x_of_z(z)
         if np.any(u == 0.0):
             raise PoleError("gandh auxiliary: pole at a t where U(t) = a + b*k(z) = 0")
-        num = self.b * gh_transform_deriv(z, self.g, self.h)
+        num = self.dx_dz(z)
         with np.errstate(invalid="ignore"):  # t phi(z) is inf * 0 at t = inf
             aux = num / (t * normal_pdf(z) * u) - self.h
         return np.where(np.isinf(t), 0.0, aux)  # the limit at t = inf

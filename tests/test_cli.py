@@ -223,6 +223,19 @@ def test_curve_gandh_c2_nan_below_half_is_empty(capsys):
     assert rows[-1]["c2"] != ""
 
 
+def test_curve_gandh_c2_nan_below_half_is_null_in_json(capsys):
+    code, out, _ = run(
+        capsys,
+        "curve", "--model", GANDH, "--n", "2",
+        "--alpha-min", "0.3", "--alpha-max", "0.9", "--points", "3",
+        "--samples", "0", "--format", "json",
+    )
+    assert code == 0
+    c2 = json.loads(out)["columns"]["c2"]
+    assert c2[0] is None  # alpha = 0.3: closed form undefined, NaN in the table
+    assert c2[-1] == pytest.approx(1.4720062747562679, rel=1e-15)
+
+
 def test_crossover_text(capsys):
     code, out, _ = run(capsys, "crossover", "--model", GANDH, "--n", "2")
     assert code == 0
@@ -245,6 +258,22 @@ def test_crossover_with_simulation(capsys):
     assert code == 0
     assert "empirical crossover bracket: [" in out
     assert "uncertainty band straddles one" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_crossover_band_straddles_one(capsys, fmt):
+    """At 20000 sums in 4 batches the band covers 1 at one level of the grid."""
+    code, out, _ = run(
+        capsys,
+        "crossover", "--model", PARETO, "--n", "2",
+        "--alpha-min", "0.8", "--alpha-max", "0.99", "--points", "12",
+        "--samples", "20000", "--batches", "4", "--format", fmt,
+    )
+    assert code == 0
+    if fmt == "text":
+        assert "uncertainty band straddles one: alpha in [0.847681, 0.847681]" in out
+    else:
+        assert json.loads(out)["band_straddles_one"] == [0.8476808380761706] * 2
 
 
 def test_crossover_json(capsys):

@@ -361,11 +361,64 @@ def test_fresh_tail_at_non_finite_arguments(model, n):
 @pytest.mark.parametrize("n", [3, 4])
 def test_gandh_step_is_elementwise_on_both_sides_of_the_median(n):
     """The g-and-h step runs the rows left and right of the single-loss
-    median (x = 0 here) through the same body, each side on its own: a
+    median (x = 0 here) in one pass, each row with its side's bounds: a
     mixed vector gives, bit for bit, what each argument gives alone."""
     grid = convolve_tail(GANDH, n)
     w = np.array([-3.0, -0.5, 0.0, 0.2, 1.0, 7.0, 400.0])
     assert np.array_equal(grid.fresh_tail(w), [grid.fresh_tail(v) for v in w])
+
+
+def test_gandh_step_is_one_pass(monkeypatch):
+    """One g-and-h step on rows left and right of the single-loss median
+    runs its single-loss piece once and its density piece once."""
+    model, level = convolve_tail(GANDH, 3)._fresh.args
+    calls = []
+    integrate = convolution._integrate
+
+    def single_loss(model, level, floor, x, *args):
+        calls.append("_single_loss")
+        return np.zeros(x.shape)
+
+    def counted(*args, **kwargs):
+        calls.append("_integrate")
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(convolution, "_single_loss", single_loss)
+    monkeypatch.setattr(convolution, "_integrate", counted)
+    convolution._gbar_step_gandh(model, level, np.array([-3.0, -0.5, 1.0, 7.0]), convolution._ORDER)
+    assert sorted(calls) == ["_integrate", "_single_loss"]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("a", [3.0, 10.0, -5.0])
+def test_shifted_gandh_is_the_unshifted_sum_plus_n_a(a, n):
+    """The sum of n losses a + b k(Z) is n a plus the sum at a = 0: a
+    shifted g-and-h grid builds, its stored tails are its fresh tails, and
+    its certificate and quantiles are those at a = 0, plus n a for the
+    quantiles, up to the rounding of (x + n a) - n a."""
+    base = convolve_tail(GANDH, n)
+    grid = convolve_tail(GandH(a=a, b=1.0, g=2.0, h=0.5), n)
+    assert grid.certified_error == pytest.approx(base.certified_error, rel=1e-6)
+    assert np.array_equal(grid.x, base.x + n * a)
+    assert np.array_equal(grid.fresh_tail(grid.x), grid.g_tail)
+    got = oracle_quantiles(grid, CLI_LEVELS)
+    assert np.allclose(got, oracle_quantiles(base, CLI_LEVELS) + n * a, rtol=1e-11, atol=0.0)
+
+
+def test_oracle_quantile_hit_on_the_first_node():
+    """A level whose tail is the first stored one returns the first node
+    at step 0: no working-order quadrature, only the certificate's."""
+    grid = convolution._build_grid.__wrapped__(GANDH, 2, GridSpec())
+    orders = []
+    fresh = grid._fresh
+
+    def counted(w, order=convolution._ORDER):
+        orders.append(order)
+        return fresh(w, order=order)
+
+    grid._fresh = counted
+    assert oracle_quantile(grid, 1.0 - grid.g_tail[0]) == grid.x[0]
+    assert orders == [convolution._CHECK_ORDER]
 
 
 @pytest.mark.parametrize(
@@ -456,8 +509,8 @@ def test_grid_ending_below_the_support_of_the_sum_raises():
 
 
 def test_single_loss_skips_an_empty_range():
-    """A row whose range is empty adds 0 and evaluates no quantile (Q(0)
-    would raise); the other rows are what they are alone."""
+    """A row whose range is empty adds exactly 0 (its nodes all sit at
+    u = 0); the other rows are what they are alone."""
     x, hi = np.array([3.0, 5.0]), np.array([0.0, 0.5])
     out = convolution._single_loss(PARETO05, PARETO05.tail, 1.0, x, 0.0, hi, 14)
     alone = convolution._single_loss(PARETO05, PARETO05.tail, 1.0, x[1:], 0.0, hi[1:], 14)

@@ -2,12 +2,13 @@
 across a module boundary: no ``from .x import _name`` and no ``obj._attr``
 read on anything but ``self`` or ``cls`` (tests may; they are not scanned).
 The panel rule has one caller per quadrature family, the g-and-h transform
-is reached through one affine map, the package's public names are
-declared once, in each module's ``__all__``, every import is used, and
-no module imports ``scipy.interpolate``. No module imports ``scipy`` at
-module level, and only ``special`` imports it at all, behind one lazy
-loader, so start-up and every Pareto, Burr and Hall run leave scipy
-unloaded; a g-and-h model loads it when it is built. One
+is reached through one affine map and its slope through one method, which
+the oracle calls instead of reading a shape parameter, the package's
+public names are declared once, in each module's ``__all__``, every
+import is used, and no module imports ``scipy.interpolate``. No module
+imports ``scipy`` at module level, and only ``special`` imports it at all,
+behind one lazy loader, so start-up and every Pareto, Burr and Hall run
+leave scipy unloaded; a g-and-h model loads it when it is built. One
 helper, ``models.blockwise``, is the package's only block loop, stepped
 by its only block constant, ``models.BLOCK``.
 The oracle tests "this stored tail is 1" by one rule, against ``_FLAT``,
@@ -155,6 +156,19 @@ def test_gh_transform_is_called_by_the_affine_map_and_the_inverse():
     # every loss a + b k(z) goes through GandH.x_of_z
     found = [name for path in SOURCES for name in callers(path.read_text(), "gh_transform")]
     assert sorted(found) == ["gh_inverse", "gh_inverse", "x_of_z"]
+
+
+def test_gh_transform_deriv_is_called_by_the_slope_only():
+    # the oracle reaches the slope b k'(z) through GandH.dx_dz
+    found = [name for path in SOURCES for name in callers(path.read_text(), "gh_transform_deriv")]
+    assert found == ["dx_dz"]
+
+
+def test_the_oracle_reads_no_gandh_shape_parameter():
+    # of a g-and-h model's parameters the oracle reads only the shift a
+    tree = ast.parse((ROOT / "src" / "tailconc" / "convolution.py").read_text())
+    read = {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+    assert "a" in read and not read & {"b", "g", "h"}
 
 
 def unused_imports(source: str) -> list:
