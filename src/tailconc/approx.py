@@ -235,8 +235,10 @@ def correction_amplitude(model: LossModel, alpha: float, closed_form: bool = Fal
     xi > 1 that is (1 - alpha)/(xi - 1) for every model, since
     F_bar(Q(alpha)) = 1 - alpha; for xi <= 1 it is computed numerically, or
     with ``closed_form`` from the Hall constants where a model has them. Slow
-    regime: the auxiliary function at 1/(1-alpha); for g-and-h this has the
-    exact closed form g / normal_inv_cdf(alpha), which is always used.
+    regime: the auxiliary function at 1/(1-alpha); for g-and-h always its
+    leading term g / normal_inv_cdf(alpha), which ignores a and every
+    higher-order term (1.216 where ``GandH(0, 1, 2, 0.5).auxiliary(20)`` is
+    0.906).
     """
     alpha = check_real("correction_amplitude: alpha", alpha, 0.0, 1.0)
     info = model.second_order_info()
@@ -261,7 +263,7 @@ def correction_amplitude(model: LossModel, alpha: float, closed_form: bool = Fal
         z = special.normal_inv_cdf(alpha)
         if z <= 0.0:
             raise DomainError(
-                "correction_amplitude: the g-and-h closed form g/normal_inv_cdf(alpha) "
+                "correction_amplitude: the g-and-h leading term g/normal_inv_cdf(alpha) "
                 "needs alpha > 1/2"
             )
         return model.g / z

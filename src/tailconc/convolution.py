@@ -10,13 +10,14 @@ in quantile space, X = Q(u) with u up to F(x/2), for positive-support
 models, so density singularities never enter the integrand; in the
 Gaussian score z, X = a + b k(z) with weight phi(z) and z from -12 up to
 z(x/2), for g-and-h, whose support is the whole real line. Higher n adds
-one loss per level with the same split: the same single-loss piece with
-the previous level inside, plus the previous level against the
-single-loss density where the loss exceeds x/2. The g-and-h pairwise step
-gives each row the bounds of its side of the single-loss median, and
-g-and-h builds at a = 0 and shifts by n a. A head grid (z from -10
-upward) stores values below the main grid so that the recursion sees the
-left tail; the truncation error is bounded by n*Phi(-10).
+one loss per level. For positive support it keeps the split: the same
+single-loss piece with the previous level inside, plus the previous level
+against the single-loss density where the loss exceeds x/2. g-and-h
+conditions on the single loss alone, over its whole score range, in three
+single-loss pieces cut at z(x/2) and z(x); it builds at a = 0 and shifts
+by n a. A head grid (z from -10 upward) stores values below the main grid
+so that the recursion sees the left tail; the truncation error is bounded
+by n*Phi(-10).
 
 Every piece is one call of :func:`_integrate` over all its rows: fixed
 panels clustered geometrically toward both endpoints (the upper boundary
@@ -64,7 +65,7 @@ _GH_Z_LO = -12.0  # Gaussian integration floor; mass below is ~2e-33
 _GH_HEAD_Z_LO = -10.0
 _GH_HEAD_POINTS = 512
 _GH_FLOOR_LEVEL = 0.6  # g-and-h grids start at this quantile
-_FLAT = 1.0 - 1e-15  # a stored tail at or above this is 1 to double precision
+_FLAT = 1.0 - 1e-14  # a stored tail at or above this is 1 to double precision
 _ROOT_RTOL = 1e-12  # quantile bracket width at convergence, relative to max(|x|, 1)
 _ROOT_MAX_ITER = 100
 
@@ -171,36 +172,22 @@ def _gbar_step_positive(model: LossModel, prev: _LogTail, x: np.ndarray, order: 
 
 
 def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) -> np.ndarray:
-    """One pairwise step for g-and-h, split at x/2 like the two-fold form so
-    neither conditioning variable carries a boundary layer.
-
-    Piece 1 conditions on the single loss below x/2, in its z-coordinate,
-    where the level (evaluated at x/2 or above) varies by a bounded factor.
-    Piece 2 integrates the level tail against the single-loss density over
-    the partial sum y = x_of_z(t), in the single-loss score t. Right of the
-    single-loss median, z_split = z(x/2) >= 0, piece 1 runs over
-    [-12, z_split], and piece 2 over [z(w_floor), z_split] plus, in closed
-    form, the single-loss mass where the level tail is 1 (below its floor
-    ``w_floor``). Left of it both run over [z_split, 12], with z_split
-    floored at -12 as in the two-fold form, so far left of the grid the rule
-    does not spread its nodes over scores that carry no mass. Each row gets
-    its side's bounds, and both pieces run once over all rows.
+    """One pairwise step for g-and-h (built at a = 0), conditioned on the
+    single loss X alone: in closed form the single-loss mass F(x - m) where
+    the level is 1 (m its floor ``w_floor``), plus the level at x - X over
+    the score z of X in [-12, top], top = z(x - m) clipped to [-12, 12].
+    The range is cut at z(x/2), where X becomes the larger term, and at
+    z(x), where x - X is 0, the single-loss median, around which the level
+    has its body. The cuts are clipped into the range, since past top they
+    would count the mass above x - m twice, and sorted per row.
     """
-    z_split = np.maximum(model.z_of_x(0.5 * x), _GH_Z_LO)
-    right = z_split >= 0.0
-    hi = np.where(right, z_split, -_GH_Z_LO)
-
-    # the level is evaluated last: evaluated before the density, it
-    # raised the traced peak of a g-and-h build by 13.5 MB
-    def above(t):
-        y = model.x_of_z(t)
-        dens = model.density(x[:, None] - y)
-        jac = model.dx_dz(t)
-        return prev(y) * dens * jac
-
-    below = _single_loss(model, prev, prev.w_floor, x, np.where(right, _GH_Z_LO, z_split), hi, order)
-    out = below + _integrate(above, np.where(right, model.z_of_x(prev.w_floor), z_split), hi, order)
-    out[right] += model.tail(x[right] - prev.w_floor)
+    m = prev.w_floor
+    top = np.clip(model.z_of_x(x - m), _GH_Z_LO, -_GH_Z_LO)
+    cuts = np.sort(np.clip(model.z_of_x(np.stack([0.5 * x, x])), _GH_Z_LO, top), axis=0)
+    ends = (_GH_Z_LO, *cuts, top)
+    out = model.tail(x - m)
+    for lo, hi in zip(ends[:-1], ends[1:]):
+        out += _single_loss(model, prev, m, x, lo, hi, order)
     return out
 
 

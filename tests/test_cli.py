@@ -471,6 +471,11 @@ def test_precision_error_exits_three(capsys):
         # where the three-fold tail is 0.94
         (["curve", "--model", '{"kind": "burr", "tau": 8, "kappa": 4}', "--n", "3", "--samples", "0",
           "--oracle", "--points", "2"], 2, "deeper than the grid covers (smallest stored tail 9.428e-01)"),
+        # level 3's ulp-level rises lie within 1e-14 of 1, which the _FLAT
+        # rule reads as 1; the four-fold tail is still 1 to four digits at
+        # the grid's end
+        (["curve", "--model", '{"kind": "burr", "tau": 8, "kappa": 4}', "--n", "4", "--samples", "0",
+          "--oracle", "--points", "2"], 2, "deeper than the grid covers (smallest stored tail 1.000e+00)"),
     ],
 )
 def test_edge_models_exit_with_a_message(capsys, argv, code, message):

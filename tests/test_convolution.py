@@ -370,23 +370,39 @@ def test_gandh_step_is_elementwise_on_both_sides_of_the_median(n):
 
 def test_gandh_step_is_one_pass(monkeypatch):
     """One g-and-h step on rows left and right of the single-loss median
-    runs its single-loss piece once and its density piece once."""
+    conditions on the single loss alone: three single-loss pieces, each
+    over all rows, and no density, slope or quadrature of its own."""
     model, level = convolve_tail(GANDH, 3)._fresh.args
     calls = []
-    integrate = convolution._integrate
 
     def single_loss(model, level, floor, x, *args):
-        calls.append("_single_loss")
+        calls.append(x.shape)
         return np.zeros(x.shape)
 
-    def counted(*args, **kwargs):
-        calls.append("_integrate")
-        return integrate(*args, **kwargs)
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the g-and-h step ran a piece other than the single loss")
 
     monkeypatch.setattr(convolution, "_single_loss", single_loss)
-    monkeypatch.setattr(convolution, "_integrate", counted)
+    monkeypatch.setattr(convolution, "_integrate", forbidden)
+    monkeypatch.setattr(GandH, "density", forbidden)
+    monkeypatch.setattr(GandH, "dx_dz", forbidden)
     convolution._gbar_step_gandh(model, level, np.array([-3.0, -0.5, 1.0, 7.0]), convolution._ORDER)
-    assert sorted(calls) == ["_integrate", "_single_loss"]
+    assert calls == [(4,)] * 3
+
+
+@pytest.mark.parametrize(
+    "model", [GandH(0.0, 1.0, 2.0, 0.25), GandH(0.0, 1.0, 3.0, 0.1)], ids=["g2-h025", "g3-h01"]
+)
+def test_gandh_four_fold_builds(model):
+    """Two g-and-h laws whose four-fold grid used to fail, one at its
+    level-3 self-check and one at its certificate (3.8e-6), build, certify
+    within the pairwise tier and solve the CLI's levels; the fresh tail at
+    each quantile is its level."""
+    grid = convolution._build_grid.__wrapped__(model, 4, GridSpec())
+    assert grid.certified_error <= grid.spec.certify_threshold(4)
+    q = oracle_quantiles(grid, CLI_LEVELS)
+    assert np.all(np.diff(q) > 0)
+    assert np.allclose(grid.fresh_tail(q), 1.0 - CLI_LEVELS, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -593,7 +609,7 @@ def test_certified_error_within_tier(model):
         (PARETO05, 2, 9.856316103725665e-12),
         (PARETO05, 3, 4.466711636971103e-09),
         (PARETO05, 4, 3.0209507497178845e-09),
-        (GANDH, 3, 2.1242606025272853e-08),
+        (GANDH, 3, 4.9807306930543456e-08),
         (HALL, 2, 5.1264061110219885e-12),
         (HALL, 3, 3.209380064733835e-08),
     ],
