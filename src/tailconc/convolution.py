@@ -19,10 +19,12 @@ by n a. A head grid (z from -10 upward) stores values below the main grid
 so that the recursion sees the left tail; the truncation error is bounded
 by n*Phi(-10).
 
-Every piece is one call of :func:`_integrate` over all its rows: fixed
-panels clustered geometrically toward both endpoints (the upper boundary
-layer has width F(x/2), far too narrow for generic adaptive rules) with
-Gauss-Legendre nodes per panel. Every intermediate level is stored on the
+Every piece is one call of :func:`_integrate`: fixed panels clustered
+geometrically toward both endpoints (the upper boundary layer has width
+F(x/2), far too narrow for generic adaptive rules) with Gauss-Legendre
+nodes per panel, run over the rows in blocks of about ``models.BLOCK``
+values (:func:`models.blockwise`), so that a build's memory does not grow
+with its number of rows. Every intermediate level is stored on the
 grid's nodes and read between and beyond them by one log-tail interpolant,
 :class:`_LogTail`, in the closed-form coordinate log x, x, or asinh x
 (g-and-h), in blocks of ``models.BLOCK`` elements (:func:`models.blockwise`)
@@ -46,7 +48,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import approx, special
+from . import approx, models, special
 from .errors import DomainError, GridRangeError, PrecisionError, check_int, check_levels, check_real, check_reals
 from .models import GandH, LossModel, blockwise, normal_pdf, panel_rule
 
@@ -102,14 +104,32 @@ class GridSpec:
         return self.tol if n == 2 else max(self.tol, _PAIRWISE_TOL)
 
 
-def _integrate(integrand: Callable[[np.ndarray], np.ndarray], lo, hi, order: int) -> np.ndarray:
+def _integrate(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi, order: int) -> np.ndarray:
     """Per row, the integral of ``integrand`` over [lo, hi] (0 where hi <= lo)
-    by the clustered panel rule; ``integrand`` maps the nodes, one row per
-    interval, to its values. ``lo`` is a scalar or one value per row."""
+    by the clustered panel rule. ``integrand(nodes, rows)`` maps the nodes
+    of the rows with indices ``rows``, one row per interval, to its values,
+    and may overwrite ``nodes``. ``lo`` is a scalar or one value per row.
+
+    The rows run in blocks (:func:`models.blockwise`) through one node
+    buffer, so memory does not grow with the number of rows. A block spans
+    about ``models.BLOCK`` values at four per node: at its widest an
+    integrand holds the node, the loss or argument there, the level's value
+    and the weight or density. Each row's sum is its own, so every value is
+    bit for bit the one a pass over all rows at once gives."""
     v, w = panel_rule(order)
+    width = 4 * v.size
     span = np.maximum(hi - lo, 0.0)
-    nodes = np.expand_dims(lo, -1) + span[:, None] * v
-    return span * np.sum(integrand(nodes) * w, axis=1)
+    lo = np.broadcast_to(lo, span.shape)
+    buf = np.empty((min(span.size, -(-models.BLOCK // width)), v.size))
+
+    def fill(rows, out):
+        nodes = np.multiply(span[rows, None], v, out=buf[: rows.size])
+        nodes += lo[rows, None]
+        vals = integrand(nodes, rows)
+        vals *= w
+        np.multiply(span[rows], vals.sum(axis=1), out=out)
+
+    return blockwise(fill, np.arange(span.size), np.empty(span.shape), width)
 
 
 def _single_loss(model: LossModel, level, floor: float, x: np.ndarray, lo, hi, order: int) -> np.ndarray:
@@ -120,10 +140,15 @@ def _single_loss(model: LossModel, level, floor: float, x: np.ndarray, lo, hi, o
     and the weight phi(z), for g-and-h. An empty range adds 0."""
     gandh = isinstance(model, GandH)
 
-    def integrand(c):
-        args = x[:, None] - model.from_variates(c)
+    def integrand(c, rows):
+        # the losses overwrite the nodes, unless the weight phi(z) needs them
+        args = model.from_variates(c, out=None if gandh else c)
+        np.subtract(x[rows, None], args, out=args)
         np.maximum(args, floor, out=args)
-        return level(args) * normal_pdf(c) if gandh else level(args)
+        vals = level(args)
+        if gandh:
+            vals *= normal_pdf(c, out=args)
+        return vals
 
     return _integrate(integrand, lo, hi, order)
 
@@ -162,10 +187,13 @@ def _gbar_step_positive(model: LossModel, prev: _LogTail, x: np.ndarray, order: 
     split = np.where(xl >= 2.0 * m, 0.5 * xl, xl - m)
     small = _single_loss(model, prev, m, xl, 0.0, 1.0 - model.tail(split), order)
 
-    def above(y):  # the previous-level tail against the single-loss density
+    def above(y, rows):  # the previous-level tail against the single-loss density
+        vals = prev(y)
+        np.subtract(xl[rows, None], y, out=y)
         # the floor guards rounding at the top node of the range
-        dens = np.asarray(model.density(np.maximum(xl[:, None] - y, model.support_min)))
-        return prev(y) * dens
+        np.maximum(y, model.support_min, out=y)
+        vals *= model.density(y)
+        return vals
 
     out[live] = small + _integrate(above, m, xl - split, order) + model.tail(xl - m)
     return out
@@ -243,24 +271,27 @@ class _Pchip:
         return d
 
     def __call__(self, u: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The interpolant at the 1-d ``u``, written into ``out`` if given."""
+        """The interpolant at the 1-d ``u``, written into ``out`` (which may
+        be ``u``) if given."""
         if out is None:
             out = np.empty(u.shape)
         nan_interval = self._x.size - 1
         # np.interp's position on the ramp rounds at most one interval high;
         # outside the nodes it is the NaN interval, and fmin sends NaN there
-        pos = np.interp(u, self._x, self._ramp, nan_interval, nan_interval)
-        i = np.fmin(pos, nan_interval, out=pos).astype(np.intp)
+        s = np.interp(u, self._x, self._ramp, nan_interval, nan_interval)
+        i = np.fmin(s, nan_interval, out=s).astype(np.intp)
+        # every index is in range, so "clip" only spares take's copy of out
         left = self._left
-        i -= left.take(i) > u
-        s = u - left.take(i)
+        i -= left.take(i, out=s, mode="clip") > u
+        np.subtract(u, left.take(i, out=s, mode="clip"), out=s)  # u's last read
         c0, c1, c2, c3 = self._c
-        np.multiply(c2.take(i), s, out=out)
-        out += c3.take(i)
+        np.multiply(c2.take(i, out=out, mode="clip"), s, out=out)
+        t = c3.take(i)
+        out += t
         ss = s * s
-        out += c1.take(i) * ss
+        out += np.multiply(c1.take(i, out=t, mode="clip"), ss, out=t)
         ss *= s
-        out += c0.take(i) * ss
+        out += np.multiply(c0.take(i, out=t, mode="clip"), ss, out=t)
         return out
 
 
@@ -309,8 +340,8 @@ class _LogTail:
         # arguments at or below the support (log 0, log of a negative) get
         # a meaningless coordinate; the floor overwrites their value
         with np.errstate(divide="ignore", invalid="ignore"):
-            c = self._coord(w)
-        self._spline(c, out)
+            self._coord(w, out=out)
+        self._spline(out, out)
         np.exp(out, out=out)
         out[w <= self.w_floor] = 1.0
         top = w > self._x_top
@@ -415,9 +446,9 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
         step = _gbar_step_positive
         nodes = x
 
-    # the level coordinate: asinh x for g-and-h, else x (np.asarray, the
-    # identity on float arrays) from a support at 0 and log x above one
-    coord = np.arcsinh if gandh else np.asarray if smin == 0 else np.log
+    # the level coordinate, a ufunc: asinh x for g-and-h, else x
+    # (np.positive, the identity) from a support at 0 and log x above one
+    coord = np.arcsinh if gandh else np.positive if smin == 0 else np.log
 
     def checked(vals, k):
         # a stored tail at or above _FLAT is 1; below it no level may rise

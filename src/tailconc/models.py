@@ -355,9 +355,14 @@ def gh_transform_deriv(z: np.ndarray, g: float, h: float) -> np.ndarray:
         return np.exp(0.5 * h * z * z) * (np.exp(g * z) + h * z * np.expm1(g * z) / g)
 
 
-def normal_pdf(z: np.ndarray) -> np.ndarray:
-    """The standard normal density exp(-z^2/2)/sqrt(2 pi)."""
-    return np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
+def normal_pdf(z: np.ndarray, out=None) -> np.ndarray:
+    """The standard normal density exp(-z^2/2)/sqrt(2 pi), into ``out``
+    (not ``z`` itself) where given."""
+    p = np.multiply(-0.5, z, out=_block(z, out))
+    p *= z
+    np.exp(p, out=p)
+    p /= math.sqrt(2.0 * math.pi)
+    return p
 
 
 # Newton inverses stop once a step is within a few ulp, or raise after this many steps
@@ -369,12 +374,17 @@ _GH_INV_LO, _GH_INV_HI = -60.0, 50.0
 BLOCK = 1 << 15  # elements per block of a vectorized kernel, so its temporaries stay in cache
 
 
-def blockwise(fill, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``fill(x_block, out_block)`` over matching flat blocks of ``BLOCK``
-    elements of ``x`` and ``out``, arrays of one size; returns ``out``."""
+def blockwise(fill, x: np.ndarray, out: np.ndarray, width: int = 1) -> np.ndarray:
+    """``fill(x_block, out_block)`` over matching flat blocks of ``x`` and
+    ``out``, arrays of one size, where ``fill`` works on ``width`` values
+    per element: a block spans about ``BLOCK`` values, at most
+    ceil(BLOCK / width) elements (one element where ``width`` exceeds
+    ``BLOCK``); returns ``out``."""
     flat_x, flat_out = x.reshape(-1), out.reshape(-1)
-    for lo in range(0, flat_x.size, BLOCK):
-        fill(flat_x[lo : lo + BLOCK], flat_out[lo : lo + BLOCK])
+    width = min(width, BLOCK)
+    for lo in range(0, flat_x.size * width, BLOCK):
+        block = slice(lo // width, (lo + BLOCK) // width)
+        fill(flat_x[block], flat_out[block])
     return out
 
 
@@ -582,14 +592,15 @@ class ExactHall(LossModel):
             raise DomainError(
                 f"hall: 1 + d must be >= 0 so the quantile stays positive, got d = {self.d:g}"
             )
-        # Strict increase of U on t >= 1 is equivalent to
-        # psi(t) = xi + d (xi + rho) t^rho > 0 for all t >= 1; psi is
-        # monotone in t with limit xi > 0, so it suffices to check psi(1).
+        # Strict increase of U on t >= 1 holds where
+        # psi(t) = xi + d (xi + rho) t^rho > 0 for all t > 1; psi is
+        # monotone in t with limit xi > 0, so it suffices that psi(1) >= 0:
+        # at psi(1) = 0, U'(t) vanishes at t = 1 alone.
         psi1 = self.xi + self.d * (self.xi + self.rho)
-        if psi1 <= 0:
+        if psi1 < 0:
             raise DomainError(
                 "hall: quantile is not strictly increasing "
-                f"(xi + d(xi + rho) = {psi1:g} <= 0)"
+                f"(xi + d(xi + rho) = {psi1:g} < 0)"
             )
 
     @property
@@ -644,10 +655,11 @@ class ExactHall(LossModel):
         tr = t**self.rho
         psi = self.xi * (1.0 + self.d * tr) + self.d * self.rho * tr
         # dQ/dalpha = c t^(xi+1) psi, which overflows to inf (the density
-        # to 0) far in the tail
-        with np.errstate(over="ignore"):
+        # to 0) far in the tail, and is 0 (the density inf) at t = 1 where
+        # psi(1) = 0
+        with np.errstate(over="ignore", divide="ignore"):
             dq = self.c * t ** (self.xi + 1.0) * psi
-        return 1.0 / dq
+            return 1.0 / dq
 
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
         tr = t**self.rho

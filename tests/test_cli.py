@@ -486,6 +486,15 @@ def test_edge_models_exit_with_a_message(capsys, argv, code, message):
     assert message in err
 
 
+def test_hall_at_psi_1_zero_runs_the_oracle(capsys):
+    # xi + d (xi + rho) = 0: U'(1) = 0, and U is still strictly increasing
+    hall = '{"kind": "hall", "c": 1.0, "d": 0.5, "xi": 0.5, "rho": -1.5}'
+    code, out, _ = run(capsys, "curve", "--model", hall, "--n", "2", "--oracle", "--samples", "0")
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 40 and all(0.0 < float(row["c_oracle"]) < 1.0 for row in rows)
+
+
 def test_curve_values_are_seventeen_digit_reals(capsys):
     code, out, _ = run(
         capsys,

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 
 import hypothesis.strategies as st
@@ -860,6 +861,9 @@ def test_pchip_matches_scipy_bit_for_bit(case):
     want = PchipInterpolator(x, y, extrapolate=False)(u)
     got = convolution._Pchip(x, y)(u)
     assert same_bits(got, want)
+    # written over its own queries, as a level read does
+    v = u.copy()
+    assert same_bits(convolution._Pchip(x, y)(v, out=v), want)
 
 
 @pytest.mark.parametrize("model", [PARETO05, BURR2508, GANDH], ids=lambda m: m.kind)
@@ -923,3 +927,77 @@ def test_grid_whose_head_collapses_onto_its_floor_raises():
     # Q(0.99) = 100^(1e-17) rounds to the support minimum 1.0
     with pytest.raises(DomainError, match="degenerate grid"):
         convolve_tail(Pareto(xi=1e-17), 2)
+
+
+def integrate_whole(integrand, lo, hi, order):
+    """The reference for convolution._integrate: every row's nodes in one
+    array, integrated in one pass over all rows."""
+    v, w = models.panel_rule(order)
+    span = np.maximum(hi - lo, 0.0)
+    nodes = np.expand_dims(lo, -1) + span[:, None] * v
+    return span * np.sum(integrand(nodes, np.arange(span.size)) * w, axis=1)
+
+
+def rows_per_block(nodes_per_row=models.panel_rule(convolution._ORDER)[0].size):
+    """The most rows of one block: about models.BLOCK values, four per node."""
+    return -(-models.BLOCK // (4 * nodes_per_row))
+
+
+@pytest.mark.parametrize("per_row_lo", [False, True], ids=["scalar-lo", "per-row-lo"])
+@pytest.mark.parametrize("extra", [0, 1, 2, 5, 37], ids=lambda e: f"extra{e}")
+@pytest.mark.parametrize("blocks", [0, 1, 3])
+def test_integrate_matches_a_whole_array_pass_bit_for_bit(blocks, extra, per_row_lo):
+    """Row blocks change no bit: row counts at and off block multiples,
+    one row and no rows, a scalar and a per-row lower end, and integrands
+    that allocate their values or overwrite the nodes. A row whose range
+    is empty adds exactly 0."""
+    rows = blocks * rows_per_block() + extra
+    rng = np.random.default_rng(rows)
+    x = rng.uniform(0.5, 3.0, rows)
+    lo = rng.uniform(-1.0, 1.0, rows) if per_row_lo else -0.25
+    hi = lo + rng.uniform(-0.5, 2.0, rows)  # a fifth of the ranges are empty
+    empty = hi <= lo
+
+    def fresh(c, r):
+        return np.exp(-c * c) * x[r, None] + np.sin(c * x[r, None])
+
+    def in_place(c, r):
+        np.cos(c, out=c)
+        c *= x[r, None]
+        return c
+
+    for integrand in (fresh, in_place):
+        got = convolution._integrate(integrand, lo, hi, convolution._ORDER)
+        assert same_bits(got, integrate_whole(integrand, lo, hi, convolution._ORDER))
+        assert np.all(got[empty] == 0.0)
+        assert got.shape == (rows,)
+
+
+# the build plus a 40-level solve of a pass over all rows at once traces 54-82 MB
+@pytest.mark.parametrize(("model", "n"), [(GANDH, 3), (HALL, 3), (BURR2508, 4)], ids=["gandh3", "hall3", "burr4"])
+def test_build_memory_is_bounded_by_one_block(monkeypatch, model, n):
+    """No integrand sees more than one block of nodes, and a build with a
+    40-level solve traces at most 48 arrays of one block's nodes: the
+    kernels' temporaries on one block (the g-and-h Newton inverse holds
+    about 26) plus the stored levels, whatever the number of rows."""
+    seen = []
+    integrate = convolution._integrate
+
+    def spy(integrand, *args):
+        def counted(nodes, rows):
+            seen.append(nodes.shape)
+            return integrand(nodes, rows)
+
+        return integrate(counted, *args)
+
+    convolve_tail(model, 2)  # first-call caches (the panel rules) outside the trace
+    monkeypatch.setattr(convolution, "_integrate", spy)
+    tracemalloc.start()
+    try:
+        grid = convolution._build_grid.__wrapped__(model, n, GridSpec())
+        oracle_quantiles(grid, CLI_LEVELS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rows <= rows_per_block(k) for rows, k in seen)
+    assert peak <= 48 * 8 * max(rows * k for rows, k in seen)

@@ -592,15 +592,46 @@ def test_exact_hall_rejects_nonmonotone_parameters():
 
 
 @pytest.mark.parametrize(
-    ("d", "xi", "rho"), [(0.5, 1e-15, -1e-15), (-0.5, 1e-15, -1e-15), (0.5, 50.0, -0.5)]
+    ("d", "xi", "rho"),
+    [(0.5, 1e-15, -1e-15), (-0.5, 1e-15, -1e-15), (0.5, 50.0, -0.5), (0.5, 0.5, -1.5)],
 )
 def test_exact_hall_constructs_wherever_psi_1_is_positive(d, xi, rho):
-    """xi + d (xi + rho) > 0 decides monotonicity exactly: psi(1) = 1e-15
-    is accepted, and xi = 50 constructs without a warning."""
+    """xi + d (xi + rho) >= 0 decides monotonicity exactly: psi(1) = 1e-15
+    is accepted, so is psi(1) = 0, where U'(t) vanishes at t = 1 alone, and
+    xi = 50 constructs without a warning."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         m = ExactHall(c=1.0, d=d, xi=xi, rho=rho)
     assert m.support_min == 1.0 + d
+
+
+def test_exact_hall_at_psi_1_zero_reads_at_the_support(monkeypatch):
+    """At psi(1) = 0 the density is finite, positive and non-increasing at
+    and just above the support, and inf at t = 1, all without a warning;
+    the tail inverts the quantile to 1e-14 away from the support."""
+    m = ExactHall(c=1.0, d=0.5, xi=0.5, rho=-1.5)
+    dens = m.density(m.support_min * (1.0 + np.array([0.0, 1e-12, 1e-6, 1e-3, 1.0])))
+    assert np.all(np.isfinite(dens)) and np.all(dens > 0.0) and np.all(np.diff(dens) <= 0.0)
+    a = np.array([0.1, 0.5, 0.9, 0.999, 1.0 - 1e-9])
+    assert np.allclose(m.tail(m.quantile(a)), 1.0 - a, rtol=1e-14, atol=0.0)
+    monkeypatch.setattr(ExactHall, "_t_of_x", lambda self, x: np.ones(np.shape(x)))
+    assert m.density(m.support_min) == math.inf
+
+
+@pytest.mark.parametrize("width", [1, 3, 434, BLOCK, 3 * BLOCK])
+def test_blockwise_blocks_span_about_block_values(width):
+    """Every element is filled once, in order, in blocks of at most
+    ceil(BLOCK / width) elements: one element where width exceeds BLOCK."""
+    most = -(-BLOCK // min(width, BLOCK))
+    x = np.arange(2 * most + 5, dtype=float)
+    sizes = []
+
+    def fill(xb, ob):
+        sizes.append(xb.size)
+        np.multiply(xb, 2.0, out=ob)
+
+    assert np.array_equal(models.blockwise(fill, x, np.empty(x.size), width), 2.0 * x)
+    assert sum(sizes) == x.size and min(sizes) >= 1 and max(sizes) <= most
 
 
 @pytest.mark.parametrize("kappa", [0.5, 1.0, 3.0])
