@@ -183,6 +183,15 @@ class LossModel:
     def _moments(self, x: float) -> float:
         raise NotImplementedError
 
+    def tail_table(self, v: np.ndarray, x_hi: float):
+        """The tail tabulated from its quantile side, for a family whose
+        tail is a Newton solve: a pair of arrays, the nodes x and their
+        tails, at base variates spaced as ``v`` (increasing from 0 to 1)
+        from a point where the tail is 1 to double precision up to x_hi.
+        Only x_hi is inverted. None for a family whose tail is closed form,
+        which is cheaper to read directly."""
+        return None
+
     def second_order_info(self) -> SecondOrderInfo:
         raise NotImplementedError
 
@@ -371,6 +380,7 @@ _NEWTON_MAX_STEPS = 100
 # The g-and-h inverse's bracket: the standard normal tail is 1 at -60 and 0
 # at 50 in double precision, so clamping to it loses nothing
 _GH_INV_LO, _GH_INV_HI = -60.0, 50.0
+_GH_TABLE_Z_LO = -12.0  # the first score of a g-and-h tail table: its normal tail is 1 - 2e-33
 BLOCK = 1 << 15  # elements per block of a vectorized kernel, so its temporaries stay in cache
 
 
@@ -541,6 +551,14 @@ class GandH(LossModel):
     def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
         return self.x_of_z(self._z_of_t(t))
 
+    def tail_table(self, v: np.ndarray, x_hi: float):
+        """Nodes x_of_z(z) and tails ndtr(-z) (:meth:`LossModel.tail_table`),
+        z from -12, where the normal tail is 1 in double precision, up to
+        z(x_hi)."""
+        z = _GH_TABLE_Z_LO + v * (float(self.z_of_x(np.array(x_hi))) - _GH_TABLE_Z_LO)
+        tails = special.scipy_special().ndtr(-z)
+        return self.x_of_z(z, z), tails
+
     def _moments(self, x: float) -> float:
         g, h = self.g, self.h
         if h >= 1.0:
@@ -675,6 +693,13 @@ class ExactHall(LossModel):
         u *= self.c
         u *= tr
         return u
+
+    def tail_table(self, v: np.ndarray, x_hi: float):
+        """Nodes U(t) and tails 1/t (:meth:`LossModel.tail_table`), log t
+        from 0, the support, up to log t(x_hi)."""
+        t = np.exp(v * math.log(float(self._t_of_x(np.array(x_hi)))))
+        tails = 1.0 / t
+        return self._tail_quantile(t, t), tails
 
     def _moments(self, x: float) -> float:
         c, d, xi, rho = self.c, self.d, self.xi, self.rho
