@@ -17,15 +17,14 @@ in quantile space, X = Q(u) with u up to F(x/2), for positive-support
 models, so density singularities never enter the integrand; in the
 Gaussian score z, X = a + b k(z) with weight phi(z) and z from -12 up to
 z(x/2), for g-and-h, whose support is the whole real line. Higher n adds
-one loss per level. For positive support it keeps the split: the same
-single-loss piece with the previous level inside, plus the previous level
-against the single-loss density where the loss exceeds x/2. g-and-h
-conditions on the single loss alone, over its whole score range, in three
-single-loss pieces cut at z(x/2) and z(x); it builds at a = 0 and shifts
-by n a. A head grid (z from -10 upward) stores values below the main grid
-so that the recursion sees the left tail; the truncation error is bounded
-by n*Phi(-10). Past the grid top the g-and-h intermediate levels carry
-nodes out to where the next step reads them, top - x_of_z(-12).
+one loss per level, conditioned on the single loss alone, with no density
+read: for positive support over its log-tail s = -log F(X), mapped by
+``model.from_log_tails``, cut at s(x/2); for g-and-h over its score, cut
+at z(x/2) and z(x). g-and-h builds at a = 0 and shifts by n a. A head grid
+(z from -10 upward) stores values below the main grid so that the
+recursion sees the left tail; the truncation error is bounded by
+n*Phi(-10). Past the grid top the g-and-h intermediate levels carry nodes
+out to where the next step reads them, top - x_of_z(-12).
 
 Every piece is one call of :func:`_integrate`: fixed panels clustered
 geometrically toward both endpoints (the upper boundary layer has width
@@ -131,12 +130,13 @@ def _integrate(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi
 
     The rows run in blocks (:func:`models.blockwise`) through one node
     buffer, so memory does not grow with the number of rows. A block spans
-    about ``models.BLOCK`` values at four per node: at its widest an
-    integrand holds the node, the loss or argument there, the level's value
-    and the weight or density. Each row's sum is its own, so every value is
-    bit for bit the one a pass over all rows at once gives."""
+    about ``models.BLOCK`` values at five per node (at four, glibc trimmed
+    the positive-support step's blocks off the heap and faulted them back
+    in, block after block: 30K minor faults in a Pareto n = 4 process, not
+    5.5K). Each row's sum is its own, so every value is bit for bit the
+    one a pass over all rows at once gives."""
     v, w = panel_rule(order)
-    width = 4 * v.size
+    width = 5 * v.size
     span = np.maximum(hi - lo, 0.0)
     lo = np.broadcast_to(lo, span.shape)
     buf = np.empty((min(span.size, -(-models.BLOCK // width)), v.size))
@@ -204,34 +204,32 @@ def _table_spacing() -> np.ndarray:
 
 
 def _gbar_step_positive(model: LossModel, prev: _LogTail, x: np.ndarray, order: int) -> np.ndarray:
-    """One pairwise convolution step: the level ``prev`` plus one more loss.
-
-    Split at s so neither conditioning variable carries an O(1) boundary
-    layer: condition on the single loss where it is below s and on the
-    partial sum where the loss exceeds s. With s = x/2 each integrand then
-    varies by a bounded factor (~2^(1/xi)) instead of collapsing many
-    decades into the last quadrature panels. Near the level's floor m
-    (x < 2m) the split degenerates to s = x - m, recovering the plain
-    conditioning form, which is harmless there because the tail is O(1).
-    The partial sum's piece runs from m, and the single-loss mass F(x - m),
-    where the level is 1, is added in closed form, as in the g-and-h step.
-    """
+    """One pairwise step for positive support, conditioned on the single
+    loss X alone as in the g-and-h step: the single-loss mass F(x - m)
+    where the level is 1 (m its floor ``w_floor``), plus the level at
+    x - X over the log-tail s = -log F(X) in [0, s(x - m)], X = U(e^s)
+    (``model.from_log_tails``) with weight e^-s, cut at s(x/2) clipped to
+    the top. In s, unlike in F(X), a light tail's level keeps its body at
+    X near x - m off the last panels. An underflowing tail is floored at
+    the least normal double before its log; past an overflowing U the level is 1."""
     m = prev.w_floor
     out = np.ones(x.shape)
     live = x > m + model.support_min
     xl = x[live]
-    split = np.where(xl >= 2.0 * m, 0.5 * xl, xl - m)
-    small = _single_loss(model, prev, m, xl, 0.0, 1.0 - model.tail(split), order)
+    tails = model.tail(np.stack([xl - m, 0.5 * xl]))
+    top, cut = -np.log(np.maximum(tails, np.finfo(float).tiny))
+    np.minimum(cut, top, out=cut)
 
-    def above(y, rows):  # the previous-level tail against the single-loss density
-        vals = prev(y)
-        np.subtract(xl[rows, None], y, out=y)
-        # the floor guards rounding at the top node of the range
-        np.maximum(y, model.support_min, out=y)
-        vals *= model.density(y)
+    def integrand(s, rows):
+        with np.errstate(over="ignore"):
+            args = model.from_log_tails(s)
+        np.subtract(xl[rows, None], args, out=args)
+        np.maximum(args, m, out=args)
+        vals = prev(args)
+        vals *= np.exp(np.negative(s, out=s), out=s)
         return vals
 
-    out[live] = small + _integrate(above, m, xl - split, order) + model.tail(xl - m)
+    out[live] = tails[0] + _integrate(integrand, 0.0, cut, order) + _integrate(integrand, cut, top, order)
     return out
 
 

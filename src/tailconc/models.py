@@ -4,7 +4,8 @@ Each model is a frozen dataclass exposing the quantile function, tail
 function, density, sampling, truncated first moments, the second-order
 auxiliary function a(t) = t U'(t)/U(t) - xi (where U(t) is the tail
 quantile function U(t) = Q(1 - 1/t)), and its second-order regular
-variation indices.
+variation indices. Pareto and Burr state their quantile law once, as the
+loss U(e^s) at the log-tail s = -log F_bar (:meth:`LossModel.from_log_tails`).
 
 Scalar-or-array convention: quantile/tail/density/auxiliary accept a float
 or a numpy array and return the matching shape; scalars come back as
@@ -100,10 +101,18 @@ class LossModel:
     kind: ClassVar[str] = ""
 
     # ----- subclass hooks (array in, array out, no validation) -----
-    def _quantile(self, a: np.ndarray, out=None) -> np.ndarray:
-        """Q(a), one in-place ufunc chain, into ``out`` as in
-        :meth:`from_variates`."""
+    def from_log_tails(self, s: np.ndarray, out=None) -> np.ndarray:
+        """Losses U(e^s) at log-tails s = -log F_bar >= 0, one in-place
+        ufunc chain into ``out`` as in :meth:`from_variates`; by default
+        the quantile and the tail quantile are read from it."""
         raise NotImplementedError
+
+    def _quantile(self, a: np.ndarray, out=None) -> np.ndarray:
+        """Q(a) = :meth:`from_log_tails` at -log1p(-a), into ``out`` as in :meth:`from_variates`."""
+        s = np.negative(a, out=_block(a, out))
+        np.log1p(s, out=s)
+        np.negative(s, out=s)
+        return self.from_log_tails(s, s)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -115,7 +124,8 @@ class LossModel:
         raise NotImplementedError
 
     def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        s = np.log(t, out=_block(t, None))
+        return self.from_log_tails(s, s)
 
     def variates(self, rng: np.random.Generator, size, out=None) -> np.ndarray:
         """Base variates that :meth:`from_variates` maps to losses: uniforms,
@@ -162,9 +172,9 @@ class LossModel:
         return _like(self._auxiliary(ts), ts)
 
     def tail_quantile(self, t):
-        """U(t) = quantile(1 - 1/t) for t > 1, evaluated by each family's
-        direct form: going through the level would round 1 - 1/t, an error
-        that t amplifies."""
+        """U(t) = quantile(1 - 1/t) for t > 1, evaluated from t itself:
+        going through the level would round 1 - 1/t, an error that t
+        amplifies."""
         ts = check_array(f"{self.kind} tail_quantile: t", t, 1.0, strict=True)
         return _like(self._tail_quantile(ts), ts)
 
@@ -211,7 +221,7 @@ class LossModel:
             s_hi = min(-math.log(tail), _LOG_MAX) if tail > 0.0 else _LOG_MAX
             s = s_lo + (s_hi - s_lo) * v
             with np.errstate(over="ignore"):
-                q = self._tail_quantile(np.exp(s))
+                q = self.from_log_tails(s)
             if not np.isfinite(q).all():
                 raise PrecisionError(f"{self.kind} moments: the tail quantile overflows below x = {x:g}")
             total += (s_hi - s_lo) * float(w @ (q * np.exp(-s)))
@@ -233,11 +243,9 @@ class Pareto(LossModel):
     def support_min(self) -> float:
         return 1.0
 
-    def _quantile(self, a: np.ndarray, out=None) -> np.ndarray:
-        # exp(-xi log1p(-a))
-        q = np.negative(a, out=_block(a, out))
-        np.log1p(q, out=q)
-        q *= -self.xi
+    def from_log_tails(self, s: np.ndarray, out=None) -> np.ndarray:
+        # exp(xi s)
+        q = np.multiply(s, self.xi, out=_block(s, out))
         return np.exp(q, out=q)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
@@ -249,9 +257,6 @@ class Pareto(LossModel):
 
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
         return np.zeros_like(t)
-
-    def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
-        return t**self.xi
 
     def _moments(self, x: float) -> float:
         xi = self.xi
@@ -285,13 +290,9 @@ class Burr(LossModel):
     def support_min(self) -> float:
         return 0.0
 
-    def _quantile(self, a: np.ndarray, out=None) -> np.ndarray:
-        # ((1-a)^(-1/kappa) - 1)^(1/tau), the core computed without
-        # cancellation near a = 0 as expm1(-log1p(-a)/kappa)
-        q = np.negative(a, out=_block(a, out))
-        np.log1p(q, out=q)
-        np.negative(q, out=q)
-        q /= self.kappa
+    def from_log_tails(self, s: np.ndarray, out=None) -> np.ndarray:
+        # (e^(s/kappa) - 1)^(1/tau), by expm1 without cancellation near s = 0
+        q = np.divide(s, self.kappa, out=_block(s, out))
         np.expm1(q, out=q)
         q **= 1.0 / self.tau
         return q
@@ -318,9 +319,6 @@ class Burr(LossModel):
 
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
         return (1.0 / (self.tau * self.kappa)) / np.expm1(np.log(t) / self.kappa)
-
-    def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
-        return np.expm1(np.log(t) / self.kappa) ** (1.0 / self.tau)
 
     def _moments(self, x: float) -> float:
         tau, kappa = self.tau, self.kappa
@@ -682,6 +680,10 @@ class ExactHall(LossModel):
     def _auxiliary(self, t: np.ndarray) -> np.ndarray:
         tr = t**self.rho
         return self.d * self.rho * tr / (1.0 + self.d * tr)
+
+    def from_log_tails(self, s: np.ndarray, out=None) -> np.ndarray:
+        t = np.exp(s, out=_block(s, out))
+        return self._tail_quantile(t, t)
 
     def _tail_quantile(self, t: np.ndarray, out=None) -> np.ndarray:
         # (c t^xi) (1 + d t^rho), into ``out`` (which may be ``t``) where

@@ -494,9 +494,12 @@ def test_gandh_deep_tail_has_no_cancellation():
 @example(log_t=math.log(1e11))
 @example(log_t=math.log(1e15))
 def test_tail_quantile_round_trip_to_1e15(model: LossModel, log_t: float):
-    """tail(U(t)) = 1/t deep into the tail: no clamp, no cancellation."""
+    """tail(U(t)) = 1/t deep into the tail: no clamp, no cancellation; so
+    too for the log-tail map at log t, where the family has one."""
     t = math.exp(log_t)
     assert t * model.tail(model.tail_quantile(t)) == pytest.approx(1.0, rel=1e-12)
+    if not isinstance(model, GandH):
+        assert t * model.tail(model.from_log_tails(np.log(np.array(t)))) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_exact_hall_with_d_minus_one():

@@ -57,6 +57,9 @@ class Levy(LossModel):
     def _tail_quantile(self, t):
         return 0.5 * self.c / erfinv(1.0 / t) ** 2
 
+    def from_log_tails(self, s, out=None):
+        return np.divide(0.5 * self.c, erfinv(np.exp(-s)) ** 2, out=out)
+
     def second_order_info(self) -> SecondOrderInfo:
         return SecondOrderInfo(
             xi=2.0, rho=-2.0, hall_c=2.0 * self.c / math.pi, hall_d=-math.pi / 6.0, mean_finite=False
