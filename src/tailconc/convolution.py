@@ -11,31 +11,28 @@ whose tail is a Newton solve (g-and-h, Hall), a stored level 1, the
 model's tail table (:meth:`models.LossModel.tail_table`), which costs no
 inversion per quadrature node (an n = 3 build plus 40-level solve went
 0.34 -> 0.12 s for g-and-h and 0.20 -> 0.11 s for Hall, best of 5 on a
-2-core host). The integral is :func:`_single_loss`,
-which runs in the loss's base variate, mapped by ``model.from_variates``:
-in quantile space, X = Q(u) with u up to F(x/2), for positive-support
-models, so density singularities never enter the integrand; in the
-Gaussian score z, X = a + b k(z) with weight phi(z) and z from -12 up to
-z(x/2), for g-and-h, whose support is the whole real line. Higher n adds
-one loss per level, conditioned on the single loss alone, with no density
-read: for positive support over its log-tail s = -log F(X), mapped by
-``model.from_log_tails``, cut at s(x/2); for g-and-h over its score, cut
-at z(x/2) and z(x). g-and-h builds at a = 0 and shifts by n a. A head grid
-(z from -10 upward) stores values below the main grid so that the
-recursion sees the left tail; the truncation error is bounded by
-n*Phi(-10). Past the grid top the g-and-h intermediate levels carry nodes
-out to where the next step reads them, top - x_of_z(-12).
+2-core host). The integral is :func:`_single_loss`, which runs in one
+variable per family: for positive support the log-tail s = -log F(X),
+X = ``model.from_log_tails(s)`` with weight e^-s and s from 0 up to
+s(x/2); for g-and-h, whose support is the whole real line, the Gaussian
+score z, X = a + b k(z) with weight phi(z) and z from -12 up to z(x/2).
+No density enters the integrand. Higher n adds one loss per level by one
+pairwise step, :func:`_gbar_step`, conditioned on the single loss alone
+in the same variable, cut at x/2 and, for g-and-h, at z(x). g-and-h
+builds at a = 0 and shifts by n a. A head grid (z from -10 upward)
+stores values below the main grid so that the recursion sees the left
+tail; the truncation error is bounded by n*Phi(-10). Past the grid top
+the g-and-h intermediate levels carry nodes out to where the next step
+reads them, top - x_of_z(-12).
 
 Every piece is one call of :func:`_integrate`: fixed panels clustered
-geometrically toward both endpoints (the upper boundary layer has width
-F(x/2), far too narrow for generic adaptive rules) with Gauss-Legendre
-nodes per panel, run over the rows in blocks of about ``models.BLOCK``
-values (:func:`models.blockwise`), so that a build's memory does not grow
-with its number of rows. Every intermediate level is stored on the
-grid's nodes and read between and beyond them by one log-tail interpolant,
+geometrically toward both endpoints with Gauss-Legendre nodes per panel,
+run over the rows in blocks of about ``models.BLOCK`` values
+(:func:`models.blockwise`), so that a build's memory does not grow with
+its number of rows. Every intermediate level is stored on the grid's
+nodes and read between and beyond them by one log-tail interpolant,
 :class:`_LogTail`, in the closed-form coordinate log x, x, or asinh x
-(g-and-h), in blocks of ``models.BLOCK`` elements (:func:`models.blockwise`)
-so that a read's temporaries stay in cache. Its monotone cubic,
+(g-and-h), one block or one row vector per read. Its monotone cubic,
 :class:`_Pchip`, is an in-package port of scipy's ``PchipInterpolator``
 that reproduces its values bit for bit, so the package never imports
 ``scipy.interpolate``. The final level is never interpolated: it is
@@ -130,9 +127,10 @@ def _integrate(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi
 
     The rows run in blocks (:func:`models.blockwise`) through one node
     buffer, so memory does not grow with the number of rows. A block spans
-    about ``models.BLOCK`` values at five per node (at four, glibc trimmed
-    the positive-support step's blocks off the heap and faulted them back
-    in, block after block: 30K minor faults in a Pareto n = 4 process, not
+    about ``models.BLOCK`` values at five per node: the single-loss
+    integrand keeps its nodes, for the weight, beside the losses, and at
+    four glibc trimmed its blocks off the heap and faulted them back in,
+    block after block (30K minor faults in a Pareto n = 4 process, not
     5.5K). Each row's sum is its own, so every value is bit for bit the
     one a pass over all rows at once gives."""
     v, w = panel_rule(order)
@@ -153,20 +151,21 @@ def _integrate(integrand: Callable[[np.ndarray, np.ndarray], np.ndarray], lo, hi
 
 def _single_loss(model: LossModel, level, floor: float, x: np.ndarray, lo, hi, order: int) -> np.ndarray:
     """The single loss against a level: per row, the integral of
-    level(max(x - loss, floor)) over the base variate on [lo, hi] that
-    ``model.from_variates`` maps to the loss: u, with the loss Q(u), for
-    positive-support models, and the normal score z, with the loss x_of_z(z)
-    and the weight phi(z), for g-and-h. An empty range adds 0."""
+    level(max(x - X, floor)) over X's integration variable on [lo, hi],
+    one per family: for positive support the log-tail s = -log F(X), with
+    X = ``model.from_log_tails(s)`` and the weight e^-s; for g-and-h the
+    normal score z, with X = ``model.x_of_z(z)`` and the weight phi(z).
+    Past an overflowing X the level is 1. An empty range adds 0."""
     gandh = isinstance(model, GandH)
 
     def integrand(c, rows):
-        # the losses overwrite the nodes, unless the weight phi(z) needs them
-        args = model.from_variates(c, out=None if gandh else c)
+        with np.errstate(over="ignore"):
+            args = model.x_of_z(c) if gandh else model.from_log_tails(c)
         np.subtract(x[rows, None], args, out=args)
         np.maximum(args, floor, out=args)
         vals = level(args)
-        if gandh:
-            vals *= normal_pdf(c, out=args)
+        # the weight overwrites the losses, or the nodes once they are spent
+        vals *= normal_pdf(c, out=args) if gandh else np.exp(np.negative(c, out=c), out=c)
         return vals
 
     return _integrate(integrand, lo, hi, order)
@@ -175,15 +174,20 @@ def _single_loss(model: LossModel, level, floor: float, x: np.ndarray, lo, hi, o
 def _two_fold(model: LossModel, level, x: np.ndarray, order: int) -> np.ndarray:
     """Two-fold convolution tail from the symmetric split at x/2, for every
     family: F(x/2)^2 plus twice the single loss below x/2 against the tail
-    (survival functions throughout); 1 at or below twice the support. The
-    single-loss tail F is read as ``level``: ``model.tail``, or the model's
-    tail table (:meth:`models.LossModel.tail_table`) as a stored level."""
+    (survival functions throughout), up to the variable of x/2, whose
+    log-tail is floored as in :func:`_gbar_step`; 1 at or below twice the
+    support. The single-loss tail F is read as ``level``: ``model.tail``,
+    or the model's tail table (:meth:`models.LossModel.tail_table`) as a
+    stored level."""
     smin = model.support_min
     out = np.ones(x.shape)
     live = x > 2.0 * smin
     half = x[live] / 2.0
     half_tail = np.asarray(level(half))
-    lo, hi = (_GH_Z_LO, model.z_of_x(half)) if isinstance(model, GandH) else (0.0, 1.0 - half_tail)
+    if isinstance(model, GandH):
+        lo, hi = _GH_Z_LO, model.z_of_x(half)
+    else:
+        lo, hi = 0.0, -np.log(np.maximum(half_tail, np.finfo(float).tiny))
     out[live] = half_tail**2 + 2.0 * _single_loss(model, level, smin, x[live], lo, hi, order)
     return out
 
@@ -203,53 +207,35 @@ def _table_spacing() -> np.ndarray:
     return v / v[-1]
 
 
-def _gbar_step_positive(model: LossModel, prev: _LogTail, x: np.ndarray, order: int) -> np.ndarray:
-    """One pairwise step for positive support, conditioned on the single
-    loss X alone as in the g-and-h step: the single-loss mass F(x - m)
-    where the level is 1 (m its floor ``w_floor``), plus the level at
-    x - X over the log-tail s = -log F(X) in [0, s(x - m)], X = U(e^s)
-    (``model.from_log_tails``) with weight e^-s, cut at s(x/2) clipped to
-    the top. In s, unlike in F(X), a light tail's level keeps its body at
-    X near x - m off the last panels. An underflowing tail is floored at
-    the least normal double before its log; past an overflowing U the level is 1."""
+def _gbar_step(model: LossModel, prev: _LogTail, x: np.ndarray, order: int) -> np.ndarray:
+    """One pairwise step, conditioned on the single loss X alone: the
+    single-loss mass F(x - m) where the level is 1 (m its floor
+    ``w_floor``), plus the level at x - X over X's integration variable
+    (:func:`_single_loss`) from its floor up to top, the variable of x - m.
+    The range is cut where X becomes the larger term, at x/2, and for
+    g-and-h also where x - X is 0, the single-loss median around which the
+    level has its body; the cuts are clipped into the range, since past top
+    they would count the mass above x - m twice, and sorted per row. The
+    log-tail of an underflowing tail is that of the least normal double;
+    g-and-h scores are clipped to [-12, 12]."""
     m = prev.w_floor
     out = np.ones(x.shape)
     live = x > m + model.support_min
     xl = x[live]
-    tails = model.tail(np.stack([xl - m, 0.5 * xl]))
-    top, cut = -np.log(np.maximum(tails, np.finfo(float).tiny))
-    np.minimum(cut, top, out=cut)
-
-    def integrand(s, rows):
-        with np.errstate(over="ignore"):
-            args = model.from_log_tails(s)
-        np.subtract(xl[rows, None], args, out=args)
-        np.maximum(args, m, out=args)
-        vals = prev(args)
-        vals *= np.exp(np.negative(s, out=s), out=s)
-        return vals
-
-    out[live] = tails[0] + _integrate(integrand, 0.0, cut, order) + _integrate(integrand, cut, top, order)
-    return out
-
-
-def _gbar_step_gandh(model: GandH, prev: _LogTail, x: np.ndarray, order: int) -> np.ndarray:
-    """One pairwise step for g-and-h (built at a = 0), conditioned on the
-    single loss X alone: in closed form the single-loss mass F(x - m) where
-    the level is 1 (m its floor ``w_floor``), plus the level at x - X over
-    the score z of X in [-12, top], top = z(x - m) clipped to [-12, 12].
-    The range is cut at z(x/2), where X becomes the larger term, and at
-    z(x), where x - X is 0, the single-loss median, around which the level
-    has its body. The cuts are clipped into the range, since past top they
-    would count the mass above x - m twice, and sorted per row.
-    """
-    m = prev.w_floor
-    top = np.clip(model.z_of_x(x - m), _GH_Z_LO, -_GH_Z_LO)
-    cuts = np.sort(np.clip(model.z_of_x(np.stack([0.5 * x, x])), _GH_Z_LO, top), axis=0)
-    ends = (_GH_Z_LO, *cuts, top)
-    out = model.tail(x - m)
-    for lo, hi in zip(ends[:-1], ends[1:]):
-        out += _single_loss(model, prev, m, x, lo, hi, order)
+    if isinstance(model, GandH):
+        lo = _GH_Z_LO
+        top = np.clip(model.z_of_x(xl - m), _GH_Z_LO, -_GH_Z_LO)
+        cuts = model.z_of_x(np.stack([0.5 * xl, xl]))
+        total = model.tail(xl - m)
+    else:
+        lo = 0.0
+        tails = model.tail(np.stack([xl - m, 0.5 * xl]))
+        top, *cuts = -np.log(np.maximum(tails, np.finfo(float).tiny))
+        total = tails[0]
+    ends = (lo, *np.sort(np.clip(cuts, lo, top), axis=0), top)
+    for a, b in zip(ends[:-1], ends[1:]):
+        total += _single_loss(model, prev, m, xl, a, b, order)
+    out[live] = total
     return out
 
 
@@ -343,8 +329,8 @@ class _LogTail:
     ``w_floor`` is the level's only floor; the support serves only to
     compute it. Above the last node the tail follows the power law of index
     -1/xi; in between it is exp(PCHIP(log g)) in the coordinate, clipped to
-    [0, 1]. Both pairwise steps integrate the level above ``w_floor`` and
-    add the single-loss mass below it in closed form.
+    [0, 1]. The pairwise step integrates the level above ``w_floor`` and
+    adds the single-loss mass below it in closed form.
     """
 
     __slots__ = ("w_floor", "_coord", "_spline", "_x_top", "_g_top", "_power")
@@ -367,20 +353,21 @@ class _LogTail:
         self._power = -1.0 / xi
 
     def __call__(self, w: np.ndarray) -> np.ndarray:
-        """Tail at the float array ``w``, read block by block."""
-        return blockwise(self._read, w, np.empty(w.shape))
-
-    def _read(self, w: np.ndarray, out: np.ndarray) -> None:
+        """Tail at the float array ``w`` in one pass: every read in a build
+        is one block of :func:`_integrate` or one row vector."""
+        out = np.empty(w.shape)
+        flat, w = out.reshape(-1), w.reshape(-1)
         # arguments at or below the support (log 0, log of a negative) get
         # a meaningless coordinate; the floor overwrites their value
         with np.errstate(divide="ignore", invalid="ignore"):
-            self._coord(w, out=out)
-        self._spline(out, out)
-        np.exp(out, out=out)
-        out[w <= self.w_floor] = 1.0
+            self._coord(w, out=flat)
+        self._spline(flat, flat)
+        np.exp(flat, out=flat)
+        flat[w <= self.w_floor] = 1.0
         top = w > self._x_top
-        out[top] = self._g_top * (w[top] / self._x_top) ** self._power
-        np.clip(out, 0.0, 1.0, out=out)
+        flat[top] = self._g_top * (w[top] / self._x_top) ** self._power
+        np.clip(flat, 0.0, 1.0, out=flat)
+        return out
 
 
 @dataclass(slots=True, eq=False)
@@ -445,8 +432,8 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     """Tabulate the two-fold tail, add one loss per level up to n - 1, and
     scan the final level n.
 
-    One two-fold serves every family. Per family: the grid floor, the
-    pairwise step and the closed-form coordinate each intermediate level is
+    One two-fold and one pairwise step serve every family. Per family: the
+    grid floor and the closed-form coordinate each intermediate level is
     read in. g-and-h reads in asinh x, which is linear near 0 and
     logarithmic in both tails, and carries an auxiliary head (z from -10 up
     to the grid floor) through the recursion so each step sees the left
@@ -482,7 +469,6 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     top = float(base.quantile(_MAX_LEVEL))
     x = np.concatenate([head, np.geomspace(head_hi, top, _POINTS - _HEAD_POINTS)])
     if gandh:
-        step = _gbar_step_gandh
         z_top = special.normal_inv_cdf(_GH_FLOOR_LEVEL)
         z_head = np.linspace(_GH_HEAD_Z_LO, z_top, _GH_HEAD_POINTS, endpoint=False)
         # the least single loss a step integrates: a level is read up to its
@@ -498,7 +484,6 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
         beyond = top * np.exp(y * (span / y[-1]))
         nodes = np.concatenate([base.x_of_z(z_head), x, beyond])
     else:
-        step = _gbar_step_positive
         low = smin
         nodes = x
 
@@ -527,7 +512,7 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     fresh = partial(_two_fold, base, level, order=_ORDER)
     for k in range(2, n):
         level = _LogTail(coord, nodes, checked(fresh(nodes), k), xi, k * smin)
-        fresh = partial(step, base, level, order=_ORDER)
+        fresh = partial(_gbar_step, base, level, order=_ORDER)
     x = np.append(x[:-1:_SCAN_STRIDE], top)
     if shift:
         x, unshifted = x + shift, fresh

@@ -295,7 +295,7 @@ def test_returned_quantiles_are_certified(monkeypatch, model, n):
 
 @pytest.mark.parametrize(
     ("model", "n", "name"),
-    [(PARETO05, 2, "_two_fold"), (PARETO05, 3, "_gbar_step_positive"), (GANDH, 3, "_gbar_step_gandh")],
+    [(PARETO05, 2, "_two_fold"), (PARETO05, 3, "_gbar_step"), (GANDH, 3, "_gbar_step")],
 )
 def test_final_level_cost(monkeypatch, model, n, name):
     """A build and the 40 CLI levels evaluate the final level at 512
@@ -387,7 +387,7 @@ def test_gandh_step_is_one_pass(monkeypatch):
     monkeypatch.setattr(convolution, "_integrate", forbidden)
     monkeypatch.setattr(GandH, "density", forbidden)
     monkeypatch.setattr(GandH, "dx_dz", forbidden)
-    convolution._gbar_step_gandh(model, level, np.array([-3.0, -0.5, 1.0, 7.0]), convolution._ORDER)
+    convolution._gbar_step(model, level, np.array([-3.0, -0.5, 1.0, 7.0]), convolution._ORDER)
     assert calls == [(4,)] * 3
 
 
@@ -413,7 +413,7 @@ def test_hall_step_inverts_at_most_two_elements_per_row(monkeypatch):
     steps inverted the tail at every quadrature node to read the density
     (1.93M elements), invert at most two elements per step row: the tails
     at x - m and x/2 (8.9K measured)."""
-    solve, step = ExactHall._t_of_x, convolution._gbar_step_positive
+    solve, step = ExactHall._t_of_x, convolution._gbar_step
     rows, inverted, inside = [], [], [False]
 
     def counting(self, x):
@@ -430,7 +430,7 @@ def test_hall_step_inverts_at_most_two_elements_per_row(monkeypatch):
             inside[0] = False
 
     monkeypatch.setattr(ExactHall, "_t_of_x", counting)
-    monkeypatch.setattr(convolution, "_gbar_step_positive", step_counted)
+    monkeypatch.setattr(convolution, "_gbar_step", step_counted)
     grid = convolution._build_grid.__wrapped__(HALL, 4, GridSpec())
     oracle_quantiles(grid, CLI_LEVELS)
     assert rows[0] >= convolution._POINTS
@@ -485,7 +485,7 @@ def test_oracle_quantile_hit_on_the_first_node():
 
 
 @pytest.mark.parametrize(
-    ("name", "n"), [("_two_fold", 2), ("_gbar_step_positive", 3)]
+    ("name", "n"), [("_two_fold", 2), ("_gbar_step", 3)]
 )
 def test_non_finite_level_raises(monkeypatch, name, n):
     """A NaN in any convolution level fails the build with PrecisionError,
@@ -505,7 +505,7 @@ def test_non_finite_level_raises(monkeypatch, name, n):
 
 @pytest.mark.parametrize(
     ("name", "n", "level"),
-    [("_two_fold", 3, 2), ("_gbar_step_positive", 4, 3), ("_two_fold", 2, 2), ("_gbar_step_positive", 3, 3)],
+    [("_two_fold", 3, 2), ("_gbar_step", 4, 3), ("_two_fold", 2, 2), ("_gbar_step", 3, 3)],
 )
 def test_rising_intermediate_level_raises(monkeypatch, name, n, level):
     """A one-ulp rise below _FLAT in any level, an intermediate one or the
@@ -564,6 +564,48 @@ def test_gandh_two_fold_against_adaptive_quadrature(alpha):
     assert grid.fresh_tail(x) == pytest.approx(sum(pieces), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("model", [PARETO05, Burr(tau=4.0, kappa=1.0)], ids=lambda m: repr(m))
+@pytest.mark.parametrize("alpha", [0.9, 0.99, 0.9999, 1.0 - 1e-8])
+def test_positive_two_fold_against_adaptive_quadrature(model, alpha):
+    """An independent check of the positive-support two-fold, which runs
+    in the log-tail: scipy's adaptive quadrature of P(X1 + X2 > x) as
+    F(x - m) + the integral of F(x - y) f(y) over y in [m, x - m]
+    (survival function, m the support), split at x/2, at the sum's
+    alpha-quantile (5.4e-12 apart at most measured, for Burr(4, 1))."""
+    grid = convolve_tail(model, 2)
+    x = oracle_quantile(grid, alpha)
+    m = model.support_min
+
+    def tail(w):
+        return 1.0 if w <= m else float(model.tail(w))
+
+    def integrand(y):
+        return tail(x - y) * float(model.density(y))
+
+    pieces = [quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+              for lo, hi in ((m, x / 2.0), (x / 2.0, x - m))]
+    assert grid.fresh_tail(x) == pytest.approx(tail(x - m) + sum(pieces), rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "model",
+    [Pareto(xi=0.1), Burr(tau=1.0, kappa=8.0), Burr(tau=4.0, kappa=1.0), Burr(tau=4.0, kappa=0.5)],
+    ids=lambda m: repr(m),
+)
+def test_light_positive_two_fold_builds_and_certifies(model):
+    """Light positive tails at n = 2 build and certify within the default
+    tolerance: Pareto(0.1) and Burr(1, 8) failed it when the two-fold ran
+    in the quantile (6.9e-10 and 3.3e-10); Burr(4, 1) and Burr(4, 0.5)
+    need the panel edge at 1e-5 in the log-tail (8.1e-11 and 2.2e-11
+    measured, 7.5e-10 and 2.0e-10 without it). The fresh tail at each CLI
+    quantile is its level."""
+    grid = convolution._build_grid.__wrapped__(model, 2, GridSpec())
+    assert grid.certified_error <= grid.spec.certify_threshold(2)
+    q = oracle_quantiles(grid, CLI_LEVELS)
+    assert np.all(np.diff(q) > 0)
+    assert np.allclose(grid.fresh_tail(q), 1.0 - CLI_LEVELS, rtol=1e-10, atol=0.0)
+
+
 def test_grid_ending_below_the_support_of_the_sum_raises():
     """Pareto(0.05): the grid ends at Q(1 - 1e-10) = 3.16, below the
     4-fold support 4, so the level's tail is 1 at every node."""
@@ -573,7 +615,7 @@ def test_grid_ending_below_the_support_of_the_sum_raises():
 
 def test_single_loss_skips_an_empty_range():
     """A row whose range is empty adds exactly 0 (its nodes all sit at
-    u = 0); the other rows are what they are alone."""
+    s = 0); the other rows are what they are alone."""
     x, hi = np.array([3.0, 5.0]), np.array([0.0, 0.5])
     out = convolution._single_loss(PARETO05, PARETO05.tail, 1.0, x, 0.0, hi, 14)
     alone = convolution._single_loss(PARETO05, PARETO05.tail, 1.0, x[1:], 0.0, hi[1:], 14)
@@ -653,12 +695,12 @@ def test_certified_error_within_tier(model):
 @pytest.mark.parametrize(
     "model, n, err",
     [
-        (PARETO05, 2, 9.856316103725665e-12),
+        (PARETO05, 2, 7.581573160159707e-16),
         (PARETO05, 3, 3.43101028144046e-09),
         (PARETO05, 4, 2.0545297069638403e-09),
-        (GANDH, 3, 4.98103025860279e-08),
-        (HALL, 2, 5.1264061110219885e-12),
-        (HALL, 3, 2.592153933831712e-08),
+        (GANDH, 3, 4.9810294563075913e-08),
+        (HALL, 2, 1.0339756225033849e-15),
+        (HALL, 3, 2.5921536003730717e-08),
     ],
 )
 def test_certified_error_pinned(model, n, err):
@@ -671,7 +713,7 @@ def test_build_runs_check_order_once(monkeypatch):
     """Only the final level is re-run at the check order, whatever n is: at
     n = 4 the build makes three order-14 passes and one order-10 pass."""
     orders = []
-    for name in ("_two_fold", "_gbar_step_positive"):
+    for name in ("_two_fold", "_gbar_step"):
 
         def counted(*args, _fn=getattr(convolution, name), **kwargs):
             orders.append(kwargs["order"] if "order" in kwargs else args[-1])

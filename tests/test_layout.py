@@ -16,7 +16,8 @@ so no comparison in ``convolution.py`` has the literal 1.0 as an operand,
 and each level has one floor, ``w_floor``, with no ``support`` beside it.
 One function, ``approx._model_regime``, estimates the boundary balance q.
 Monte Carlo knows a model only through its draws and its quantile, so no
-fact about a family's inverse transform leaves ``models``."""
+fact about a family's inverse transform leaves ``models``, and the oracle
+reads no ``from_variates``."""
 
 import ast
 import os
@@ -349,3 +350,10 @@ def test_attribute_scan():
 def test_monte_carlo_reads_only_draws_and_quantiles_of_a_model():
     source = (ROOT / "src" / "tailconc" / "montecarlo.py").read_text()
     assert attributes_read(source, "model") <= {"variates", "from_variates", "quantile"}
+
+
+def test_oracle_reads_no_monte_carlo_map():
+    # the oracle integrates each family in its own score (the log-tail or
+    # the normal score), so from_variates has Monte Carlo as its only reader
+    source = (ROOT / "src" / "tailconc" / "convolution.py").read_text()
+    assert "from_variates" not in attributes_read(source, "model")
