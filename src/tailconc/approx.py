@@ -19,7 +19,7 @@ import numpy as np
 
 from . import special
 from .errors import BoundaryCaseError, DomainError, PrecisionError, check_int, check_real, check_scalar
-from .models import LossModel, SecondOrderInfo
+from .models import LossModel, SecondOrderInfo, bracketed_roots
 
 __all__ = [
     "RegimeTag",
@@ -423,32 +423,19 @@ def crossover(
     """Level alpha* where the second-order approximation crosses 1, if one
     exists in [alpha_lo, alpha_hi]. c2 is monotone in alpha for every model
     family, because each amplitude is, so the endpoints decide: None when
-    c2 - 1 has the same sign at both. Bisection to |delta alpha| <= 1e-7.
+    c2 - 1 has the same sign at both. Otherwise :func:`models.bracketed_roots`
+    solves c2 = 1 between them, to a bracket of 1e-12.
     """
     n = check_int("n", n, 2)
     alpha_lo = check_real("crossover: alpha_lo", alpha_lo, 0.0, 1.0)
     alpha_hi = check_real("crossover: alpha_hi", alpha_hi, alpha_lo, 1.0)
     q = _model_regime(model).q
 
-    def f(a: float) -> float:
-        return second_order_approx(model, a, n, q).c2 - 1.0
+    def f(a: np.ndarray) -> np.ndarray:
+        return np.array([second_order_approx(model, float(a[0]), n, q).c2 - 1.0])
 
-    lo, hi = alpha_lo, alpha_hi
+    lo, hi = np.array([alpha_lo]), np.array([alpha_hi])
     f_lo, f_hi = f(lo), f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
+    if f_lo[0] * f_hi[0] > 0:
         return None
-    while hi - lo > 1e-7:
-        mid = 0.5 * (lo + hi)
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo = mid
-            f_lo = f_mid
-    return 0.5 * (lo + hi)
+    return float(bracketed_roots(f, lo, f_lo, hi, f_hi)[0][0])

@@ -20,7 +20,6 @@ import argparse
 import json
 import math
 import sys
-from importlib import metadata
 from typing import Optional
 
 import numpy as np
@@ -170,7 +169,10 @@ def _json_text(payload: dict) -> str:
 
 
 def _versions() -> dict:
-    # scipy's version from its metadata: importing scipy to read it costs 0.2 s
+    # scipy's version from its metadata: importing scipy to read it costs 0.2 s.
+    # The import waits until here, since only JSON output reads it
+    from importlib import metadata
+
     return {"tailconc": __version__, "numpy": np.__version__, "scipy": metadata.version("scipy")}
 
 

@@ -9,21 +9,19 @@ Every family's two-fold tail is computed from the exact symmetric split
 families whose tail is closed form; below the final level of a family
 whose tail is a Newton solve (g-and-h, Hall), a stored level 1, the
 model's tail table (:meth:`models.LossModel.tail_table`), which costs no
-inversion per quadrature node (an n = 3 build plus 40-level solve went
-0.34 -> 0.12 s for g-and-h and 0.20 -> 0.11 s for Hall, best of 5 on a
-2-core host). The integral is :func:`_single_loss`, which runs in one
-variable per family: for positive support the log-tail s = -log F(X),
-X = ``model.from_log_tails(s)`` with weight e^-s and s from 0 up to
-s(x/2); for g-and-h, whose support is the whole real line, the Gaussian
-score z, X = a + b k(z) with weight phi(z) and z from -12 up to z(x/2).
-No density enters the integrand. Higher n adds one loss per level by one
-pairwise step, :func:`_gbar_step`, conditioned on the single loss alone
-in the same variable, cut at x/2 and, for g-and-h, at z(x). g-and-h
-builds at a = 0 and shifts by n a. A head grid (z from -10 upward)
-stores values below the main grid so that the recursion sees the left
-tail; the truncation error is bounded by n*Phi(-10). Past the grid top
-the g-and-h intermediate levels carry nodes out to where the next step
-reads them, top - x_of_z(-12).
+inversion per quadrature node. The integral is :func:`_single_loss`,
+which runs in one variable per family: for positive support the log-tail
+s = -log F(X), X = ``model.from_log_tails(s)`` with weight e^-s and s
+from 0 up to s(x/2); for g-and-h, whose support is the whole real line,
+the Gaussian score z, X = a + b k(z) with weight phi(z) and z from
+``models.GH_Z_LO`` (-12) up to z(x/2). No density enters the integrand.
+Higher n adds one loss per level by one pairwise step, :func:`_gbar_step`,
+conditioned on the single loss alone in the same variable, cut at x/2
+and, for g-and-h, at z(x). g-and-h builds at a = 0 and shifts by n a.
+A head grid (z from -10 upward) stores values below the main grid so
+that the recursion sees the left tail; the truncation error is bounded
+by n*Phi(-10). Past the grid top the g-and-h intermediate levels carry
+nodes out to where the next step reads them, top - x_of_z(-12).
 
 Every piece is one call of :func:`_integrate`: fixed panels clustered
 geometrically toward both endpoints with Gauss-Legendre nodes per panel,
@@ -38,8 +36,9 @@ that reproduces its values bit for bit, so the package never imports
 ``scipy.interpolate``. The final level is never interpolated: it is
 scanned on every ``_SCAN_STRIDE``-th node and the top one, where a
 lower-order re-run certifies it, and the quantile solver brackets each
-level in the scan and refines it against fresh quadrature, then certifies
-the quantiles it returns by one more lower-order re-run there.
+level in the scan and refines it against fresh quadrature
+(:func:`models.bracketed_roots`), then certifies the quantiles it returns
+by one more lower-order re-run there.
 :class:`PrecisionError` is raised where a re-run disagrees by more than
 the grid tolerance.
 """
@@ -55,7 +54,7 @@ import numpy as np
 
 from . import approx, models, special
 from .errors import DomainError, GridRangeError, PrecisionError, check_int, check_levels, check_real, check_reals
-from .models import GandH, LossModel, blockwise, normal_pdf, panel_rule
+from .models import GH_Z_LO, GandH, LossModel, blockwise, bracketed_roots, normal_pdf, panel_rule
 
 __all__ = [
     "GridSpec",
@@ -68,13 +67,10 @@ __all__ = [
 ]
 
 _MAX_N = 8
-_GH_Z_LO = -12.0  # Gaussian integration floor; mass below is ~2e-33
 _GH_HEAD_Z_LO = -10.0
 _GH_HEAD_POINTS = 512
 _GH_FLOOR_LEVEL = 0.6  # g-and-h grids start at this quantile
 _FLAT = 1.0 - 1e-14  # a stored tail at or above this is 1 to double precision
-_ROOT_RTOL = 1e-12  # quantile bracket width at convergence, relative to max(|x|, 1)
-_ROOT_MAX_ITER = 100
 
 
 # The oracle grid: _POINTS nodes, of which _HEAD_POINTS are linearly spaced
@@ -185,7 +181,7 @@ def _two_fold(model: LossModel, level, x: np.ndarray, order: int) -> np.ndarray:
     half = x[live] / 2.0
     half_tail = np.asarray(level(half))
     if isinstance(model, GandH):
-        lo, hi = _GH_Z_LO, model.z_of_x(half)
+        lo, hi = GH_Z_LO, model.z_of_x(half)
     else:
         lo, hi = 0.0, -np.log(np.maximum(half_tail, np.finfo(float).tiny))
     out[live] = half_tail**2 + 2.0 * _single_loss(model, level, smin, x[live], lo, hi, order)
@@ -223,8 +219,8 @@ def _gbar_step(model: LossModel, prev: _LogTail, x: np.ndarray, order: int) -> n
     live = x > m + model.support_min
     xl = x[live]
     if isinstance(model, GandH):
-        lo = _GH_Z_LO
-        top = np.clip(model.z_of_x(xl - m), _GH_Z_LO, -_GH_Z_LO)
+        lo = GH_Z_LO
+        top = np.clip(model.z_of_x(xl - m), GH_Z_LO, -GH_Z_LO)
         cuts = model.z_of_x(np.stack([0.5 * xl, xl]))
         total = model.tail(xl - m)
     else:
@@ -451,10 +447,7 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
     spaced by :func:`_table_spacing` out to the largest argument the
     two-fold reads, the top node minus the least single loss; otherwise,
     and always at n = 2, it reads ``model.tail``. For g-and-h and Hall
-    that takes the Newton solves out of the intermediate two-fold: in-process
-    build plus 40-level solve, best of 5 on a 2-core host, g-and-h n = 3
-    0.34 -> 0.12 s and n = 4 0.66 -> 0.39 s, Hall n = 3 0.20 -> 0.11 s
-    and n = 4 0.48 -> 0.41 s.
+    that takes the Newton solves out of the intermediate two-fold.
     """
     gandh = isinstance(model, GandH)
     shift = n * model.a if gandh else 0.0
@@ -475,7 +468,7 @@ def _build_grid(model: LossModel, n: int, spec: GridSpec) -> ConvolutionGrid:
         # top node minus it. Nodes past top cover that span, log-spaced from
         # the grid's own log-step up, each step _GH_BEYOND_GROWTH times the one
         # below, and scaled to end there
-        low = float(base.x_of_z(np.array(_GH_Z_LO)))
+        low = float(base.x_of_z(np.array(GH_Z_LO)))
         span = math.log1p(-low / top)  # log((top - low) / top)
         step0 = math.log(top / head_hi) / (_POINTS - _HEAD_POINTS - 1)
         growth = math.log(_GH_BEYOND_GROWTH)
@@ -536,31 +529,26 @@ def convolve_tail(model: LossModel, n: int, spec: Optional[GridSpec] = None) -> 
 
 
 def oracle_quantile(grid: ConvolutionGrid, alpha: float) -> float:
-    """Quantile of the n-fold sum at level alpha; :func:`oracle_quantiles` on one level.
-
-    The level's cell of the final level's scan brackets the root, since
-    every stored tail is bit for bit the fresh quadrature at its node, and
-    Chandrupatla's hybrid of inverse quadratic interpolation and bisection
-    (Adv. Eng. Software 28(3), 1997) refines it against fresh quadrature.
-    It stops when the residual is 0 (on an exact hit on a stored tail, at
-    once, with that node) or the bracket is no wider than
-    1e-12 max(|lo|, |hi|, 1), and returns the bracket end with the smaller
-    residual. The returned quantile is then certified: the fresh
-    tail there, re-run at the lower check order, may differ from the
-    working-order tail (the level plus that residual) by at most
-    ``grid.spec.certify_threshold(n)`` relative. A larger difference, a
-    non-finite fresh value or no convergence in ``_ROOT_MAX_ITER`` steps
-    raises :class:`PrecisionError`.
-    """
+    """Quantile of the n-fold sum at level alpha: :func:`oracle_quantiles` on one level."""
     return float(oracle_quantiles(grid, alpha))
 
 
 def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
-    """Quantiles of the n-fold sum at every level in ``alphas``, solved by
-    the rules of :func:`oracle_quantile` jointly: every level is checked
-    before any quadrature runs, the brackets' residuals are stored tails,
-    each fresh call takes one Chandrupatla step on every live level, and
-    one check-order call certifies every returned quantile."""
+    """Quantiles of the n-fold sum at every level in ``alphas``.
+
+    Every level is checked against the grid before any quadrature runs.
+    Its cell of the final level's scan brackets the root, since every
+    stored tail is bit for bit the fresh quadrature at its node, so the
+    brackets' residuals are stored tails; :func:`models.bracketed_roots`
+    refines them against fresh quadrature, one fresh call per step on
+    every live level (an exact hit on a stored tail stops at once, with
+    that node). One check-order call then certifies every returned
+    quantile: the fresh tail there, re-run at the lower check order, may
+    differ from the working-order tail (the level plus its residual) by at
+    most ``grid.spec.certify_threshold(n)`` relative. A larger difference,
+    a non-finite fresh value or a root that does not converge raises
+    :class:`PrecisionError`.
+    """
     alphas = check_levels("oracle_quantile: alpha", alphas)
     p = 1.0 - alphas.ravel()
     g, x = grid.g_tail, grid.x
@@ -577,47 +565,17 @@ def oracle_quantiles(grid: ConvolutionGrid, alphas) -> np.ndarray:
             f"oracle_quantile: level {alphas.min():g} lies below the grid floor "
             f"(first stored tail value {g[0]:.6g})"
         )
-    # g is non-increasing: i is the first node whose tail is at or below p
+    # g is non-increasing: i is the first node whose tail is at or below p,
+    # so the cell brackets the level, g[i - 1] > p >= g[i]
     i = np.searchsorted(-g, -p, side="left")
-    out, g_out = x[i], g[i]  # g_out: the working-order tail at out
-    live = np.arange(p.size)
 
-    # the cell brackets the level, g[i - 1] > p >= g[i]; x1 is the newest
-    # iterate, x2 the other bracket end, x3 the end x1 replaced. An exact
-    # hit, g[i] == p, stops at step 0 on node i.
-    x1, f1, x2, f2, t = x[i - 1], g[i - 1] - p, x[i], g[i] - p, np.full(p.size, 0.5)
-    for step in range(_ROOT_MAX_ITER + 1):
-        dx = np.abs(x2 - x1)
-        tol = _ROOT_RTOL * np.maximum(np.maximum(np.abs(x1), np.abs(x2)), 1.0)
-        done = (f1 == 0.0) | (f2 == 0.0) | (dx <= tol)
-        closer = np.abs(f1) < np.abs(f2)
-        out[live[done]] = np.where(closer, x1, x2)[done]
-        g_out[live[done]] = (p + np.where(closer, f1, f2))[done]
-        if np.all(done):
-            break
-        if step == _ROOT_MAX_ITER:
-            raise PrecisionError(f"oracle_quantile: unconverged after {step} steps")
-        live, p, x1, f1, x2, f2, t, dx, tol = (
-            v[~done] for v in (live, p, x1, f1, x2, f2, t, dx, tol)
-        )
-        tl = 0.5 * tol / dx  # keep each iterate tol/2 inside the bracket
-        x_new = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
-        f_new = _finite(grid.fresh_tail(x_new) - p, "oracle_quantile")
-        same = np.sign(f_new) == np.sign(f1)
-        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
-        x1, f1 = x_new, f_new
-        # inverse quadratic interpolation where it stays inside the bracket
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-            r = (x3 - x1) / (x2 - x1)
-            t_iqi = f1 / (f1 - f2) * f3 / (f3 - f2) - r * f1 / (f3 - f1) * f2 / (f2 - f3)
-        t = np.where(iqi, t_iqi, 0.5)
+    def residual(w, p_live):
+        return _finite(grid.fresh_tail(w) - p_live, "oracle_quantile")
+
+    out, res = bracketed_roots(residual, x[i - 1], g[i - 1] - p, x[i], g[i] - p, p)
     if out.size:
         g_lo = grid.fresh_tail(out, order=_CHECK_ORDER)
-        _certify("oracle_quantile", g_out, g_lo, grid.spec.certify_threshold(grid.n))
+        _certify("oracle_quantile", p + res, g_lo, grid.spec.certify_threshold(grid.n))
     return out.reshape(alphas.shape)
 
 

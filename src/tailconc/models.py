@@ -376,10 +376,16 @@ def normal_pdf(z: np.ndarray, out=None) -> np.ndarray:
 # Newton inverses stop once a step is within a few ulp, or raise after this many steps
 _NEWTON_TOL = 4.0 * np.finfo(float).eps
 _NEWTON_MAX_STEPS = 100
+# Bracketed roots stop once a bracket is this narrow, relative to max(|x|, 1),
+# or raise after this many steps
+_ROOT_RTOL = 1e-12
+_ROOT_MAX_ITER = 100
 # The g-and-h inverse's bracket: the standard normal tail is 1 at -60 and 0
 # at 50 in double precision, so clamping to it loses nothing
 _GH_INV_LO, _GH_INV_HI = -60.0, 50.0
-_GH_TABLE_Z_LO = -12.0  # the first score of a g-and-h tail table: its normal tail is 1 - 2e-33
+# The least g-and-h score the package integrates or tabulates: the normal
+# mass below it is about 2e-33, so its tail is 1 in double precision
+GH_Z_LO = -12.0
 BLOCK = 1 << 15  # elements per block of a vectorized kernel, so its temporaries stay in cache
 
 
@@ -425,6 +431,49 @@ def _newton(fun, z, lo, hi, scale, *args):
             return out
         z = z_new
     raise PrecisionError(f"Newton inverse: {idx.size} elements live after {_NEWTON_MAX_STEPS} steps")
+
+
+def bracketed_roots(f, x1, f1, x2, f2, *args):
+    """Root per element of ``f(x, *args)``, a value that changes sign over
+    each bracket of the 1-d ``x1`` and ``x2``, where it is ``f1`` and
+    ``f2``, by Chandrupatla's hybrid of inverse quadratic interpolation and
+    bisection (Adv. Eng. Software 28(3), 1997); each call of ``f`` takes
+    one step on every live element, with its ``args``. An element stops
+    when a residual is 0 (at once, with no call, where an end is a root)
+    or its bracket is no wider than 1e-12 max(|x1|, |x2|, 1), and returns
+    the bracket end with the smaller residual; one still live after
+    ``_ROOT_MAX_ITER`` steps raises PrecisionError. Returns the roots and
+    their residuals."""
+    out, f_out, idx = np.empty(x1.shape), np.empty(x1.shape), np.arange(x1.size)
+    # x1 is the newest iterate, x2 the other bracket end, x3 the end x1 replaced
+    t = np.full(x1.shape, 0.5)
+    for step in range(_ROOT_MAX_ITER + 1):
+        dx = np.abs(x2 - x1)
+        tol = _ROOT_RTOL * np.maximum(np.maximum(np.abs(x1), np.abs(x2)), 1.0)
+        done = (f1 == 0.0) | (f2 == 0.0) | (dx <= tol)
+        closer = np.abs(f1) < np.abs(f2)
+        out[idx[done]] = np.where(closer, x1, x2)[done]
+        f_out[idx[done]] = np.where(closer, f1, f2)[done]
+        if np.all(done):
+            return out, f_out
+        if step == _ROOT_MAX_ITER:
+            raise PrecisionError(f"bracketed_roots: {np.count_nonzero(~done)} roots live after {step} steps")
+        idx, x1, f1, x2, f2, t, dx, tol, *args = (v[~done] for v in (idx, x1, f1, x2, f2, t, dx, tol, *args))
+        tl = 0.5 * tol / dx  # keep each iterate tol/2 inside the bracket
+        x_new = x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1)
+        f_new = f(x_new, *args)
+        same = np.sign(f_new) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x_new, f_new
+        # inverse quadratic interpolation where it stays inside the bracket
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xi = (x1 - x2) / (x3 - x2)
+            phi = (f1 - f2) / (f3 - f2)
+            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
+            r = (x3 - x1) / (x2 - x1)
+            t_iqi = f1 / (f1 - f2) * f3 / (f3 - f2) - r * f1 / (f3 - f1) * f2 / (f2 - f3)
+        t = np.where(iqi, t_iqi, 0.5)
 
 
 def gh_inverse(w, g: float, h: float) -> np.ndarray:
@@ -554,7 +603,7 @@ class GandH(LossModel):
         """Nodes x_of_z(z) and tails ndtr(-z) (:meth:`LossModel.tail_table`),
         z from -12, where the normal tail is 1 in double precision, up to
         z(x_hi)."""
-        z = _GH_TABLE_Z_LO + v * (float(self.z_of_x(np.array(x_hi))) - _GH_TABLE_Z_LO)
+        z = GH_Z_LO + v * (float(self.z_of_x(np.array(x_hi))) - GH_Z_LO)
         tails = special.scipy_special().ndtr(-z)
         return self.x_of_z(z, z), tails
 

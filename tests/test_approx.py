@@ -458,14 +458,16 @@ def test_slow_model_without_hall_constants_has_a_direction(n):
 
 
 def test_crossover_values():
-    # g-and-h: second-order curve crosses 1 just inside alpha = 0.9996
-    x = crossover(GANDH, 2)
-    assert x is not None
-    assert x == pytest.approx(0.99959126, abs=2e-7)
-    # light-tail-side Pareto: crossing at 1 - (1 - 2^(-1/2))^2
+    """crossover meets the closed-form crossing, to rounding in 1 - alpha*."""
+    # light-tail-side Pareto: c2 = 2^(-1/2) + (1 - alpha)^(1/2) crosses 1
+    # at 1 - (1 - 2^(-1/2))^2
     y = crossover(Pareto(xi=0.5), 2)
-    assert y is not None
-    assert y == pytest.approx(1.0 - (1.0 - 2.0 ** -0.5) ** 2, abs=1e-6)
+    assert 1.0 - y == pytest.approx((1.0 - 2.0**-0.5) ** 2, rel=1e-12)
+    # g-and-h: c2 = 2^(-1/2) (1 + 2 log 2 / z(alpha)) crosses 1 at
+    # z = 2 log 2 / (2^(1/2) - 1), just inside alpha = 0.9996
+    x = crossover(GANDH, 2)
+    z = 2.0 * math.log(2.0) / (math.sqrt(2.0) - 1.0)
+    assert 1.0 - x == pytest.approx(0.5 * math.erfc(z / math.sqrt(2.0)), rel=1e-12)
 
 
 def test_crossover_none_when_no_crossing():
@@ -481,7 +483,7 @@ def test_crossover_argument_validation():
 
 def test_boundary_q_is_estimated_once_per_call(monkeypatch):
     # crossover evaluates the second-order curve at its two ends and at
-    # each bisection step, all with the same boundary balance q, so q is
+    # each solver step, all with the same boundary balance q, so q is
     # estimated once
     calls = []
     estimate = approx._boundary_q_estimate

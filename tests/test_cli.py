@@ -260,6 +260,22 @@ def test_crossover_with_simulation(capsys):
     assert "uncertainty band straddles one" in out
 
 
+def test_crossover_without_an_empirical_crossing(capsys):
+    """Pareto(1.25) has c > 1 at every level, so the Monte Carlo curve does
+    not cross 1 either, and the bracket line says so."""
+    code, out, _ = run(
+        capsys,
+        "crossover", "--model", PARETO125, "--n", "2",
+        "--alpha-min", "0.9", "--alpha-max", "0.99", "--points", "12",
+        "--samples", "40000", "--batches", "4",
+    )
+    assert code == 0
+    assert out.splitlines()[:2] == [
+        "analytic crossover alpha: none found",
+        "empirical crossover bracket: none found",
+    ]
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_crossover_band_straddles_one(capsys, fmt):
     """At 20000 sums in 4 batches the band covers 1 at one level of the grid."""

@@ -251,7 +251,8 @@ def test_oracle_quantiles_non_finite_fresh_raises(monkeypatch, calls):
 
 
 def test_oracle_quantiles_iteration_cap_raises(monkeypatch):
-    monkeypatch.setattr(convolution, "_ROOT_MAX_ITER", 1)
+    # the cap lives with the one bracketed root solver, models.bracketed_roots
+    monkeypatch.setattr(models, "_ROOT_MAX_ITER", 1)
     with pytest.raises(PrecisionError):
         oracle_quantiles(convolve_tail(PARETO05, 2), CLI_LEVELS)
 

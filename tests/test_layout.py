@@ -8,9 +8,11 @@ public names are declared once, in each module's ``__all__``, every
 import is used, and no module imports ``scipy.interpolate``. No module
 imports ``scipy`` at module level, and only ``special`` imports it at all,
 behind one lazy loader, so start-up and every Pareto, Burr and Hall run
-leave scipy unloaded; a g-and-h model loads it when it is built. One
-helper, ``models.blockwise``, is the package's only block loop, stepped
-by its only block constant, ``models.BLOCK``.
+leave scipy unloaded; a g-and-h model loads it when it is built. Importing the
+CLI leaves ``importlib.metadata`` unloaded. One helper,
+``models.blockwise``, is the package's only block loop, stepped by its
+only block constant, ``models.BLOCK``, and one, ``models.bracketed_roots``,
+its only bracketed root solver.
 The oracle tests "this stored tail is 1" by one rule, against ``_FLAT``,
 so no comparison in ``convolution.py`` has the literal 1.0 as an operand,
 and each level has one floor, ``w_floor``, with no ``support`` beside it.
@@ -58,8 +60,9 @@ def test_no_private_cross_module_access(path):
     assert private_uses(path.read_text()) == []
 
 
-def calls(source: str) -> list:
-    """(innermost function around it, or None at module level, call node) of every call."""
+def owned(source: str, kinds) -> list:
+    """(innermost function around it, or None at module level, node) of
+    every node of the ast ``kinds``."""
     found = []
 
     def visit(node, owner):
@@ -67,12 +70,22 @@ def calls(source: str) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, child.name)
                 continue
-            if isinstance(child, ast.Call):
+            if isinstance(child, kinds):
                 found.append((owner, child))
             visit(child, owner)
 
     visit(ast.parse(source), None)
     return found
+
+
+def calls(source: str) -> list:
+    """(innermost function around it, or None at module level, call node) of every call."""
+    return owned(source, ast.Call)
+
+
+def loops(source: str) -> list:
+    """(innermost function around it, statement name) of every loop statement."""
+    return [(owner, type(node).__name__) for owner, node in owned(source, (ast.For, ast.While))]
 
 
 def _name(node) -> str:
@@ -88,6 +101,22 @@ def callers(source: str, callee: str) -> list:
 def test_callers_scan():
     source = "def f():\n    def g():\n        rule(1)\n    m.rule(2)\nrule(3)\n"
     assert callers(source, "rule") == ["g", "f", None]
+
+
+def test_loop_scan():
+    source = "def f():\n    while g():\n        for x in y: pass\n    [x for x in y]\nfor z in w: pass\n"
+    assert loops(source) == [("f", "While"), ("f", "For"), (None, "For")]
+
+
+def test_one_bracketed_root_solver():
+    # the oracle's quantiles and the crossover level share one Chandrupatla
+    # loop, models.bracketed_roots, and neither iterates on its own; the
+    # one loop left in approx.py is the curve's loop over its levels
+    found = [name for path in SOURCES for name in callers(path.read_text(), "bracketed_roots")]
+    assert sorted(found) == ["crossover", "oracle_quantiles"]
+    package = ROOT / "src" / "tailconc"
+    assert loops((package / "approx.py").read_text()) == [("second_order_column", "For")]
+    assert "oracle_quantiles" not in {owner for owner, _ in loops((package / "convolution.py").read_text())}
 
 
 def block_loops(source: str) -> list:
@@ -272,6 +301,19 @@ def _printed_by(code: str) -> list:
 
 def test_cli_import_leaves_scipy_interpolate_unloaded():
     assert _printed_by("import sys, tailconc.cli; print('scipy.interpolate' in sys.modules)") == ["False"]
+
+
+def test_cli_import_leaves_importlib_metadata_unloaded():
+    # only JSON output reads the package versions, so importing the CLI loads
+    # importlib.metadata (and its email, zipfile and csv) only where numpy did
+    code = (
+        "import sys, numpy\n"
+        "print('importlib.metadata' in sys.modules)\n"
+        "import tailconc.cli\n"
+        "print('importlib.metadata' in sys.modules)\n"
+    )
+    before, after = _printed_by(code)
+    assert after == before
 
 
 def test_pareto_burr_and_hall_runs_leave_scipy_unloaded():
