@@ -528,11 +528,9 @@ class GandH(LossModel):
     Support is the whole real line; the upper tail has index xi = h with
     second-order index rho = 0 (logarithmic slow variation).
 
-    The normal law is vectorized through ``ndtr`` and ``ndtri`` of
-    :func:`special.scipy_special`, with the tail formed on the small side as
-    ndtr(-z). g-and-h is the one family that needs scipy: building a model
-    imports it, so a job pays that import while it is set up, not inside a
-    solve. ``tail`` and ``density`` invert k with :func:`gh_inverse`."""
+    The normal law is the package's own, :func:`special.ndtr` and
+    :func:`special.ndtri` on arrays, with the tail formed on the small side
+    as ndtr(-z). ``tail`` and ``density`` invert k with :func:`gh_inverse`."""
 
     a: float
     b: float
@@ -543,14 +541,13 @@ class GandH(LossModel):
     def __post_init__(self):
         for name, lo in (("a", None), ("b", 0.0), ("g", 0.0), ("h", 0.0)):
             object.__setattr__(self, name, check_real(f"gandh: {name}", getattr(self, name), lo))
-        special.scipy_special()
 
     @property
     def support_min(self) -> float:
         return -math.inf
 
     def _quantile(self, a: np.ndarray, out=None) -> np.ndarray:
-        z = special.scipy_special().ndtri(a, out=_block(a, out))
+        z = special.ndtri(a, out=_block(a, out))
         return self.x_of_z(z, z)
 
     def x_of_z(self, z: np.ndarray, out=None) -> np.ndarray:
@@ -571,7 +568,7 @@ class GandH(LossModel):
         return gh_inverse((x - self.a) / self.b, self.g, self.h)
 
     def _tail(self, x: np.ndarray) -> np.ndarray:
-        return special.scipy_special().ndtr(-self.z_of_x(x))
+        return special.ndtr(-self.z_of_x(x))
 
     def dx_dz(self, z: np.ndarray) -> np.ndarray:
         """The slope b k'(z) of the loss in its normal score z."""
@@ -594,7 +591,7 @@ class GandH(LossModel):
     def _z_of_t(self, t: np.ndarray) -> np.ndarray:
         # z = -ndtri(1/t) keeps full precision deep in the tail, where
         # forming 1 - 1/t first would round away the level.
-        return -special.scipy_special().ndtri(1.0 / t)
+        return -special.ndtri(1.0 / t)
 
     def _tail_quantile(self, t: np.ndarray) -> np.ndarray:
         return self.x_of_z(self._z_of_t(t))
@@ -604,7 +601,7 @@ class GandH(LossModel):
         z from -12, where the normal tail is 1 in double precision, up to
         z(x_hi)."""
         z = GH_Z_LO + v * (float(self.z_of_x(np.array(x_hi))) - GH_Z_LO)
-        tails = special.scipy_special().ndtr(-z)
+        tails = special.ndtr(-z)
         return self.x_of_z(z, z), tails
 
     def _moments(self, x: float) -> float:
@@ -622,7 +619,7 @@ class GandH(LossModel):
         if math.isinf(x) and x > 0:
             return self.a + self.b / g * (bias - 1.0) / s
         z = float(self.z_of_x(np.asarray(x, dtype=float)))
-        ndtr = special.scipy_special().ndtr
+        ndtr = special.ndtr
         term = bias * ndtr(s * z - g / s) - ndtr(s * z)
         return self.a * ndtr(z) + self.b / g * term / s
 

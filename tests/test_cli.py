@@ -120,7 +120,7 @@ PINNED_ARGS = ("--n", "3", "--samples", "200000", "--batches", "20", "--seed", "
     [
         (PARETO, "1bf8944770bdd51e56207ba86df32a50b2be2fe8b162dc35c86f4a5c784344f1"),
         (BURR, "7a722930a2286698920b8a505e7276f2224c91f93dd606620944ea672d923685"),
-        (GANDH, "81f74f2aac3f128f2c0d1a6414234806465f62f261fd39f8a73edf09f2943f83"),
+        (GANDH, "3384656d28fad91a6dbe674e1a1c211181cc6d7fd1fb605ce27419c30c4b142a"),
         (HALL, "1a510fc3943961e95f171b0d4d8853c595034b5dae6dab09e8efc483103564f0"),
     ],
     ids=["pareto", "burr", "gandh", "hall"],
@@ -139,7 +139,7 @@ def test_curve_bytes_pinned(capsys, model, digest):
     [
         (PARETO, "cce1cf0d22dfbe4e4f702ec66353a1f16ff717ec755142f02351781a4e958801"),
         (BURR, "0645c4cdcc08ea7af758ec5430581e866a1b1cd79866d7d260208e4ff50e6521"),
-        (GANDH, "2a0147433a4cae0e2283cb8228e5a74ce0f00e6dd1166ec46c3d6282b0f7df08"),
+        (GANDH, "b2199423bbd0dfd5cc938cfa59ea90157b2cd394a65db40a7f9f2ee71454e163"),
         (HALL, "bb36454fafbfb8ccf5d723dc05a5a7401c7f38c6f0916fd9f3aaa3413ef0a19d"),
     ],
     ids=["pareto", "burr", "gandh", "hall"],

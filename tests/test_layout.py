@@ -7,9 +7,9 @@ the oracle calls instead of reading a shape parameter, the package's
 public names are declared once, in each module's ``__all__``, every
 import is used, and no module imports ``scipy.interpolate``. No module
 imports ``scipy`` at module level, and only ``special`` imports it at all,
-behind one lazy loader, so start-up and every Pareto, Burr and Hall run
-leave scipy unloaded; a g-and-h model loads it when it is built. Importing the
-CLI leaves ``importlib.metadata`` unloaded. One helper,
+behind one lazy loader that now serves ``beta``'s far range alone, so
+start-up and every run of every family, g-and-h included, leave scipy
+unloaded. Importing the CLI leaves ``importlib.metadata`` unloaded. One helper,
 ``models.blockwise``, is the package's only block loop, stepped by its
 only block constant, ``models.BLOCK``, and one, ``models.bracketed_roots``,
 its only bracketed root solver.
@@ -337,14 +337,24 @@ def test_pareto_burr_and_hall_runs_leave_scipy_unloaded():
     assert _printed_by(code) == ["False"] + ["0", "False"] * len(runs)
 
 
-def test_building_a_gandh_model_loads_scipy_special():
+def test_gandh_build_oracle_and_monte_carlo_leave_scipy_unloaded():
+    # one process: the g-and-h normal law is special's own ndtr and ndtri
+    model = '{"kind": "gandh", "a": 0.0, "b": 1.0, "g": 2.0, "h": 0.5}'
+    runs = [
+        ["curve", "--model", model, "--n", "2", "--oracle", "--samples", "0"],
+        ["curve", "--model", model, "--n", "3", "--oracle", "--samples", "0"],
+        ["curve", "--model", model, "--n", "2", "--samples", "20000", "--points", "4"],
+    ]
     code = (
-        "import sys, tailconc\n"
-        "print('scipy.special' in sys.modules)\n"
+        "import contextlib, io, sys, tailconc.cli\n"
         "tailconc.GandH(0.0, 1.0, 2.0, 0.5)\n"
-        "print('scipy.special' in sys.modules)\n"
+        "print('scipy' in sys.modules)\n"
+        f"for argv in {runs!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "        code = tailconc.cli.main(argv)\n"
+        "    print(code, 'scipy' in sys.modules)\n"
     )
-    assert _printed_by(code) == ["False", "True"]
+    assert _printed_by(code) == ["False"] + ["0", "False"] * len(runs)
 
 
 def one_comparisons(source: str) -> list:

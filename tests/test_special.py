@@ -1,6 +1,7 @@
 import math
 
 import hypothesis.strategies as st
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -238,3 +239,101 @@ def test_non_numbers_raise_domain_error(call):
     # the package's one input policy: bool, strings and arrays are refused
     with pytest.raises(DomainError):
         call()
+
+
+# ----- the array normal law, against mpmath at 40 digits and scipy -----
+
+TINY = np.finfo(float).tiny
+# x across [-38, 38], denser toward 0 on both sides, ends included
+NDTR_GRID = np.unique(np.concatenate([np.linspace(-38.0, 38.0, 1521), np.outer([-1.0, 1.0], np.geomspace(1e-8, 38.0, 400)).ravel()]))
+# p on a log grid from 1e-300 to 1/2, and its mirror 1 - geomspace(1e-16, 1/2)
+NDTRI_GRID = np.concatenate([np.geomspace(1e-300, 0.5, 601), 1.0 - np.geomspace(1e-16, 0.5, 301)[:-1]])
+
+
+def _mp_ndtr(x: float) -> float:
+    with mpmath.workdps(40):
+        return float(mpmath.ncdf(x))
+
+
+def _mp_ndtri(p: float) -> float:
+    """The normal quantile at 40 digits: two Newton steps on mpmath's CDF
+    from scipy's value (itself good to 1e-15), in the smaller tail."""
+    lo = min(p, 1.0 - p)  # 1 - p is exact for p >= 1/2
+    with mpmath.workdps(40):
+        z = mpmath.mpf(float(scipy.special.ndtri(lo)))
+        for _ in range(2):
+            z -= (mpmath.ncdf(z) - lo) / mpmath.npdf(z)
+        return float(z if p < 0.5 else -z)
+
+
+def test_ndtr_matches_mpmath():
+    # 5e-13 relative wherever the result is a normal double (rounding x^2/2
+    # near |x| = 38 alone costs up to 6e-14); below, the gradual underflow
+    # keeps that bound plus one subnormal step
+    got = special.ndtr(NDTR_GRID)
+    want = np.array([_mp_ndtr(x) for x in NDTR_GRID])
+    normal = want >= TINY
+    assert normal.sum() > 2000 and (~normal).any()
+    assert np.all(np.abs(got - want) <= 5e-13 * want + np.where(normal, 0.0, 2.0**-1074))
+    assert special.ndtr(-38.0) == pytest.approx(_mp_ndtr(-38.0), rel=1e-7)  # 2.9e-316, subnormal
+    assert 0.0 < special.ndtr(-38.0) < TINY
+
+
+def test_ndtr_underflows_monotonically_to_zero():
+    x = np.linspace(-40.0, -37.0, 30001)
+    got = special.ndtr(x)
+    assert np.all(np.diff(got) >= 0.0)
+    assert got[0] == 0.0 and special.ndtr(-38.4) > 0.0
+
+
+def test_ndtri_matches_mpmath_and_scipy():
+    got = special.ndtri(NDTRI_GRID)
+    for want in (scipy.special.ndtri(NDTRI_GRID), np.array([_mp_ndtri(p) for p in NDTRI_GRID])):
+        assert np.all(np.abs(got - want) <= 2e-15 * np.abs(want))
+    assert special.ndtri(1e-300) == pytest.approx(_mp_ndtri(1e-300), rel=2e-15)
+
+
+def test_normal_law_edges_are_scipys():
+    x = np.array([-np.inf, np.inf, np.nan, 0.0, -0.0, 5e-324, -1e300, 1e300])
+    np.testing.assert_array_equal(special.ndtr(x), scipy.special.ndtr(x))
+    p = np.array([0.0, 1.0, np.nan, -np.inf, np.inf, -1e-300, 1.0 + 2.0**-52, 0.5])
+    np.testing.assert_array_equal(special.ndtri(p), scipy.special.ndtri(p))
+    assert special.ndtri(0.0) == -math.inf and special.ndtri(1.0) == math.inf
+
+
+@pytest.mark.parametrize(("f", "grid"), [(special.ndtr, NDTR_GRID), (special.ndtri, NDTRI_GRID)], ids=["ndtr", "ndtri"])
+def test_normal_law_out_may_alias_its_input(f, grid):
+    want = f(grid)
+    buf = grid.copy()
+    assert f(buf, out=buf) is buf
+    assert np.array_equal(buf, want)
+    other = np.empty_like(grid)
+    assert f(grid, out=other) is other and np.array_equal(other, want)
+
+
+def test_scalar_normal_law_is_the_array_path_bit_for_bit():
+    assert [special.normal_cdf(x) for x in NDTR_GRID] == special.ndtr(NDTR_GRID).tolist()
+    levels = NDTRI_GRID[(NDTRI_GRID > 0.0) & (NDTRI_GRID < 1.0)]
+    assert [special.normal_inv_cdf(p) for p in levels] == special.ndtri(levels).tolist()
+
+
+def test_erfc_chebyshev_coefficients_refit():
+    """The frozen erfc coefficients are this fit: c_k of
+    f(t) = log(erfc(z)/t) + z^2, z = 2/t - 2, on the 56 Chebyshev nodes
+    of y = 2t - 1, at 40 digits; then c_0 so that the series sums to 0 at
+    t = 1 (ty = 2) in double precision, as Clenshaw runs it there."""
+    ncof, nodes = len(special._ERFC_CHEB), 56
+    with mpmath.workdps(40):
+        angles = [mpmath.pi * (j + mpmath.mpf(0.5)) / nodes for j in range(nodes)]
+        f = []
+        for a in angles:
+            t = (mpmath.cos(a) + 1) / 2
+            z = 2 / t - 2
+            f.append(mpmath.log(mpmath.erfc(z) / t) + z * z)
+        cof = [float(2 * mpmath.fsum(fj * mpmath.cos(k * a) for fj, a in zip(f, angles)) / nodes) for k in range(ncof)]
+    d = dd = 0.0
+    for c in cof[:0:-1]:
+        d, dd = 2.0 * d - dd + c, d
+    cof[0] = 2.0 * dd - 2.0 * d
+    assert tuple(cof) == special._ERFC_CHEB
+    assert special.ndtr(0.0) == 0.5
