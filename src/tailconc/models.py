@@ -547,7 +547,7 @@ class GandH(LossModel):
         return -math.inf
 
     def _quantile(self, a: np.ndarray, out=None) -> np.ndarray:
-        z = special.ndtri(a, out=_block(a, out))
+        z = special.ndtri(a, out)
         return self.x_of_z(z, z)
 
     def x_of_z(self, z: np.ndarray, out=None) -> np.ndarray:

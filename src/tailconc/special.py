@@ -119,20 +119,12 @@ def scipy_special():
     return special
 
 
-def _into(x: np.ndarray, out) -> np.ndarray:
-    if out is None:
-        return x
-    out[...] = x
-    return out
-
-
-def ndtr(x, out=None) -> np.ndarray:
-    """Standard normal CDF of the array ``x``, into ``out`` (which may be
-    ``x``) where given: 0.5 erfc(|x|/sqrt 2), reflected for x > 0, with
-    erfc in its Chebyshev form and z^2 formed as x^2/2 from x itself. Within
-    5e-13 relative wherever the result is a normal double; below about
-    -37.5 it underflows gradually, through the subnormals, to 0 at about
-    -38.5. NaN passes through."""
+def ndtr(x) -> np.ndarray:
+    """Standard normal CDF of the array ``x``: 0.5 erfc(|x|/sqrt 2),
+    reflected for x > 0, with erfc in its Chebyshev form and z^2 formed as
+    x^2/2 from x itself. Within 5e-13 relative wherever the result is a
+    normal double; below about -37.5 it underflows gradually, through the
+    subnormals, to 0 at about -38.5. NaN passes through."""
     x = np.asarray(x, dtype=float)
     t = 2.0 / (2.0 + np.abs(x) * _SQRT_HALF)
     ty = 4.0 * t - 2.0
@@ -141,7 +133,7 @@ def ndtr(x, out=None) -> np.ndarray:
         d, dd = ty * d - dd + c, d
     with np.errstate(over="ignore"):
         r = 0.5 * t * np.exp(0.5 * (_ERFC_CHEB[0] + ty * d) - dd - 0.5 * x * x)
-    return _into(np.where(x > 0.0, 1.0 - r, r), out)
+    return np.where(x > 0.0, 1.0 - r, r)
 
 
 def _rational(coefs, r: np.ndarray) -> np.ndarray:
@@ -164,7 +156,11 @@ def ndtri(p, out=None) -> np.ndarray:
         tail = np.where(s <= 5.0, _rational(_AS241_MID, s - 1.6), _rational(_AS241_FAR, s - 5.0))
         central = q * _rational(_AS241_CENTRAL, 0.180625 - q * q)
     tail = np.copysign(np.where(s == math.inf, math.inf, tail), q)
-    return _into(np.where(np.abs(q) <= 0.425, central, tail), out)
+    z = np.where(np.abs(q) <= 0.425, central, tail)
+    if out is None:
+        return z
+    out[...] = z
+    return out
 
 
 def gamma(x: float) -> float:

@@ -331,7 +331,9 @@ def test_in_place_map_is_the_allocating_map(model):
     """The inverse transform run in place on its variates gives the
     allocating ``from_variates`` and ``quantile`` bit for bit, and those
     give the one-expression formula, on 1e6 variates plus the extremes of
-    their range; the caller's arrays are left alone."""
+    their range; the caller's arrays are left alone. The g-and-h formula
+    reads :func:`special.ndtri`, whose accuracy against scipy and mpmath is
+    checked in ``tests/test_special.py::test_ndtri_matches_mpmath_and_scipy``."""
     rng = np.random.Generator(np.random.PCG64(9))
     u = np.concatenate([rng.random(1_000_000), [np.nextafter(1.0, 0.0), 1e-300, 0.0]])
     levels = u[:-1]  # quantile takes levels inside (0, 1)

@@ -301,14 +301,13 @@ def test_normal_law_edges_are_scipys():
     assert special.ndtri(0.0) == -math.inf and special.ndtri(1.0) == math.inf
 
 
-@pytest.mark.parametrize(("f", "grid"), [(special.ndtr, NDTR_GRID), (special.ndtri, NDTRI_GRID)], ids=["ndtr", "ndtri"])
-def test_normal_law_out_may_alias_its_input(f, grid):
-    want = f(grid)
-    buf = grid.copy()
-    assert f(buf, out=buf) is buf
+def test_ndtri_out_may_alias_its_input():
+    want = special.ndtri(NDTRI_GRID)
+    buf = NDTRI_GRID.copy()
+    assert special.ndtri(buf, out=buf) is buf
     assert np.array_equal(buf, want)
-    other = np.empty_like(grid)
-    assert f(grid, out=other) is other and np.array_equal(other, want)
+    other = np.empty_like(NDTRI_GRID)
+    assert special.ndtri(NDTRI_GRID, out=other) is other and np.array_equal(other, want)
 
 
 def test_scalar_normal_law_is_the_array_path_bit_for_bit():
