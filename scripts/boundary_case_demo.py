@@ -65,7 +65,7 @@ def main() -> int:
     print(header)
     alphas = [1.0 - 10.0 ** (-k) for k in range(1, args.decades + 1)]
     for alpha, oracle in zip(alphas, oracle_concentration(model, n, alphas)):
-        res = second_order_approx(model, alpha, n)
+        res = second_order_approx(model, alpha, n, q=q_hat)
         print(
             f"{alpha:>12.10g} {res.c1:>10.6f} {res.c2:>10.6f} {oracle:>10.6f} "
             f"{abs(res.c2 - oracle):>9.2e} {abs(res.c1 - oracle):>9.2e}"

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import special
-from .errors import BoundaryCaseError, DomainError, PrecisionError, check_int, check_real, check_scalar
+from .errors import BoundaryCaseError, DomainError, PrecisionError, check_int, check_levels, check_real, check_scalar
 from .models import LossModel, SecondOrderInfo, bracketed_roots
 
 __all__ = [
@@ -139,18 +139,24 @@ def tail_ratio_scale(model: LossModel, x: float) -> float:
     """Scale function b(x) of the second-order tail expansion.
 
     mu/x when the mean is finite and xi <= 1; the truncated mean over x in
-    the infinite-mean xi = 1 case; F_bar(x)/(xi - 1) for xi > 1.
-    """
+    the infinite-mean xi = 1 case; F_bar(x)/(xi - 1) for xi > 1."""
     info = model.second_order_info()
-    xi = info.xi
     x = check_scalar("tail_ratio_scale: x", x, model.support_min, strict=False)
+    if x == 0.0 and info.xi <= 1.0:
+        raise DomainError("tail_ratio_scale: x must be nonzero for xi <= 1 (b(x) divides by x)")
+    return float(_scale(model, info, np.asarray(x)))
+
+
+def _scale(model: LossModel, info: SecondOrderInfo, x: np.ndarray) -> np.ndarray:
+    """b (:func:`tail_ratio_scale`) at each entry of the array ``x``, NaN where it divides by x = 0."""
+    xi = info.xi
     if xi > 1.0:
         return model.tail(x) / (xi - 1.0)
-    if x == 0.0:
-        raise DomainError("tail_ratio_scale: x must be nonzero for xi <= 1 (b(x) divides by x)")
     if xi == 1.0 and not info.mean_finite:
-        return model.moments(x) / x
-    return model.moments(math.inf) / x
+        mean = np.reshape([model.moments(v) for v in x.flat], x.shape)
+    else:
+        mean = model.moments(math.inf)
+    return mean / np.where(x != 0.0, x, math.nan)
 
 
 def second_order_kernel(xi: float, rho: float, s: float) -> float:
@@ -228,8 +234,7 @@ def correction_coefficient(xi: float, rho: float, n: int) -> float:
 
 
 def correction_amplitude(model: LossModel, alpha: float, closed_form: bool = False) -> float:
-    """Amplitude A(alpha) of the second-order correction, vanishing as
-    alpha -> 1.
+    """Amplitude A(alpha) of the second-order correction, vanishing as alpha -> 1.
 
     Fast regime: the tail-ratio scale b evaluated at the quantile. For
     xi > 1 that is (1 - alpha)/(xi - 1) for every model, since
@@ -238,38 +243,46 @@ def correction_amplitude(model: LossModel, alpha: float, closed_form: bool = Fal
     regime: the auxiliary function at 1/(1-alpha); for g-and-h always its
     leading term g / normal_inv_cdf(alpha), which ignores a and every
     higher-order term (1.216 where ``GandH(0, 1, 2, 0.5).auxiliary(20)`` is
-    0.906).
-    """
+    0.906), and is undefined, a :class:`DomainError`, for alpha <= 1/2."""
     alpha = check_real("correction_amplitude: alpha", alpha, 0.0, 1.0)
     info = model.second_order_info()
-    regime = classify_regime(info)
-    if regime.tag is RegimeTag.BOUNDARY:
-        raise BoundaryCaseError(
-            "correction_amplitude is undefined on the regime boundary; "
-            "use second_order_approx"
-        )
-    one_minus = 1.0 - alpha
-    if regime.tag in (RegimeTag.FAST, RegimeTag.DEGENERATE):
-        xi = info.xi
+    tag = classify_regime(info).tag
+    if tag is RegimeTag.BOUNDARY:
+        raise BoundaryCaseError("correction_amplitude is undefined on the regime boundary; use second_order_approx")
+    levels = np.array([alpha])
+    return float(_defined("correction_amplitude", levels, _amplitude(model, info, tag, levels, closed_form))[0])
+
+
+def _amplitude(model: LossModel, info: SecondOrderInfo, tag: RegimeTag, alphas, closed_form: bool) -> np.ndarray:
+    """A (:func:`correction_amplitude`, a(1/(1 - alpha)) on the boundary) at each level of the array
+    ``alphas``, NaN where undefined: g-and-h at z <= 0, a at 1/(1 - alpha) = 1, b at Q(alpha) = 0."""
+    one_minus = 1.0 - alphas
+    xi = info.xi
+    if tag in (RegimeTag.FAST, RegimeTag.DEGENERATE):
         if xi > 1.0:  # b(Q(alpha)) = F_bar(Q(alpha))/(xi - 1), and F_bar(Q(alpha)) = 1 - alpha
             return one_minus / (xi - 1.0)
         if closed_form and info.hall_c is not None:
             if xi < 1.0:
                 return model.moments(math.inf) / info.hall_c * one_minus**xi
-            return -one_minus * math.log(one_minus)
-        return tail_ratio_scale(model, model.quantile(alpha))
-    # slow regime
+            return -one_minus * np.log(one_minus)
+        return _scale(model, info, model.quantile(alphas))
     if model.kind == "gandh":
-        z = special.normal_inv_cdf(alpha)
-        if z <= 0.0:
-            raise DomainError(
-                "correction_amplitude: the g-and-h leading term g/normal_inv_cdf(alpha) "
-                "needs alpha > 1/2"
-            )
-        return model.g / z
-    if closed_form and info.hall_d is not None:
+        z = special.ndtri(alphas)
+        return model.g / np.where(z > 0.0, z, math.nan)
+    if closed_form and info.hall_d is not None and tag is RegimeTag.SLOW:
         return info.hall_d * info.rho * one_minus ** (-info.rho)
-    return model.auxiliary(1.0 / one_minus)
+    t = 1.0 / one_minus
+    a = np.full_like(t, math.nan)
+    a[t > 1.0] = model.auxiliary(t[t > 1.0])
+    return a
+
+
+def _defined(caller: str, alphas: np.ndarray, amplitudes: np.ndarray) -> np.ndarray:
+    """``amplitudes`` at ``alphas``, or :class:`DomainError` at the first one left undefined (NaN)."""
+    undefined = alphas[np.isnan(amplitudes)]
+    if undefined.size:
+        raise DomainError(f"{caller}: the amplitude is undefined at alpha = {float(undefined[0])!r}")
+    return amplitudes
 
 
 def first_order_limit(xi: float, n: int) -> float:
@@ -334,108 +347,94 @@ def _boundary_coefficient(info: SecondOrderInfo, n: int, q: float) -> float:
     return _in_range("boundary coefficient", n, xi, coefficient)
 
 
-def second_order_approx(
-    model: LossModel,
-    alpha: float,
-    n: int,
-    q: Optional[float] = None,
-    closed_form: bool = False,
-) -> ApproxResult:
-    """First-order limit plus the regime-appropriate correction at a level.
-
-    The regime and q come from ``_model_regime``. On the boundary the
-    correction is coefficient(n, q) * a(1/(1-alpha)), with q estimated
-    numerically from the model when not supplied. In the
-    degenerate case (xi = 2 in the fast regime) the correction is zero and
-    the degenerate flag is set.
-    """
-    alpha = check_real("second_order_approx: alpha", alpha, 0.0, 1.0)
+def _second_order(model: LossModel, alphas: np.ndarray, n: int, q=None, closed_form: bool = False) -> tuple:
+    """The one array path of c2 = c1 + K(n) A(alpha): c1, K, A at each level of
+    the array ``alphas`` (NaN where undefined) and the regime from ``_model_regime``.
+    K is ``_boundary_coefficient`` on the boundary, else :func:`correction_coefficient`."""
     n = check_int("n", n, 2)
-    q = None if q is None else check_real("second_order_approx: q", q)
     info = model.second_order_info()
     c1 = first_order_limit(info.xi, n)
     regime = _model_regime(model, q)
-    degenerate = regime.tag is RegimeTag.DEGENERATE
-    if degenerate:
-        corr = 0.0
-    elif regime.tag is RegimeTag.BOUNDARY:
-        corr = _boundary_coefficient(info, n, regime.q) * model.auxiliary(1.0 / (1.0 - alpha))
+    if regime.tag is RegimeTag.BOUNDARY:
+        k = _boundary_coefficient(info, n, regime.q)
     else:
-        corr = correction_coefficient(info.xi, info.rho, n) * correction_amplitude(model, alpha, closed_form)
+        k = correction_coefficient(info.xi, info.rho, n)
+    return c1, k, _amplitude(model, info, regime.tag, alphas, closed_form), regime
+
+
+def second_order_approx(
+    model: LossModel, alpha: float, n: int, q: Optional[float] = None, closed_form: bool = False
+) -> ApproxResult:
+    """First-order limit plus the regime-appropriate correction at a level,
+    the one-level view of :func:`second_order_column`. On the boundary the
+    correction is coefficient(n, q) * a(1/(1-alpha)), with q estimated from
+    the model when not supplied. In the degenerate case (xi = 2 in the fast
+    regime) the correction is zero and the flag is set. A level where the
+    amplitude is undefined raises :class:`DomainError`."""
+    alpha = check_real("second_order_approx: alpha", alpha, 0.0, 1.0)
+    q = None if q is None else check_real("second_order_approx: q", q)
+    levels = np.array([alpha])
+    c1, k, amplitude, regime = _second_order(model, levels, n, q, closed_form)
+    corr = k * float(_defined("second_order_approx", levels, amplitude)[0])
+    degenerate = regime.tag is RegimeTag.DEGENERATE
     return ApproxResult(c1=c1, c2=c1 + corr, correction=corr, regime=regime, degenerate=degenerate)
 
 
 def second_order_column(
     model: LossModel, alphas, n: int, closed_form: bool = False
 ) -> tuple[float, np.ndarray, Regime, bool]:
-    """A curve's approximation block: the first-order limit, the
-    second-order value at each level (NaN where it is undefined), the
-    regime, with q estimated on the boundary, and the degeneracy flag."""
-    info = model.second_order_info()
-    c1 = first_order_limit(info.xi, n)
-    regime = _model_regime(model)
-    c2 = np.empty(np.shape(alphas))
-    for i, a in enumerate(alphas):
-        try:
-            c2[i] = second_order_approx(model, float(a), n, regime.q, closed_form).c2
-        except DomainError:
-            c2[i] = math.nan
-    return c1, c2, regime, regime.tag is RegimeTag.DEGENERATE
+    """A curve's approximation block: the first-order limit, the second-order
+    value at each level (NaN where the amplitude is undefined), the regime,
+    with q estimated on the boundary, and the degeneracy flag."""
+    alphas = check_levels("second_order_column: alphas", alphas)
+    c1, k, amplitude, regime = _second_order(model, alphas, n, closed_form=closed_form)
+    return c1, c1 + k * amplitude, regime, regime.tag is RegimeTag.DEGENERATE
 
 
 def approach_direction(model: LossModel, n: int) -> ApproachDirection:
     """Direction from which the ratio approaches its limit as alpha -> 1,
     with the limit of d(correction)/d(alpha).
 
-    The direction is the sign of the correction :func:`second_order_approx`
-    gives at alpha = 1 - 1e-8 with closed-form amplitudes (for xi <= 1 a
-    numeric one is 0 where the quantile overflows): positive is from above,
-    negative from below, and the degenerate case is model-dependent. The
-    slope is finite where the amplitude goes as 1 - alpha (the fast regime
-    with xi > 1, and the boundary with rho = -1 and Hall constants);
-    elsewhere it diverges, opposite in sign to the correction.
-    """
-    n = check_int("n", n, 2)
+    The direction is the sign of the correction at alpha = 1 - 1e-8 with
+    closed-form amplitudes (for xi <= 1 a numeric one is 0 where the quantile
+    overflows): positive is from above, negative from below, and the
+    degenerate case is model-dependent. The slope is finite where the
+    amplitude goes as 1 - alpha (the fast regime with xi > 1, and the boundary
+    with rho = -1 and Hall constants); elsewhere it diverges, opposite in sign
+    to the correction."""
     info = model.second_order_info()
     xi, rho = info.xi, info.rho
-    regime = _model_regime(model)
+    _, k, amplitude, regime = _second_order(model, np.array([_Q_PROBE_ALPHA]), n, closed_form=True)
     if regime.tag is RegimeTag.DEGENERATE:
         return ApproachDirection(Direction.MODEL_DEPENDENT, 0.0)
-    corr = second_order_approx(model, _Q_PROBE_ALPHA, n, regime.q, closed_form=True).correction
-    sign = math.copysign(1.0, corr)
+    sign = math.copysign(1.0, k * amplitude[0])
     direction = Direction.FROM_ABOVE if sign > 0 else Direction.FROM_BELOW
     if regime.tag is RegimeTag.FAST and xi > 1.0:
         # correction = K(n) (1-alpha)/(xi-1) + o(1-alpha)
-        return ApproachDirection(direction, -correction_coefficient(xi, rho, n) / (xi - 1.0))
+        return ApproachDirection(direction, -k / (xi - 1.0))
     if regime.tag is RegimeTag.BOUNDARY and rho == -1.0 and info.hall_d is not None:
-        # a(t) ~ d rho / t, so d(correction)/d(alpha) -> coeff * d * rho^2
-        slope = _boundary_coefficient(info, n, regime.q) * info.hall_d * rho * rho
-        return ApproachDirection(direction, slope)
+        # a(t) ~ d rho / t, so d(correction)/d(alpha) -> K(n) d rho^2
+        return ApproachDirection(direction, k * info.hall_d * rho * rho)
     return ApproachDirection(direction, -sign * math.inf)
 
 
-def crossover(
-    model: LossModel,
-    n: int,
-    alpha_lo: float = 0.9,
-    alpha_hi: float = 1.0 - 1e-7,
-) -> Optional[float]:
+def crossover(model: LossModel, n: int, alpha_lo: float = 0.9, alpha_hi: float = 1.0 - 1e-7) -> Optional[float]:
     """Level alpha* where the second-order approximation crosses 1, if one
     exists in [alpha_lo, alpha_hi]. c2 is monotone in alpha for every model
     family, because each amplitude is, so the endpoints decide: None when
     c2 - 1 has the same sign at both. Otherwise :func:`models.bracketed_roots`
-    solves c2 = 1 between them, to a bracket of 1e-12.
-    """
-    n = check_int("n", n, 2)
+    solves c2 = 1 between them, to a bracket of 1e-12. An end where the
+    amplitude is undefined raises :class:`DomainError`."""
     alpha_lo = check_real("crossover: alpha_lo", alpha_lo, 0.0, 1.0)
     alpha_hi = check_real("crossover: alpha_hi", alpha_hi, alpha_lo, 1.0)
     q = _model_regime(model).q
 
     def f(a: np.ndarray) -> np.ndarray:
-        return np.array([second_order_approx(model, float(a[0]), n, q).c2 - 1.0])
+        c1, k, amplitude, _ = _second_order(model, a, n, q)
+        return c1 + k * _defined("crossover", a, amplitude) - 1.0
 
-    lo, hi = np.array([alpha_lo]), np.array([alpha_hi])
-    f_lo, f_hi = f(lo), f(hi)
-    if f_lo[0] * f_hi[0] > 0:
+    ends = np.array([alpha_lo, alpha_hi])
+    f_ends = f(ends)
+    if f_ends[0] * f_ends[1] > 0:
         return None
-    return float(bracketed_roots(f, lo, f_lo, hi, f_hi)[0][0])
+    return float(bracketed_roots(f, ends[:1], f_ends[:1], ends[1:], f_ends[1:])[0][0])

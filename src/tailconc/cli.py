@@ -176,15 +176,18 @@ def _versions() -> dict:
     return {"tailconc": __version__, "numpy": np.__version__, "scipy": metadata.version("scipy")}
 
 
-def _metadata(model: LossModel, args) -> dict:
-    _, _, regime, degenerate = approx.second_order_column(model, (), args.n)
+def _metadata(model: LossModel, args, regime: Optional[approx.Regime] = None) -> dict:
+    """The JSON metadata block, with the regime the command resolved, or
+    one resolved here where it has none."""
+    if regime is None:
+        regime = approx.second_order_column(model, (), args.n)[2]
     meta = {
         "model": model_to_dict(model),
         "n": args.n,
         "regime": regime.tag.value,
         "regime_note": regime.reason,
         "boundary_balance": _json_num(regime.q),
-        "degenerate": degenerate,
+        "degenerate": regime.tag is approx.RegimeTag.DEGENERATE,
         "versions": _versions(),
     }
     for field in ("samples", "batches", "seed", "workers"):
@@ -197,14 +200,14 @@ def _metadata(model: LossModel, args) -> dict:
     return meta
 
 
-def _write_table(model: LossModel, args, table: dict) -> int:
+def _write_table(model: LossModel, args, table: dict, regime: Optional[approx.Regime] = None) -> int:
     """Write ``table`` (column name -> values) as CSV, or as JSON columns
     under a metadata block."""
     if args.format == "csv":
         text = _csv_table(table)
     else:
         columns = {c: list(map(_json_num, vals)) for c, vals in table.items()}
-        text = _json_text({"metadata": _metadata(model, args), "columns": columns})
+        text = _json_text({"metadata": _metadata(model, args, regime), "columns": columns})
     _write_out(text, args.out)
     return 0
 
@@ -266,7 +269,7 @@ def _cmd_curve(model: LossModel, args) -> int:
         spec = convolution.GridSpec(tol=args.oracle_tol)
         table["c_oracle"] = convolution.oracle_concentration(model, args.n, alphas, spec)
     _stderr_regime(regime, degenerate)
-    return _write_table(model, args, table)
+    return _write_table(model, args, table, regime)
 
 
 def _cmd_crossover(model: LossModel, args) -> int:
@@ -362,7 +365,7 @@ def _cmd_info(model: LossModel, args) -> int:
     ]
     if args.format == "json":
         payload = {
-            **_metadata(model, args),
+            **_metadata(model, args, regime),
             "support_min": _json_num(model.support_min),
             "mean": _json_num(mean),
             "tail_index": _json_num(info.xi),

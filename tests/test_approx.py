@@ -26,7 +26,7 @@ from tailconc.approx import (
     tail_ratio_scale,
 )
 from tailconc.convolution import oracle_concentration
-from tailconc.errors import BoundaryCaseError, DomainError, PrecisionError
+from tailconc.errors import BoundaryCaseError, DomainError, PrecisionError, TailconcError
 from tailconc.models import Burr, ExactHall, GandH, Pareto, SecondOrderInfo
 
 GANDH = GandH(a=0.0, b=1.0, g=2.0, h=0.5)
@@ -497,12 +497,16 @@ def test_boundary_q_is_estimated_once_per_call(monkeypatch):
 
 def test_crossover_decides_from_its_endpoints(monkeypatch):
     """Without a sign change between the ends there is no crossing, so the
-    curve is evaluated at the two ends only."""
-    calls = []
-    evaluate = approx.second_order_approx
-    monkeypatch.setattr(approx, "second_order_approx", lambda *a, **k: calls.append(a) or evaluate(*a, **k))
+    curve is evaluated at the two ends only; with one, the solver evaluates
+    it between them."""
+    levels = []
+    evaluate = approx._second_order
+    monkeypatch.setattr(approx, "_second_order", lambda m, a, *r, **k: levels.extend(a) or evaluate(m, a, *r, **k))
     assert crossover(Pareto(xi=1.25), 2) is None
-    assert len(calls) <= 2
+    assert levels == [0.9, 1.0 - 1e-7]
+    levels.clear()
+    assert crossover(Pareto(xi=0.5), 2) is not None
+    assert len(levels) > 2
 
 
 # crossover's default range, 257 levels log-spaced in 1 - alpha
@@ -572,6 +576,70 @@ def test_gandh_second_order_curve_is_monotone(a, b, g, h, n):
 def test_hall_second_order_curve_is_monotone(c, d, xi, rho, n):
     assume(d != 0.0 and xi + d * (xi + rho) > 0.0)
     assert_c2_monotone(ExactHall(c=c, d=d, xi=xi, rho=rho), n)
+
+
+# levels for the one-level views: where the g-and-h amplitude is undefined
+# (z <= 0 up to 1/2), then from 0.5 to crossover's deepest level
+_VIEW_LEVELS = np.concatenate([[0.1, 0.3, 0.5], 1.0 - np.geomspace(0.5, 1e-7, 9)])
+
+
+def assert_views_agree(model, n):
+    """second_order_approx, the one-level view, gives each c2 of the column
+    bit for bit, and raises DomainError exactly where the column holds NaN;
+    where the column raises (a boundary balance the probe cannot measure),
+    the view raises alike."""
+    for closed_form in (False, True):
+        try:
+            _, c2, regime, _ = approx.second_order_column(model, _VIEW_LEVELS, n, closed_form)
+        except TailconcError as exc:
+            with pytest.raises(type(exc)):
+                second_order_approx(model, 0.99, n, None, closed_form)
+            continue
+        for alpha, value in zip(_VIEW_LEVELS, c2):
+            if math.isnan(value):
+                with pytest.raises(DomainError):
+                    second_order_approx(model, alpha, n, regime.q, closed_form)
+            else:
+                assert second_order_approx(model, alpha, n, regime.q, closed_form).c2 == value
+
+
+@settings(deadline=None, max_examples=30)
+@given(xi=st.floats(0.1, 3.0), n=_NS)
+def test_pareto_views_agree_with_the_column(xi, n):
+    assert_views_agree(Pareto(xi=xi), n)
+
+
+@settings(deadline=None, max_examples=30)
+@given(tau=st.floats(0.25, 4.0), kappa=st.floats(0.25, 4.0), n=_NS)
+def test_burr_views_agree_with_the_column(tau, kappa, n):
+    assert_views_agree(Burr(tau=tau, kappa=kappa), n)
+
+
+@settings(deadline=None, max_examples=30)
+@given(a=st.floats(-1.0, 1.0), b=st.floats(0.5, 2.0), g=st.floats(0.1, 3.0), h=st.floats(0.05, 0.95), n=_NS)
+def test_gandh_views_agree_with_the_column(a, b, g, h, n):
+    assert_views_agree(GandH(a=a, b=b, g=g, h=h), n)
+
+
+@settings(deadline=None, max_examples=30)
+@given(
+    c=st.floats(0.5, 2.0), d=st.floats(-0.9, 2.0), xi=st.floats(0.1, 2.0), rho=st.floats(-2.0, -0.01), n=_NS
+)
+def test_hall_views_agree_with_the_column(c, d, xi, rho, n):
+    assume(d != 0.0 and xi + d * (xi + rho) > 0.0)
+    assert_views_agree(ExactHall(c=c, d=d, xi=xi, rho=rho), n)
+
+
+@pytest.mark.parametrize("model", CATALOGUE.values(), ids=CATALOGUE)
+def test_catalogue_views_agree_with_the_column(model):
+    for n in (2, 3, 4, 8):
+        assert_views_agree(model, n)
+
+
+def test_column_refuses_levels_outside_the_unit_interval():
+    for alphas in ([0.5, 1.0], [0.0, 0.5], [math.nan]):
+        with pytest.raises(DomainError):
+            approx.second_order_column(Pareto(xi=0.5), alphas, 2)
 
 
 def test_fast_amplitude_above_unit_index_needs_no_quantile():

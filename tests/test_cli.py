@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from tailconc import approx
 from tailconc.cli import main
 
 PARETO = '{"kind": "pareto", "xi": 0.5}'
@@ -372,6 +373,22 @@ def test_boundary_balance_agrees_across_subcommands(capsys):
         balances.append(payload.get("metadata", payload)["boundary_balance"])
     assert balances[0] == pytest.approx(2.0, rel=1e-10)
     assert balances == [balances[0]] * 4
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("samples", ["0", "2000"])
+def test_curve_estimates_the_boundary_balance_once(capsys, monkeypatch, fmt, samples):
+    """curve resolves the regime once, and its JSON metadata reports that
+    regime instead of resolving another."""
+    calls = []
+    estimate = approx._boundary_q_estimate
+    monkeypatch.setattr(approx, "_boundary_q_estimate", lambda m: calls.append(m) or estimate(m))
+    code, _, _ = run(
+        capsys, "curve", "--model", '{"kind": "burr", "tau": 1.0, "kappa": 2.0}', "--n", "2",
+        "--points", "4", "--samples", samples, "--batches", "2", "--format", fmt,
+    )
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_info_json(capsys):

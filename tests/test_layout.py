@@ -17,6 +17,8 @@ The oracle tests "this stored tail is 1" by one rule, against ``_FLAT``,
 so no comparison in ``convolution.py`` has the literal 1.0 as an operand,
 and each level has one floor, ``w_floor``, with no ``support`` beside it.
 One function, ``approx._model_regime``, estimates the boundary balance q.
+``approx.py`` has no loop statement: its curve, one-level views and
+crossover read one array kernel.
 Monte Carlo knows a model only through its draws and its quantile, so no
 fact about a family's inverse transform leaves ``models``, and the oracle
 reads no ``from_variates``."""
@@ -110,12 +112,18 @@ def test_loop_scan():
 
 def test_one_bracketed_root_solver():
     # the oracle's quantiles and the crossover level share one Chandrupatla
-    # loop, models.bracketed_roots, and neither iterates on its own; the
-    # one loop left in approx.py is the curve's loop over its levels
+    # loop, models.bracketed_roots, and neither iterates on its own; approx.py
+    # has no loop: the curve, its one-level views and crossover read one
+    # array path, which no function there reaches through the views and
+    # which writes NaN from a mask, not from a caught DomainError
     found = [name for path in SOURCES for name in callers(path.read_text(), "bracketed_roots")]
     assert sorted(found) == ["crossover", "oracle_quantiles"]
     package = ROOT / "src" / "tailconc"
-    assert loops((package / "approx.py").read_text()) == [("second_order_column", "For")]
+    source = (package / "approx.py").read_text()
+    assert loops(source) == []
+    assert callers(source, "second_order_approx") == []
+    handlers = [node for _, node in owned(source, ast.ExceptHandler)]
+    assert [_name(h.type) for h in handlers] == ["OverflowError"]
     assert "oracle_quantiles" not in {owner for owner, _ in loops((package / "convolution.py").read_text())}
 
 
